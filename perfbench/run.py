@@ -1,6 +1,6 @@
 """cartankit benchmark: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload envelope --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload envelope --seed 1 --seconds 40 --trace 0
 
 Run from the repository root; cartankit is imported from ``src/``.  Set-up
 runs the seeded input generator (``inputs.py``) in fresh interpreters, and
