@@ -46,18 +46,17 @@ from .inclusion import (
 from .matalg import (
     FdStarAlgebra,
     _algebra_from_rows,
-    _orthonormal_rows,
     _vec,
     central_projections,
     generate_star_algebra,
     hs_norm,
-    minimal_projections,
-    relative_commutant,
+    null_space,
+    rank,
+    row_span,
     span_residual,
 )
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
-from .twist import CocycleTwist, EquivariantFunction, convolve, delta, \
-    involution, restrict_twist
+from .twist import CocycleTwist, EquivariantFunction, convolve, involution
 
 _EIG_TOL = 1e-7
 
@@ -305,14 +304,7 @@ def theta_kernel_rows(data: EigenTwistData) -> np.ndarray:
     """Orthonormal rows spanning ker theta_F inside C."""
     inc = data.inclusion
     M = np.array([theta_F(data, b).values for b in inc.C.basis])
-    u, s, vh = np.linalg.svd(M.T, full_matrices=True)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    nmask = np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= 1e-8 * scale
-    sols = vh[nmask].conj()
-    mats = [inc.C.element(c) for c in sols]
-    if not mats:
-        return np.zeros((0, inc.C.ambient_dim ** 2))
-    return _orthonormal_rows(_vec(mats))
+    return null_space(M.T) @ inc.C.basis_rows
 
 
 # --- envelope pipeline ---------------------------------------------------
@@ -322,11 +314,7 @@ def essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra) -> bool:
     central block of A)."""
     for q in central_projections(A):
         cols = [(b - q @ b).ravel() for b in B.basis]
-        K = np.array(cols).T
-        s = np.linalg.svd(K, compute_uv=False)
-        scale = max(s[0], 1.0) if len(s) else 1.0
-        rank = int(np.sum(s > 1e-8 * scale))
-        if rank == B.dim:  # no nonzero b with qb = b
+        if rank(np.array(cols).T) == B.dim:  # no nonzero b with qb = b
             return False
     return True
 
@@ -435,10 +423,7 @@ def cartan_envelope(inc: Inclusion,
             mask = np.array([1.0 if G.src[a] == x else 0.0
                              for a in G.arrows])
             rows.append(f.values * mask)
-    M = np.array(rows)
-    s = np.linalg.svd(M, compute_uv=False)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    density = int(np.sum(s > 1e-8 * scale)) == len(G.arrows)
+    density = rank(np.array(rows)) == len(G.arrows)
 
     cert = is_cartan_pair(R)
     theta_iso = (KF.dim == 0 and inc.C.dim == R.algebra.dim)
@@ -532,8 +517,8 @@ def envelope_uniqueness_crosscheck(inc: Inclusion,
     if L.dim:
         q = inc.C.unit - L.support_projection
         n = inc.C.ambient_dim
-        c_rows = _orthonormal_rows(_vec([q @ b @ q for b in inc.C.basis]))
-        d_rows = _orthonormal_rows(_vec([q @ b @ q for b in inc.D.basis]))
+        c_rows = row_span(_vec([q @ b @ q for b in inc.C.basis]))
+        d_rows = row_span(_vec([q @ b @ q for b in inc.D.basis]))
         Cq = _algebra_from_rows(n, c_rows, q, unit_is_ambient=False)
         Dq = _algebra_from_rows(n, d_rows, q, unit_is_ambient=False)
         gens = [q @ v @ q for v in inc.normalizer_gens]

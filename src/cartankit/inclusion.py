@@ -10,7 +10,7 @@ the corner p_i C p_i; uniqueness holds iff all corners are scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,13 +29,14 @@ from .matalg import (
     FdStarAlgebra,
     IdealSubspace,
     _algebra_from_rows,
-    _orthonormal_rows,
     _vec,
     generate_star_algebra,
     hs_norm,
     ideal_from_subspace,
     minimal_projections,
+    null_space,
     relative_commutant,
+    row_span,
     span_residual,
 )
 
@@ -191,13 +192,8 @@ def fixed_point_ideal(inc: Inclusion, v, eps: float = EPS) -> IdealSubspace:
             rows.append((v @ p @ c - c @ v @ p).ravel())
         cols.append(np.concatenate(rows))
     K = np.array(cols).T
-    u, s, vh = np.linalg.svd(K)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    nmask = np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= 1e-8 * scale
-    sols = vh[nmask].conj()
-    mats = [sum(t * p for t, p in zip(sol, projs)) for sol in sols]
-    rows = _orthonormal_rows(_vec(mats)) if mats else \
-        np.zeros((0, inc.D.ambient_dim ** 2))
+    # the projections are not HS-normalized, so re-orthonormalize
+    rows = row_span(null_space(K) @ _vec(projs))
     return ideal_from_subspace(inc.D, rows)
 
 
@@ -295,7 +291,7 @@ class CornerDescriptor:
 def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
     p = inc.min_projs[i]
     mats = [p @ b @ p for b in inc.C.basis]
-    rows = _orthonormal_rows(_vec(mats))
+    rows = row_span(_vec(mats))
     return _algebra_from_rows(inc.C.ambient_dim, rows, p,
                               unit_is_ambient=False)
 
@@ -446,7 +442,6 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     Since each phi_i is a state with density rho_i, E(x*x) = 0 iff
     x p_i rho_i^{1/2} = 0 for every corner; this is a linear condition.
     """
-    n = inc.C.ambient_dim
     roots = []
     for p, rho in zip(inc.min_projs, E.corner_densities):
         evals, evecs = np.linalg.eigh(rho)
@@ -456,13 +451,7 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     for b in inc.C.basis:
         cols.append(np.concatenate([(b @ r).ravel() for r in roots]))
     K = np.array(cols).T
-    u, s, vh = np.linalg.svd(K)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    nmask = np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= 1e-8 * scale
-    sols = vh[nmask].conj()
-    mats = [inc.C.element(c) for c in sols]
-    rows = _orthonormal_rows(_vec(mats)) if mats else np.zeros((0, n * n))
-    return ideal_from_subspace(inc.C, rows)
+    return ideal_from_subspace(inc.C, null_space(K) @ inc.C.basis_rows)
 
 
 def left_kernel(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
@@ -476,7 +465,6 @@ def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
                   word_bound: int = 2) -> IdealSubspace:
     """K_F = {x : rho(x*x) = 0 for all rho in F}."""
     F = list(F)
-    n = inc.C.ambient_dim
     if not F:
         return ideal_from_subspace(inc.C, inc.C.basis_rows)
     if check_invariance and not _is_invariant(inc, F, word_bound):
@@ -486,12 +474,8 @@ def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
     for rho in F:
         gram = np.array([[rho(a.conj().T @ b) for b in basis] for a in basis])
         total += 0.5 * (gram + gram.conj().T)
-    evals, evecs = np.linalg.eigh(total)
-    scale = max(float(evals.max()), 1.0)
-    null = evecs[:, evals <= 1e-8 * scale]
-    mats = [inc.C.element(null[:, j]) for j in range(null.shape[1])]
-    rows = _orthonormal_rows(_vec(mats)) if mats else np.zeros((0, n * n))
-    return ideal_from_subspace(inc.C, rows)
+    # total is Hermitian PSD: its singular values are its eigenvalues
+    return ideal_from_subspace(inc.C, null_space(total) @ inc.C.basis_rows)
 
 
 def _is_invariant(inc: Inclusion, F, word_bound: int) -> bool:

@@ -8,7 +8,7 @@ projection residuals rather than exact linear solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,21 +63,33 @@ def _vec(mats) -> np.ndarray:
     return np.array([np.asarray(m, dtype=complex).ravel() for m in mats])
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: float = RANK_TOL,
-                      ambiguity_window: float = 0.0) -> np.ndarray:
+def _rank_of(s: np.ndarray) -> int:
+    """Number of singular values (descending) above RANK_TOL * max(s_max, 1)."""
+    cut = RANK_TOL * max(s[0], 1.0) if len(s) else RANK_TOL
+    return int(np.sum(s > cut))
+
+
+def row_span(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the row span, via SVD."""
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    cut = tol * scale
-    if ambiguity_window:
-        lo, hi = cut / ambiguity_window, cut * ambiguity_window
-        if np.any((s > lo) & (s < hi)):
-            raise NumericalRankAmbiguity(
-                f"singular value near rank threshold {cut:g}: {s}")
-    rank = int(np.sum(s > cut))
-    return vh[:rank]
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:_rank_of(s)]
+
+
+def null_space(K: np.ndarray) -> np.ndarray:
+    """Orthonormal rows x with K x^T ~ 0, via SVD.
+
+    The full right factor is needed only when K is wide (more columns
+    than rows); a tall K gets the thin SVD, whose right factor is square.
+    """
+    _, s, vh = np.linalg.svd(K, full_matrices=K.shape[0] < K.shape[1])
+    return vh[_rank_of(s):].conj()
+
+
+def rank(K: np.ndarray) -> int:
+    """Numerical rank of K, from its singular values."""
+    return _rank_of(np.linalg.svd(K, compute_uv=False))
 
 
 def _span_project(basis_rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -173,7 +185,7 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
     first = uvec / unorm
     if rows.shape[0]:
         resid = rows - np.outer(rows @ first.conj(), first)
-        rest = _orthonormal_rows(resid)
+        rest = row_span(resid)
     else:
         rest = rows
     mats = [first.reshape(n, n)] + [r.reshape(n, n) for r in rest]
@@ -196,11 +208,11 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
     if unit is None:
         unit = np.eye(n, dtype=complex)
     seed = gens + [g.conj().T for g in gens] + [unit]
-    rows = _orthonormal_rows(_vec(seed))
+    rows = row_span(_vec(seed))
     while True:
         mats = [r.reshape(n, n) for r in rows]
         prods = [a @ b for a in mats for b in mats]
-        new_rows = _orthonormal_rows(np.vstack([rows, _vec(prods)]))
+        new_rows = row_span(np.vstack([rows, _vec(prods)]))
         if new_rows.shape[0] > cap:
             raise DimensionOverflow(
                 f"generated algebra exceeds dimension cap {cap}")
@@ -246,13 +258,9 @@ def relative_commutant(A: FdStarAlgebra, within: FdStarAlgebra,
         cols = [(a @ b - b @ a).ravel() for b in within.basis]
         blocks.append(np.array(cols).T)
     K = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(K)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    null_mask = np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= RANK_TOL * scale
-    null_vecs = vh[null_mask].conj()
-    rows = _vec([within.element(c) for c in null_vecs])
-    return _algebra_from_rows(n, _orthonormal_rows(rows), within.unit,
-                              within.unit_is_ambient)
+    # within's basis is HS-orthonormal, so the mapped null rows are too
+    return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
+                              within.unit, within.unit_is_ambient)
 
 
 def center(A: FdStarAlgebra) -> FdStarAlgebra:
@@ -310,7 +318,9 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
 
     projs.sort(key=key)
     total = sum(projs)
-    assert hs_norm(total - D.unit) < 1e-7
+    if hs_norm(total - D.unit) >= 1e-7:
+        raise NumericalRankAmbiguity(
+            "minimal projections of abelian algebra do not sum to its unit")
     return tuple(projs)
 
 
@@ -323,10 +333,7 @@ def block_structure(A: FdStarAlgebra) -> tuple:
     """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C)."""
     sizes = []
     for p in central_projections(A):
-        comp_rows = _orthonormal_rows(
-            _vec([p @ b @ p for b in A.basis]),
-            ambiguity_window=0.0)
-        d = comp_rows.shape[0]
+        d = rank(_vec([p @ b @ p for b in A.basis]))
         ni = round(np.sqrt(d))
         if ni * ni != d:
             raise NumericalRankAmbiguity(
@@ -350,7 +357,7 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
     support_blocks = [q for q in central_projections(A)
                       if any(hs_norm(q @ s) >= eps for s in live)]
     support = sum(support_blocks)
-    rows = _orthonormal_rows(_vec([support @ b for b in A.basis]))
+    rows = row_span(_vec([support @ b for b in A.basis]))
     basis = tuple(r.reshape(n, n) for r in rows)
     return IdealSubspace(parent=A, basis=basis, support_projection=support)
 

@@ -9,23 +9,20 @@ faithful: E(f* f)(x) = sum_{s(a)=x} |f(a)|^2.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import UnknownUnit
-from .groupoid import FiniteGroupoid
 from .matalg import (
     EPS,
     FdStarAlgebra,
     _algebra_from_rows,
-    _orthonormal_rows,
     _vec,
     operator_norm,
     relative_commutant,
+    row_span,
 )
 from .twist import (
     CocycleTwist,
@@ -35,13 +32,6 @@ from .twist import (
     involution,
     unit_function,
 )
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CARTANKIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def regular_representation(f: EquivariantFunction, x) -> np.ndarray:
@@ -118,18 +108,12 @@ class ReducedAlgebra:
     @cached_property
     def _delta_images(self) -> np.ndarray:
         arrows = self.twist.groupoid.arrows
-        threads = _thread_count()
-        deltas = [delta(self.twist, self.degree, a) for a in arrows]
-        if threads > 1 and len(deltas) > 8:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                mats = list(pool.map(self.represent, deltas))
-        else:
-            mats = [self.represent(d) for d in deltas]
-        return _vec(mats)
+        return _vec([self.represent(delta(self.twist, self.degree, a))
+                     for a in arrows])
 
     @cached_property
     def algebra(self) -> FdStarAlgebra:
-        rows = _orthonormal_rows(self._delta_images)
+        rows = row_span(self._delta_images)
         return _algebra_from_rows(self.total_dim, rows, self.unit_matrix,
                                   unit_is_ambient=True)
 
@@ -138,7 +122,7 @@ class ReducedAlgebra:
         units = self.twist.groupoid.unit_arrow.values()
         mats = [self.represent(delta(self.twist, self.degree, e))
                 for e in units]
-        rows = _orthonormal_rows(_vec(mats))
+        rows = row_span(_vec(mats))
         return _algebra_from_rows(self.total_dim, rows, self.unit_matrix,
                                   unit_is_ambient=True)
 

@@ -9,7 +9,7 @@ transpose map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (
     DegreeMismatch,
     FactorizationPropertyFails,
-    NotASubgroupoid,
     TwistMismatch,
     UnknownArrow,
 )
-from .groupoid import FiniteGroupoid, is_subgroupoid, restrict_groupoid
+from .groupoid import FiniteGroupoid, restrict_groupoid
 
 #: Tolerance for the cocycle identity and normalization.
 COCYCLE_TOL = 1e-12
@@ -71,15 +70,6 @@ def coboundary_twist(G: FiniteGroupoid, lam: dict) -> CocycleTwist:
 def conjugate_twist(T: CocycleTwist) -> CocycleTwist:
     return CocycleTwist(groupoid=T.groupoid,
                         sigma={k: np.conj(v) for k, v in T.sigma.items()})
-
-
-def product_twist(T1: CocycleTwist, T2: CocycleTwist) -> CocycleTwist:
-    if T1.groupoid is not T2.groupoid and \
-            set(T1.sigma) != set(T2.sigma):
-        raise TwistMismatch("twists live over different groupoids")
-    return CocycleTwist(groupoid=T1.groupoid,
-                        sigma={k: T1.sigma[k] * T2.sigma[k]
-                               for k in T1.sigma})
 
 
 def validate_cocycle(T: CocycleTwist, tol: float = COCYCLE_TOL) -> list:

@@ -1,21 +1,31 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cartankit
+from cartankit import matalg
 from cartankit.errors import (
     NotAbelian,
     NotASubalgebra,
+    NumericalRankAmbiguity,
     SeedOutsideAlgebra,
 )
 from cartankit.matalg import (
+    RANK_TOL,
     block_structure,
     check_star_algebra,
     generate_star_algebra,
     hs_norm,
     ideal_generated_by,
     minimal_projections,
+    null_space,
     operator_norm,
+    rank,
     relative_commutant,
+    row_span,
 )
 from conftest import E
 
@@ -80,6 +90,13 @@ class TestRelativeCommutant:
             back = relative_commutant(relative_commutant(A, full), full)
             assert back.subspace_equals(A, 1e-7)
 
+    def test_commutant_basis_orthonormal(self):
+        rng = np.random.default_rng(13)
+        full = full_matrix_algebra(4)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        A = generate_star_algebra(4, [g @ g.conj().T])
+        assert check_star_algebra(relative_commutant(A, full)) == []
+
 
 class TestBlockStructure:
     def test_m2(self):
@@ -131,6 +148,19 @@ class TestMinimalProjections:
         b = minimal_projections(diagonal_algebra(3))
         for p, q in zip(a, b):
             assert hs_norm(p - q) < 1e-12
+
+    def test_projections_missing_the_unit_raise(self, monkeypatch):
+        # two copies of one eigenvector: each cluster passes the membership
+        # test, but the projections sum to 2 E_00 instead of the unit
+        D2 = diagonal_algebra(2)
+
+        def eigh(h):
+            return np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 0.0]],
+                                                  dtype=complex)
+
+        monkeypatch.setattr(matalg.np.linalg, "eigh", eigh)
+        with pytest.raises(NumericalRankAmbiguity):
+            minimal_projections(D2)
 
 
 class TestOperatorNorm:
@@ -185,3 +215,105 @@ def test_random_generators_close(n, seed):
             for _ in range(k)]
     A = generate_star_algebra(n, gens)
     assert check_star_algebra(A, 1e-9) == []
+
+
+# --- the rank kernel against a full-SVD reference recipe ----------------
+
+def _reference_cut(s):
+    return 1e-8 * (max(s[0], 1.0) if len(s) else 1.0)
+
+
+def _reference_null_space(K):
+    """Full SVD, singular values padded with zeros, cut at 1e-8 * scale."""
+    u, s, vh = np.linalg.svd(K)
+    mask = np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) \
+        <= _reference_cut(s)
+    return vh[mask].conj()
+
+
+def _reference_row_span(K):
+    u, s, vh = np.linalg.svd(K, full_matrices=False)
+    return vh[s > _reference_cut(s)]
+
+
+def _complex(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+KERNEL_CASES = {
+    "tall": lambda rng: _complex(rng, 12, 5),
+    "wide": lambda rng: _complex(rng, 4, 9),
+    "square": lambda rng: _complex(rng, 6, 6),
+    "tall_deficient": lambda rng: _complex(rng, 10, 3) @ _complex(rng, 3, 7),
+    "wide_deficient": lambda rng: _complex(rng, 4, 2) @ _complex(rng, 2, 8),
+    "large_deficient": lambda rng:
+        1e3 * _complex(rng, 9, 4) @ _complex(rng, 4, 6),
+    "zero": lambda rng: np.zeros((5, 4), dtype=complex),
+}
+
+
+def _projector(rows):
+    """Orthogonal projector onto the span of the rows read as columns."""
+    return rows.T @ rows.conj()
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+class TestRankKernel:
+    def _matrix(self, case):
+        seed = sorted(KERNEL_CASES).index(case) + 101
+        return KERNEL_CASES[case](np.random.default_rng(seed))
+
+    def test_dimensions_match_reference(self, case):
+        K = self._matrix(case)
+        ref_null = _reference_null_space(K)
+        ref_span = _reference_row_span(K)
+        assert null_space(K).shape == ref_null.shape
+        assert row_span(K).shape == ref_span.shape
+        assert rank(K) == ref_span.shape[0] == K.shape[1] - ref_null.shape[0]
+
+    def test_subspaces_match_reference(self, case):
+        K = self._matrix(case)
+        n = K.shape[1]
+        N, S = null_space(K), row_span(K)
+        assert np.abs(_projector(N) - _projector(_reference_null_space(K))
+                      ).max() < 1e-10
+        assert np.abs(_projector(S) - _projector(_reference_row_span(K))
+                      ).max() < 1e-10
+        # the null space is the orthogonal complement of the conjugate
+        # row span
+        assert np.abs(_projector(N.conj()) + _projector(S) - np.eye(n)
+                      ).max() < 1e-10
+
+    def test_rows_orthonormal_and_null(self, case):
+        K = self._matrix(case)
+        N, S = null_space(K), row_span(K)
+        for rows in (N, S):
+            assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])
+                          ).max(initial=0.0) < 1e-10
+        s_max = np.linalg.norm(K, 2) if K.size else 0.0
+        if N.shape[0]:
+            assert np.linalg.norm(K @ N.T, 2) <= RANK_TOL * max(s_max, 1.0)
+
+
+def test_svd_only_in_rank_kernel():
+    """Every rank decision in the package goes through matalg's kernel."""
+    kernel = {"row_span", "null_space", "rank"}
+    bad = []
+    for path in sorted(Path(cartankit.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        if "full_matrices=True" in source:
+            bad.append(f"{path.name}: full_matrices=True")
+        tree = ast.parse(source)
+        owner = {}  # node -> innermost enclosing function name
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "svd":
+                bad.append(f"{path.name}:{node.lineno}: svd imported")
+            if isinstance(node, ast.Attribute) and node.attr == "svd":
+                where = owner.get(node, "<module>")
+                if path.name != "matalg.py" or where not in kernel:
+                    bad.append(f"{path.name}:{node.lineno}: svd in {where}")
+    assert bad == [], bad
