@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import CartanKitError, DimensionOverflow, ParseError
 from .groupoid import validate as validate_groupoid
@@ -149,7 +147,7 @@ def cmd_weyl(args) -> int:
     from .weyl import weyl_twist
 
     inc = inclusion_from_json(load_json(args.path), cap=args.cap)
-    W = weyl_twist(inc, args.word_bound)
+    W = weyl_twist(inc)
     report = _base_report(args)
     report["units"] = len(W.twist.groupoid.units)
     report["arrows"] = len(W.twist.groupoid.arrows)
@@ -162,7 +160,7 @@ def cmd_envelope(args) -> int:
     from .envelope import cartan_envelope
 
     inc = inclusion_from_json(load_json(args.path), cap=args.cap)
-    cert = cartan_envelope(inc, args.word_bound)
+    cert = cartan_envelope(inc)
     report = _base_report(args)
     report["success"] = cert.success
     report["certificate"] = {
@@ -197,7 +195,7 @@ def cmd_compare(args) -> int:
         from .envelope import envelope_uniqueness_crosscheck
 
         inc = inclusion_from_json(load_json(args.path), cap=args.cap)
-        agree = envelope_uniqueness_crosscheck(inc, args.word_bound)
+        agree = envelope_uniqueness_crosscheck(inc)
         report["mode"] = "envelope-crosscheck"
         report["agree"] = agree
     else:
@@ -222,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=EPS,
                    help="numerical tolerance (1e-14..1e-4)")
     p.add_argument("--word-bound", type=int, default=4,
-                   help="word-length bound for *-semigroup enumeration "
-                        "(1..8)")
+                   help="word-length bound (1..8), echoed in reports; "
+                        "weyl, envelope and compare compute exact "
+                        "normalizer classes and do not read it")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--degree", type=int, choices=(-1, 1), default=1)
     p.add_argument("--cap", type=int, default=DIM_CAP,

@@ -26,33 +26,27 @@ from .errors import (
     NotRegular,
     SourceVanishes,
 )
-from .groupoid import build_groupoid, find_isomorphism, is_subgroupoid, \
+from .groupoid import build_groupoid, is_subgroupoid, \
     has_factorization_property
 from .inclusion import (
     WORD_BOUND,
     Inclusion,
     ModState,
-    canonical_expectation,
     is_compatible_state,
-    left_kernel,
-    make_inclusion,
-    normalizer_words,
     pseudo_expectations,
     radical_ideal,
     strongly_compatible,
     _functional_values,
     _is_invariant,
+    _normalizer_reps,
 )
 from .matalg import (
     FdStarAlgebra,
-    _algebra_from_rows,
-    _vec,
     central_projections,
     generate_star_algebra,
     hs_norm,
     null_space,
     rank,
-    row_span,
     span_residual,
 )
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
@@ -217,7 +211,7 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     for j, f in enumerate(F):
         phi = _canonicalize(eigenfunctional(inc, inc.C.unit, f))
         classes.append((j, j, phi))
-    for w in normalizer_words(inc, cover.word_bound):
+    for w in _normalizer_reps(inc, cover.word_bound):
         for j, f in enumerate(F):
             wt = complex(f(w.conj().T @ w))
             if wt.real <= 1e-9 or abs(wt.imag) > 1e-9:
@@ -349,8 +343,7 @@ class EnvelopeCertificate:
                 and self.cartan)
 
 
-def cartan_envelope(inc: Inclusion,
-                    word_bound: int = WORD_BOUND) -> EnvelopeCertificate:
+def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     if not inc.regular:
         raise NotRegular("Cartan envelope requires a regular inclusion")
     pe = pseudo_expectations(inc)
@@ -366,7 +359,7 @@ def cartan_envelope(inc: Inclusion,
             dc_abelian=dc_abelian, dc_essential_over_d=dc_ess,
             c_essential_over_dc=c_ess, rejection_reason=reason)
 
-    cover = build_cover(inc, "strongly_compatible", word_bound=word_bound)
+    cover = build_cover(inc, "strongly_compatible")
     data = eigen_twist(inc, cover)
     R = realize(data.twist, 1)
 
@@ -500,36 +493,32 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
                            intertwining_residual=resid)
 
 
-def envelope_uniqueness_crosscheck(inc: Inclusion,
-                                   word_bound: int = WORD_BOUND) -> bool:
+def envelope_uniqueness_crosscheck(inc: Inclusion) -> bool:
     """Build the envelope via the eigenfunctional twist and via the Weyl
-    twist of C/L(C,D); compare block structures and groupoids."""
+    twist; compare block structures, and check that matching arrows by
+    corner pair is an isomorphism of the two groupoids."""
     from .weyl import weyl_twist
     from .matalg import block_structure
 
-    cert = cartan_envelope(inc, word_bound)
+    cert = cartan_envelope(inc)
     if not cert.success:
         raise EnvelopeAbsent(cert.rejection_reason or
                              "no Cartan envelope exists")
-    # quotient by L(C, D) = compression by the complementary support
-    E = canonical_expectation(inc)
-    L = left_kernel(inc, E)
-    if L.dim:
-        q = inc.C.unit - L.support_projection
-        n = inc.C.ambient_dim
-        c_rows = row_span(_vec([q @ b @ q for b in inc.C.basis]))
-        d_rows = row_span(_vec([q @ b @ q for b in inc.D.basis]))
-        Cq = _algebra_from_rows(n, c_rows, q, unit_is_ambient=False)
-        Dq = _algebra_from_rows(n, d_rows, q, unit_is_ambient=False)
-        gens = [q @ v @ q for v in inc.normalizer_gens]
-        inc_q = make_inclusion(Cq, Dq, gens)
-    else:
-        inc_q = inc
-    W = weyl_twist(inc_q, word_bound)
-    RA = cert.realization
-    RB = realize(W.twist, 1)
-    if block_structure(RA.algebra) != block_structure(RB.algebra):
+    # the Weyl side is built from C/L(C, D) = C: the canonical expectation's
+    # corner densities p_i/tr p_i are faithful, so E(x*x) = 0 forces
+    # x p_i = 0 for every i, hence x = 0
+    W = weyl_twist(inc)
+    if block_structure(cert.realization.algebra) != \
+            block_structure(realize(W.twist, 1).algebra):
         return False
-    GA = cert.data.twist.groupoid
+    data = cert.data
+    GA = data.twist.groupoid
     GB = W.twist.groupoid
-    return find_isomorphism(GA, GB) is not None
+    corner = {unit: data.cover.states[s].corner_index
+              for s, unit in data.unit_of_state.items()}
+    to_b = {a: f"g{corner[GA.src[a]]}.{corner[GA.rng[a]]}"
+            for a in GA.arrows}
+    # a bijection onto GB's arrows carrying one composition onto the other
+    return sorted(to_b.values()) == sorted(GB.arrows) and {
+        (to_b[a], to_b[b]): to_b[ab]
+        for (a, b), ab in GA.compose_table.items()} == GB.compose_table

@@ -6,6 +6,10 @@ space is the finite list of minimal projections p_1..p_m; characters are
 sigma_i(d) = trace(p_i d)/trace(p_i).  Pseudo-expectations are exactly
 the maps E(x) = sum_i phi_i(p_i x p_i) p_i with each phi_i a state on
 the corner p_i C p_i; uniqueness holds iff all corners are scalar.
+
+When all corners are scalar the normalizer classes are exactly the
+nonzero slices p_j C p_i (``Inclusion.corner_slices``); otherwise they
+are approximated by bounded words in the normalizer generators.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     NotInvariant,
     NotRegular,
     NonUniquePseudoExpectation,
+    NumericalRankAmbiguity,
     OutsideAmbient,
 )
 from .matalg import (
@@ -70,6 +75,37 @@ class Inclusion:
         p = self.min_projs[i]
         return complex(np.trace(p @ np.asarray(d, dtype=complex) @ p)
                        / np.trace(p))
+
+    @cached_property
+    def corner_slices(self) -> dict | None:
+        """{(i, j): u} over the nonzero slices p_j C p_i, with u spanning
+        the slice and scaled so that u*u = p_i and uu* = p_j; None when
+        some corner p_i C p_i is not scalar.
+
+        With scalar corners each slice has dimension <= 1: for x != 0 in
+        it xx* = a p_j with a > 0, and any y in it has y*x in C p_i, so
+        some z = y - lam x has z*x = 0, which forces a z = xx*z = 0.  The
+        nonzero slice elements are normalizers, and each v p_i of a
+        normalizer v lies in one slice: the slices are the classes.
+        """
+        n = self.C.ambient_dim
+        B = np.array(self.C.basis)
+        P = self.min_projs
+        spans = {(i, j): row_span((pj @ B @ pi).reshape(len(B), n * n))
+                 for i, pi in enumerate(P) for j, pj in enumerate(P)}
+        if any(spans[(i, i)].shape[0] > 1 for i in range(self.n_corners)):
+            return None
+        out = {}
+        for (i, j), rows in spans.items():
+            if rows.shape[0] > 1:
+                raise NumericalRankAmbiguity(
+                    f"slice p_{j} C p_{i} has rank {rows.shape[0]} although "
+                    "every corner is scalar")
+            if rows.shape[0]:
+                # rows[0] has unit HS norm, so x*x = p_i / trace(p_i)
+                out[(i, j)] = rows[0].reshape(n, n) * np.sqrt(
+                    np.trace(P[i]).real)
+        return out
 
     @cached_property
     def regular(self) -> bool:
@@ -361,14 +397,27 @@ def normalizer_words(inc: Inclusion, word_bound: int = WORD_BOUND,
     return list(seen.values())
 
 
+def _normalizer_reps(inc: Inclusion, word_bound: int,
+                     include_d: bool = True) -> list:
+    """One normalizer per class: the corner-slice representatives when
+    every corner is scalar, else the bounded normalizer words."""
+    slices = inc.corner_slices
+    if slices is not None:
+        return list(slices.values())
+    return normalizer_words(inc, word_bound, include_d)
+
+
 def is_compatible_state(inc: Inclusion, rho: ModState,
                         word_bound: int = WORD_BOUND,
                         tol: float = 1e-7):
-    """|rho(v)|^2 in {0, rho(v*v)} over the bounded word *-semigroup.
+    """|rho(v)|^2 in {0, rho(v*v)} over the normalizers of D.
 
+    Exact when every corner is scalar (one corner-slice representative
+    per class); otherwise checked over the words of length <= word_bound
+    in the normalizer generators and D, an under-approximation.
     Returns (True, None) or (False, witness matrix).
     """
-    for w in normalizer_words(inc, word_bound):
+    for w in _normalizer_reps(inc, word_bound):
         lhs = abs(rho(w)) ** 2
         rhs = rho(w.conj().T @ w).real
         scale = max(1.0, abs(rhs))
@@ -480,7 +529,7 @@ def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
 
 def _is_invariant(inc: Inclusion, F, word_bound: int) -> bool:
     for rho in F:
-        for v in normalizer_words(inc, word_bound, include_d=False):
+        for v in _normalizer_reps(inc, word_bound, include_d=False):
             if rho(v.conj().T @ v).real <= 1e-9:
                 continue
             moved = transported_state(inc, rho, v)

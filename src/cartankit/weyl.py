@@ -5,8 +5,9 @@ normalizer v with corner i in the domain of beta_v, the matrix
 u = v p_i / sigma_i(v*v)^{1/2} is a partial isometry with u*u = p_i and
 uu* = p_{beta_v(i)}; its positive-ray class is pinned by rotating the
 first nonzero entry (row-major) to the positive reals.  For MASA
-inclusions the corners of D are scalar, so there is at most one circle
-class per corner pair and the germ groupoid is principal.
+inclusions the corners of D are scalar, so each slice p_j C p_i holds at
+most one circle class and the germ groupoid is principal: the classes
+are read off ``Inclusion.corner_slices``, with no word search.
 """
 
 from __future__ import annotations
@@ -20,32 +21,16 @@ from .errors import (
     NotInDomain,
     NotRegular,
 )
-from .groupoid import FiniteGroupoid, build_groupoid
+from .groupoid import build_groupoid
 from .inclusion import (
-    WORD_BOUND,
     Inclusion,
     _require_normalizer,
-    beta,
     canonical_expectation,
-    normalizer_words,
-    pseudo_expectations,
 )
 from .matalg import hs_inner, hs_norm
 from .twist import CocycleTwist
 
 _GERM_TOL = 1e-8
-
-
-def _corner_weight(inc: Inclusion, i: int, v: np.ndarray) -> float:
-    return inc.char(i, v.conj().T @ v).real
-
-
-def _corner_slice(inc: Inclusion, v: np.ndarray, i: int) -> np.ndarray:
-    """v p_i, or raise NotInDomain when it vanishes."""
-    u = v @ inc.min_projs[i]
-    if hs_norm(u) < _GERM_TOL:
-        raise NotInDomain(f"corner {i} is not in the domain of beta_v")
-    return u
 
 
 def _ratio(a: np.ndarray, b: np.ndarray):
@@ -110,56 +95,23 @@ class WeylTwistResult:
     corner_of_unit: dict   # unit id -> corner index
 
 
-def weyl_twist(inc: Inclusion, word_bound: int = WORD_BOUND) -> WeylTwistResult:
-    """Enumerate germ classes of normalizer words and assemble the Weyl
-    groupoid G_W with its extracted cocycle.
+def weyl_twist(inc: Inclusion) -> WeylTwistResult:
+    """Assemble the Weyl groupoid G_W and its extracted cocycle from the
+    germ classes, one per nonzero corner slice.
 
     Refuses non-MASA input: the two germ relations of the construction
     only provably agree for MASA inclusions.
     """
     if not inc.regular:
         raise NotRegular("Weyl twist requires a regular inclusion")
-    if not inc.is_masa:
+    slices = inc.corner_slices if inc.is_masa else None
+    if slices is None:
         raise NoConditionalExpectation(
             "Weyl twist extraction refuses non-MASA inclusions: the germ "
             "relations are only equivalent when D is a MASA")
     m = inc.n_corners
-
-    # germ classes keyed by (source corner, target corner); for a MASA
-    # inclusion each key holds at most one canonical representative
-    classes = {}
-    for i in range(m):
-        classes[(i, i)] = canonical_phase(inc.min_projs[i])
-    for v in normalizer_words(inc, word_bound):
-        b = beta(inc, v)
-        for i, j in b.items():
-            wt = _corner_weight(inc, i, v)
-            u = canonical_phase(v @ inc.min_projs[i] / np.sqrt(wt))
-            key = (i, j)
-            if key in classes:
-                lam = _ratio(u, classes[key])
-                if lam is None:
-                    raise NoConditionalExpectation(
-                        "two non-proportional germs over one corner pair: "
-                        "inclusion is not a MASA inclusion at tolerance")
-            else:
-                classes[key] = u
-    # close under inverses and products (adds no new pairs for MASA input,
-    # but keeps the construction honest)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j), u in list(classes.items()):
-            if (j, i) not in classes:
-                classes[(j, i)] = canonical_phase(u.conj().T)
-                changed = True
-        for (i1, j1), u1 in list(classes.items()):
-            for (i2, j2), u2 in list(classes.items()):
-                if i1 != j2:
-                    continue
-                if (i2, j1) not in classes:
-                    classes[(i2, j1)] = canonical_phase(u1 @ u2)
-                    changed = True
+    # germ classes keyed by (source corner, target corner)
+    classes = {key: canonical_phase(u) for key, u in slices.items()}
 
     unit_id = {i: f"x{i}" for i in range(m)}
     arrow_id = {key: f"g{key[0]}.{key[1]}" for key in sorted(classes)}
