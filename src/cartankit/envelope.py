@@ -49,8 +49,13 @@ from .matalg import (
     rank,
     span_residual,
 )
-from .reduced import ReducedAlgebra, is_cartan_pair, realize
-from .twist import CocycleTwist, EquivariantFunction, convolve, involution
+from .reduced import ReducedAlgebra, _normalizes, is_cartan_pair, realize
+from .twist import (
+    CocycleTwist,
+    EquivariantFunction,
+    _convolve_values,
+    _involution_values,
+)
 
 _EIG_TOL = 1e-7
 
@@ -192,6 +197,18 @@ class EigenTwistData:
     arrow_eigs: dict   # arrow id -> canonical Eigenfunctional
     unit_of_state: dict  # cover-state index -> unit id
 
+    @cached_property
+    def _eig_values(self) -> np.ndarray:
+        """Row g: arrow g's eigenfunctional on the basis of C."""
+        return np.array([self.arrow_eigs[a].values
+                         for a in self.twist.groupoid.arrows])
+
+    def _theta(self, mats: np.ndarray) -> np.ndarray:
+        """theta_F on a stack (..., n, n) of elements of C."""
+        rows = mats.reshape(*mats.shape[:-2], -1)
+        return rows @ self.inclusion.C.basis_rows.conj().T @ \
+            self._eig_values.T
+
 
 def _state_index(cover: CompatibleCover, s: ModState):
     for j, rho in enumerate(cover.states):
@@ -287,17 +304,14 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
 
 def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
     """The degree-1 function g -> phi_g(a)."""
-    T = data.twist
-    vals = np.zeros(len(T.groupoid.arrows), dtype=complex)
-    for arrow, phi in data.arrow_eigs.items():
-        vals[T.arrow_index[arrow]] = phi(a)
-    return EquivariantFunction(T, 1, vals)
+    return EquivariantFunction(
+        data.twist, 1, data._eig_values @ data.inclusion.C.coefficients(a))
 
 
 def theta_kernel_rows(data: EigenTwistData) -> np.ndarray:
     """Orthonormal rows spanning ker theta_F inside C."""
     inc = data.inclusion
-    M = np.array([theta_F(data, b).values for b in inc.C.basis])
+    M = data._theta(np.array(inc.C.basis))
     return null_space(M.T) @ inc.C.basis_rows
 
 
@@ -363,26 +377,24 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     data = eigen_twist(inc, cover)
     R = realize(data.twist, 1)
 
-    # theta_F is a *-homomorphism into the realization
-    basis = inc.C.basis
-    theta_imgs = [theta_F(data, b) for b in basis]
-    hom = True
-    for i, a in enumerate(basis):
-        if hs_norm(theta_F(data, a.conj().T).values
-                   - involution(theta_imgs[i]).values) > 1e-8:
-            hom = False
-        for j, b in enumerate(basis):
-            lhs = theta_F(data, a @ b).values
-            rhs = convolve(theta_imgs[i], theta_imgs[j]).values
-            if hs_norm(lhs - rhs) > 1e-7:
-                hom = False
+    # theta_F is a *-homomorphism into the realization, checked on the
+    # basis of C and on the products a b, a batch of b per basis element a
+    # (a batch over all pairs would hold dim(C)^2 x |pairs| terms)
+    T = data.twist
+    basis = np.array(inc.C.basis)
+    imgs = data._theta(basis)
+    star_err = np.linalg.norm(data._theta(basis.conj().transpose(0, 2, 1))
+                              - _involution_values(T, 1, imgs), axis=-1)
+    hom = not (np.any(star_err > 1e-8) or any(
+        np.any(np.linalg.norm(data._theta(a @ basis) - _convolve_values(
+            T, 1, imgs[i], imgs), axis=-1) > 1e-7)
+        for i, a in enumerate(basis)))
+    theta_imgs = [EquivariantFunction(T, 1, v) for v in imgs]
     # regularity of theta: generator images normalize the diagonal
-    for v in inc.normalizer_gens:
-        m = R.represent(theta_F(data, v))
-        for d in R.diagonal.basis:
-            if not R.diagonal.contains(m @ d @ m.conj().T, 1e-7) or \
-                    not R.diagonal.contains(m.conj().T @ d @ m, 1e-7):
-                hom = False
+    N = R.total_dim
+    hom = _normalizes(R.diagonal, np.array(
+        [R.represent(theta_F(data, v)) for v in inc.normalizer_gens]
+    ).reshape(-1, N, N)) and hom
 
     # ker theta_F = K_F
     ker_rows = theta_kernel_rows(data)
@@ -409,14 +421,10 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
                  and len(set(corners)) == inc.n_corners)
 
     # pointwise density: theta(C) * C(F) spans every arrow coordinate
-    G = data.twist.groupoid
-    rows = []
-    for f in theta_imgs:
-        for x in G.units:
-            mask = np.array([1.0 if G.src[a] == x else 0.0
-                             for a in G.arrows])
-            rows.append(f.values * mask)
-    density = rank(np.array(rows)) == len(G.arrows)
+    n = len(data.twist.groupoid.arrows)
+    t = data.twist.groupoid.arrays
+    at = t.src[:n] == np.arange(len(data.twist.groupoid.units))[:, None]
+    density = rank((imgs[:, None, :] * at).reshape(-1, n)) == n
 
     cert = is_cartan_pair(R)
     theta_iso = (KF.dim == 0 and inc.C.dim == R.algebra.dim)
@@ -446,11 +454,8 @@ class CoverComparison:
     def quotient(self, f: EquivariantFunction) -> EquivariantFunction:
         """Restrict a function over the big twist to the small twist."""
         Ts = self.data_small.twist
-        vals = np.zeros(len(Ts.groupoid.arrows), dtype=complex)
-        Tb = self.data_big.twist
-        for a_small, a_big in self.arrow_map.items():
-            vals[Ts.arrow_index[a_small]] = f.values[Tb.arrow_index[a_big]]
-        return EquivariantFunction(Ts, f.degree, vals)
+        return EquivariantFunction(Ts, f.degree, [
+            f[self.arrow_map[a]] for a in Ts.groupoid.arrows])
 
 
 def cover_comparison(inc: Inclusion, F1: CompatibleCover,
@@ -478,14 +483,11 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
                             "between the covers")
         arrow_map[a1] = hits[0]
     # intertwining: q(theta_2(b)) = theta_1(b)
-    resid = 0.0
-    for b in inc.C.basis:
-        t2 = theta_F(d2, b)
-        t1 = theta_F(d1, b)
-        restricted = np.array(
-            [t2.values[d2.twist.arrow_index[arrow_map[a]]]
-             for a in d1.twist.groupoid.arrows])
-        resid = max(resid, float(np.max(np.abs(restricted - t1.values))))
+    basis = np.array(inc.C.basis)
+    cols = [d2.twist.groupoid.arrays.index[arrow_map[a]]
+            for a in d1.twist.groupoid.arrows]
+    resid = float(np.max(np.abs(d2._theta(basis)[:, cols]
+                                - d1._theta(basis)), initial=0.0))
     R1 = realize(d1.twist, 1)
     R2 = realize(d2.twist, 1)
     return CoverComparison(data_big=d2, data_small=d1, arrow_map=arrow_map,
@@ -519,6 +521,10 @@ def envelope_uniqueness_crosscheck(inc: Inclusion) -> bool:
     to_b = {a: f"g{corner[GA.src[a]]}.{corner[GA.rng[a]]}"
             for a in GA.arrows}
     # a bijection onto GB's arrows carrying one composition onto the other
-    return sorted(to_b.values()) == sorted(GB.arrows) and {
-        (to_b[a], to_b[b]): to_b[ab]
-        for (a, b), ab in GA.compose_table.items()} == GB.compose_table
+    if sorted(to_b.values()) != sorted(GB.arrows):
+        return False
+    perm = np.array([GB.arrays.index[to_b[a]] for a in GA.arrows])
+    ta, tb = GA.arrays, GB.arrays
+    p = tb.pair_at[perm[ta.a], perm[ta.b]]
+    return len(ta.pairs) == len(tb.pairs) and bool(
+        np.all(p >= 0) and np.array_equal(tb.ab[p], perm[ta.ab]))

@@ -1,17 +1,23 @@
 """Finite groupoids: validation, isotropy, bisections, subgroupoids.
 
-Arrows and units are interned string identifiers; composition is a dense
-table keyed by arrow pairs.  Every finite groupoid is automatically etale
-and Hausdorff, so no topology is carried.
+Arrows and units are string identifiers, and composition is a table keyed
+by arrow pairs; both are what files hold.  Each groupoid compiles once to
+integer arrays (``FiniteGroupoid.arrays``), on which validation and the
+twist algebra compute.  Every finite groupoid is automatically etale and
+Hausdorff, so no topology is carried.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NotASubgroupoid, UnknownArrow, UnknownUnit
+
+#: Triples (a, b, c) held in memory at once by the identity checks.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -34,42 +40,107 @@ class FiniteGroupoid:
         return self.compose_table.get((a, b))
 
     def is_unit_arrow(self, a) -> bool:
-        return a in self._unit_arrow_set
+        return a in self.unit_arrow.values()
 
     @cached_property
-    def _unit_arrow_set(self):
-        return frozenset(self.unit_arrow.values())
-
-    @cached_property
-    def composable_pairs(self):
-        return tuple(sorted(self.compose_table.keys()))
+    def arrays(self) -> "GroupoidArrays":
+        return GroupoidArrays(self)
 
     def arrows_with_source(self, x):
-        if x not in self.unit_arrow:
-            raise UnknownUnit(f"unknown unit {x!r}")
-        return tuple(a for a in self.arrows if self.src[a] == x)
+        return self._arrows_at(x, self.arrays.src)
 
     def arrows_with_range(self, x):
+        return self._arrows_at(x, self.arrays.rng)
+
+    def _arrows_at(self, x, *ends):
+        """The arrows whose given ends (unit-number arrays) are all x."""
         if x not in self.unit_arrow:
             raise UnknownUnit(f"unknown unit {x!r}")
-        return tuple(a for a in self.arrows if self.rng[a] == x)
+        u = self.arrays.unit_index[x]
+        hit = np.logical_and.reduce([e == u for e in ends])
+        return tuple(self.arrays.names[np.flatnonzero(hit)])
 
     def orbit_representatives(self):
-        """One unit per r-orbit: the smallest identifier in each orbit."""
-        parent = {x: x for x in self.units}
+        """One unit per r-orbit: the smallest identifier in each orbit (the
+        orbit of x is the set of ranges of the arrows with source x)."""
+        t, n = self.arrays, len(self.arrows)
+        low = np.arange(len(t.unit_index))
+        np.minimum.at(low, t.src[:n], t.rng[:n])
+        return tuple(x for k, x in enumerate(self.units) if low[k] == k)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for a in self.arrows:
-            rx, ry = find(self.src[a]), find(self.rng[a])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        reps = sorted({find(x) for x in self.units})
-        return tuple(reps)
+class GroupoidArrays:
+    """A groupoid's tables as integer arrays.
+
+    Arrow k is ``names[k]``: the listed arrows in order, then any name the
+    tables use without listing it (only invalid tables have such names);
+    units are numbered alike in ``unit_index``.  ``src``/``rng`` (unit
+    numbers), ``inv`` and the ``unit``-arrow mask are indexed by arrow
+    number, with ends and inverse -1 for an unlisted arrow.  Pair p
+    composes ``a[p]`` after ``b[p]`` into ``ab[p]``, in ``compose_table``
+    order (keys ``pairs``); a cocycle is a vector over p.  ``pair_at[x, y]``
+    is the pair (x, y), -1 if there is none or x or y is -1.
+    """
+
+    def __init__(self, G: FiniteGroupoid):
+        self.index = {a: k for k, a in enumerate(G.arrows)}
+        self.unit_index = units = {x: k for k, x in enumerate(
+            dict.fromkeys(G.units + tuple(G.unit_arrow)))}
+        codes = dict(self.index)
+        arrow = lambda x: codes.setdefault(x, len(codes))
+        unit = lambda x: units.setdefault(x, len(units))
+        ends = [(unit(G.src.get(a)), unit(G.rng.get(a)), arrow(G.inv.get(a)))
+                for a in G.arrows]
+        self.pairs = tuple(G.compose_table)
+        self.a, self.b, self.ab = np.array(
+            [(arrow(a), arrow(b), arrow(ab))
+             for (a, b), ab in G.compose_table.items()],
+            dtype=np.intp).reshape(-1, 3).T
+        self.unit_arrow = np.array(
+            [arrow(G.unit_arrow[x]) if x in G.unit_arrow else -1
+             for x in units], dtype=np.intp)
+        m, n = len(codes), len(G.arrows)
+        self.src, self.rng, self.inv = np.array(
+            ends + [(-1, -1, -1)] * (m - n), dtype=np.intp).reshape(-1, 3).T
+        self.unit = np.zeros(m, dtype=bool)
+        self.unit[self.unit_arrow[self.unit_arrow >= 0]] = True
+        self.names = np.array(list(codes) + [None], dtype=object)
+        self.pair_at = np.full((m + 1, m + 1), -1, dtype=np.int32)
+        self.pair_at[self.a, self.b] = np.arange(len(self.pairs))
+        self.inv_pair = self.pair_at[np.arange(n), self.inv[:n]]
+        self._ab = np.append(self.ab, -1)
+
+    def compose(self, x, y) -> np.ndarray:
+        """Arrow number of each x y, -1 where not composable."""
+        return self._ab[self.pair_at[x, y]]
+
+    def triples(self, p):
+        """Chunks of the triples (a, b, c): each pair position q of p with
+        every listed arrow c with r(c) = s(b), c ascending.  Yields q, c and
+        the pair positions of (b, c), (ab, c) and (a, bc), -1 if none."""
+        n = len(self.index)
+        step = max(1, _CHUNK // max(n, 1))
+        for lo in range(0, len(p), step):
+            i, c = np.nonzero(
+                self.rng[:n] == self.src[self.b[p[lo:lo + step]]][:, None])
+            q = p[lo + i]
+            b_c = self.pair_at[self.b[q], c]
+            yield (q, c, b_c, self.pair_at[self.ab[q], c],
+                   self.pair_at[self.a[q], self._ab[b_c]])
+
+
+def _violations(found, fields) -> list:
+    """Violation lines, ordered by position and then by check.
+
+    found: (template, positions) per check; fields(positions) gives the
+    values that fill the templates at those positions.
+    """
+    pos = np.concatenate([p for _, p in found])
+    kind = np.repeat(np.arange(len(found)), [len(p) for _, p in found])
+    order = np.argsort(pos * len(found) + kind)
+    values = fields(pos[order])
+    return [found[k][0].format(**{f: v[i] for f, v in values.items()})
+            for i, k in enumerate(kind[order])]
 
 
 def build_groupoid(units, arrow_specs, compose_pairs=None,
@@ -108,58 +179,61 @@ def validate(G: FiniteGroupoid) -> list:
             continue
         if G.src.get(e) != x or G.rng.get(e) != x:
             bad.append(f"unit arrow {e!r} of {x!r} has wrong source/range")
-    for a in G.arrows:
-        if G.src.get(a) not in G.unit_arrow or G.rng.get(a) not in G.unit_arrow:
-            bad.append(f"arrow {a!r} has unknown source or range")
-            continue
-        ia = G.inv.get(a)
-        if ia not in G.src:
-            bad.append(f"arrow {a!r} has unknown inverse {ia!r}")
-            continue
-        if G.inv.get(ia) != a:
-            bad.append(f"inverse not involutive at arrow {a!r}")
-        if G.src[ia] != G.rng[a] or G.rng[ia] != G.src[a]:
-            bad.append(f"inverse of {a!r} has wrong source/range")
-        er, es = G.unit_arrow[G.rng[a]], G.unit_arrow[G.src[a]]
-        if G.compose(er, a) != a:
-            bad.append(f"r(g)g != g at arrow {a!r}")
-        if G.compose(a, es) != a:
-            bad.append(f"g s(g) != g at arrow {a!r}")
-        if G.compose(ia, a) != es:
-            bad.append(f"g^-1 g != unit at arrow {a!r}")
-        if G.compose(a, ia) != er:
-            bad.append(f"g g^-1 != unit at arrow {a!r}")
-    for a in G.arrows:
-        for b in G.arrows:
-            defined = (a, b) in G.compose_table
-            should = G.src[a] == G.rng[b]
-            if defined and not should:
-                bad.append(f"compose defined for non-composable pair ({a!r},{b!r})")
-            if should and not defined:
-                bad.append(f"compose missing for composable pair ({a!r},{b!r})")
-            if defined:
-                ab = G.compose_table[(a, b)]
-                if ab not in G.src:
-                    bad.append(f"compose({a!r},{b!r}) is unknown arrow {ab!r}")
-                elif G.src[ab] != G.src[b] or G.rng[ab] != G.rng[a]:
-                    bad.append(f"compose({a!r},{b!r}) has wrong source/range")
-    for (a, b) in G.composable_pairs:
-        ab = G.compose(a, b)
-        if ab is None:
-            continue
-        for c in G.arrows:
-            if G.src[b] == G.rng[c]:
-                bc = G.compose(b, c)
-                if bc is not None and G.compose(ab, c) != G.compose(a, bc):
-                    bad.append(f"associativity fails at ({a!r},{b!r},{c!r})")
+    t, n = G.arrays, len(G.arrows)
+    g = np.arange(n)
+    src, rng, inv = t.src[:n], t.rng[:n], t.inv[:n]
+    er, es = t.unit_arrow[rng], t.unit_arrow[src]
+    no_end = (er < 0) | (es < 0)
+    no_inv = ~no_end & (inv >= n)
+    ok = ~no_end & ~no_inv
+    ia = np.where(ok, inv, g)
+    bad += _violations([
+        ("arrow {a!r} has unknown source or range", g[no_end]),
+        ("arrow {a!r} has unknown inverse {ia!r}", g[no_inv]),
+        ("inverse not involutive at arrow {a!r}", g[ok & (t.inv[ia] != g)]),
+        ("inverse of {a!r} has wrong source/range",
+         g[ok & ((t.src[ia] != rng) | (t.rng[ia] != src))]),
+        ("r(g)g != g at arrow {a!r}", g[ok & (t.compose(er, g) != g)]),
+        ("g s(g) != g at arrow {a!r}", g[ok & (t.compose(g, es) != g)]),
+        ("g^-1 g != unit at arrow {a!r}", g[ok & (t.compose(ia, g) != es)]),
+        ("g g^-1 != unit at arrow {a!r}", g[ok & (t.compose(g, ia) != er)]),
+    ], lambda p: {"a": t.names[p], "ia": t.names[t.inv[p]]})
+
+    # arrow pairs (a, b), at position a n + b
+    listed = np.flatnonzero((t.a < n) & (t.b < n))
+    a, b, ab = t.a[listed], t.b[listed], t.ab[listed]
+    should = src[:, None] == rng[None, :]
+    should[a, b] = False
+    unknown = ab >= n
+    bad += _violations([
+        ("compose defined for non-composable pair ({a!r},{b!r})",
+         (a * n + b)[src[a] != rng[b]]),
+        ("compose missing for composable pair ({a!r},{b!r})",
+         np.flatnonzero(should)),
+        ("compose({a!r},{b!r}) is unknown arrow {ab!r}", (a * n + b)[unknown]),
+        ("compose({a!r},{b!r}) has wrong source/range", (a * n + b)[
+            ~unknown & ((t.src[ab] != src[b]) | (t.rng[ab] != rng[a]))]),
+    ], lambda p: {"a": t.names[p // n], "b": t.names[p % n],
+                  "ab": t.names[t.compose(p // n, p % n)]})
+    bad += _violations(
+        [("compose entry ({a!r},{b!r}) names an unknown arrow",
+          np.flatnonzero((t.a >= n) | (t.b >= n)))],
+        lambda p: {"a": t.names[t.a[p]], "b": t.names[t.b[p]]})
+
+    # associativity over the listed pairs in sorted order
+    for q, c, b_c, ab_c, a_bc in t.triples(listed[np.argsort(a * n + b)]):
+        fails = (b_c >= 0) & (t._ab[ab_c] != t._ab[a_bc])
+        bad += _violations(
+            [("associativity fails at ({a!r},{b!r},{c!r})",
+              np.flatnonzero(fails))],
+            lambda i: {"a": t.names[t.a[q[i]]], "b": t.names[t.b[q[i]]],
+                       "c": t.names[c[i]]})
     return bad
 
 
 def isotropy(G: FiniteGroupoid, x) -> tuple:
     """Arrows with source and range both equal to x."""
-    if x not in G.unit_arrow:
-        raise UnknownUnit(f"unknown unit {x!r}")
-    return tuple(a for a in G.arrows if G.src[a] == x and G.rng[a] == x)
+    return G._arrows_at(x, G.arrays.src, G.arrays.rng)
 
 
 def is_bisection(G: FiniteGroupoid, S) -> bool:
@@ -179,16 +253,14 @@ def is_subgroupoid(G: FiniteGroupoid, H) -> bool:
     H = set(H)
     if not H <= set(G.arrows):
         return False
-    for a in H:
-        if G.inv[a] not in H:
-            return False
-        if G.unit_arrow[G.src[a]] not in H or G.unit_arrow[G.rng[a]] not in H:
-            return False
-        for b in H:
-            ab = G.compose(a, b)
-            if ab is not None and ab not in H:
-                return False
-    return True
+    t = G.arrays
+    inH = np.zeros(len(t.unit), dtype=bool)
+    inH[[t.index[a] for a in H]] = True
+    h = np.flatnonzero(inH)
+    return bool(inH[t.inv[h]].all()
+                and inH[t.unit_arrow[t.src[h]]].all()
+                and inH[t.unit_arrow[t.rng[h]]].all()
+                and inH[t.ab[inH[t.a] & inH[t.b]]].all())
 
 
 def has_factorization_property(G: FiniteGroupoid, H) -> bool:
@@ -196,10 +268,10 @@ def has_factorization_property(G: FiniteGroupoid, H) -> bool:
     H = set(H)
     if not is_subgroupoid(G, H):
         raise NotASubgroupoid("H is not a subgroupoid")
-    for (a, b), ab in G.compose_table.items():
-        if ab in H and (a not in H or b not in H):
-            return False
-    return True
+    t = G.arrays
+    inH = np.zeros(len(t.unit), dtype=bool)
+    inH[[t.index[a] for a in H]] = True
+    return not np.any(inH[t.ab] & ~(inH[t.a] & inH[t.b]))
 
 
 def restrict_groupoid(G: FiniteGroupoid, H) -> FiniteGroupoid:

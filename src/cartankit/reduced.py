@@ -14,12 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnknownUnit
 from .matalg import (
     EPS,
     FdStarAlgebra,
     _algebra_from_rows,
-    _vec,
     operator_norm,
     relative_commutant,
     row_span,
@@ -27,38 +25,34 @@ from .matalg import (
 from .twist import (
     CocycleTwist,
     EquivariantFunction,
-    convolve,
-    delta,
-    involution,
+    _involution_values,
     unit_function,
 )
 
 
 def regular_representation(f: EquivariantFunction, x) -> np.ndarray:
     """Matrix of f on l^2 of the arrows with source x."""
-    T = f.twist
-    G = T.groupoid
-    if x not in G.unit_arrow:
-        raise UnknownUnit(f"unknown unit {x!r}")
-    fiber = G.arrows_with_source(x)
-    return _block(f, fiber)
+    fiber = f.twist.groupoid.arrows_with_source(x)
+    return _fill(f, _entries(f.twist, fiber), len(fiber))
 
 
-def _block(f: EquivariantFunction, fiber) -> np.ndarray:
-    T = f.twist
-    G = T.groupoid
-    m = len(fiber)
-    M = np.zeros((m, m), dtype=complex)
-    idx = f.twist.arrow_index
-    for j, b in enumerate(fiber):
-        ib = G.inv[b]
-        for i, a in enumerate(fiber):
-            ab = G.compose(a, ib)  # arrow with source r(b)
-            if ab is None:
-                continue
-            val = f.values[idx[ab]]
-            if val != 0:
-                M[i, j] = T.c(f.degree, ab, b) * val
+def _entries(T: CocycleTwist, arrows) -> tuple:
+    """Where the pairs land in a matrix on l^2 of ``arrows`` (a union of
+    source fibers): pair (a, b) puts c_k(a, b) f(a) at row ab, column b.
+    Returns (pair positions, rows, columns)."""
+    t = T.groupoid.arrays
+    order = np.fromiter((t.index[a] for a in arrows), np.intp)
+    col = np.full(len(t.unit), -1)
+    col[order] = np.arange(len(order))
+    p = np.flatnonzero(col[t.b] >= 0)
+    return p, col[t.ab[p]], col[t.b[p]]
+
+
+def _fill(f: EquivariantFunction, entries, size: int) -> np.ndarray:
+    p, rows, cols = entries
+    M = np.zeros((size, size), dtype=complex)
+    M[rows, cols] = f.twist.phases(f.degree)[p] * \
+        f.values[f.twist.groupoid.arrays.a[p]]
     return M
 
 
@@ -90,26 +84,21 @@ class ReducedAlgebra:
         return sum(len(f) for f in self.fibers)
 
     @cached_property
-    def _offsets(self) -> tuple:
-        offs, acc = [], 0
-        for f in self.fibers:
-            offs.append(acc)
-            acc += len(f)
-        return tuple(offs)
+    def _fiber_entries(self) -> tuple:
+        return _entries(self.twist, sum(self.fibers, ()))
 
     def represent(self, f: EquivariantFunction) -> np.ndarray:
-        N = self.total_dim
-        M = np.zeros((N, N), dtype=complex)
-        for off, fiber in zip(self._offsets, self.fibers):
-            m = len(fiber)
-            M[off:off + m, off:off + m] = _block(f, fiber)
-        return M
+        return _fill(f, self._fiber_entries, self.total_dim)
 
     @cached_property
     def _delta_images(self) -> np.ndarray:
-        arrows = self.twist.groupoid.arrows
-        return _vec([self.represent(delta(self.twist, self.degree, a))
-                     for a in arrows])
+        """Row g: the represented delta_g, flattened."""
+        p, rows, cols = self._fiber_entries
+        n, N = len(self.twist.groupoid.arrows), self.total_dim
+        out = np.zeros((n, N, N), dtype=complex)
+        out[self.twist.groupoid.arrays.a[p], rows, cols] = \
+            self.twist.phases(self.degree)[p]
+        return out.reshape(n, N * N)
 
     @cached_property
     def algebra(self) -> FdStarAlgebra:
@@ -119,10 +108,9 @@ class ReducedAlgebra:
 
     @cached_property
     def diagonal(self) -> FdStarAlgebra:
-        units = self.twist.groupoid.unit_arrow.values()
-        mats = [self.represent(delta(self.twist, self.degree, e))
-                for e in units]
-        rows = row_span(_vec(mats))
+        G = self.twist.groupoid
+        units = [G.arrays.index[e] for e in G.unit_arrow.values()]
+        rows = row_span(self._delta_images[units])
         return _algebra_from_rows(self.total_dim, rows, self.unit_matrix,
                                   unit_is_ambient=True)
 
@@ -130,7 +118,7 @@ class ReducedAlgebra:
     def unit_matrix(self) -> np.ndarray:
         return self.represent(unit_function(self.twist, self.degree))
 
-    def function_of(self, M: np.ndarray, eps: float = EPS) -> EquivariantFunction:
+    def function_of(self, M: np.ndarray) -> EquivariantFunction:
         """Invert the representation on its image (least squares)."""
         rows = self._delta_images
         coeffs, *_ = np.linalg.lstsq(rows.T, np.asarray(M, dtype=complex).ravel(),
@@ -139,12 +127,9 @@ class ReducedAlgebra:
 
     def expectation(self, f: EquivariantFunction) -> EquivariantFunction:
         """Restriction to the unit arrows (the canonical expectation)."""
-        G = self.twist.groupoid
-        idx = self.twist.arrow_index
-        vals = np.zeros_like(f.values)
-        for e in G.unit_arrow.values():
-            vals[idx[e]] = f.values[idx[e]]
-        return EquivariantFunction(self.twist, self.degree, vals)
+        unit = self.twist.groupoid.arrays.unit
+        return EquivariantFunction(self.twist, self.degree,
+                                   np.where(unit, f.values, 0))
 
     def expectation_matrix(self, M: np.ndarray) -> np.ndarray:
         return self.represent(self.expectation(self.function_of(M)))
@@ -162,9 +147,9 @@ def realize(T: CocycleTwist, degree: int = 1) -> ReducedAlgebra:
 def groupoid_inclusion(R: ReducedAlgebra):
     """The inclusion (realized algebra, diagonal) with delta normalizers."""
     from .inclusion import make_inclusion
-    gens = [R.represent(delta(R.twist, R.degree, a))
-            for a in R.twist.groupoid.arrows]
-    return make_inclusion(R.algebra, R.diagonal, gens)
+    N = R.total_dim
+    return make_inclusion(R.algebra, R.diagonal,
+                          list(R._delta_images.reshape(-1, N, N)))
 
 
 @dataclass(frozen=True)
@@ -182,6 +167,19 @@ class CartanCertificate:
                 and self.expectation_faithful)
 
 
+def _normalizes(D: FdStarAlgebra, V: np.ndarray) -> bool:
+    """v d v* and v* d v lie in D, as ``D.contains(m, 1e-7)`` decides, for
+    every v of the stack V and every basis element d of D."""
+    B = D.basis_rows
+    Vh = V.conj().transpose(0, 2, 1)
+
+    def inside(X):
+        rows = X.reshape(len(X), -1)
+        return np.all(np.linalg.norm(rows - rows @ B.conj().T @ B, axis=1)
+                      < 1e-7)
+    return all(inside(V @ d @ Vh) and inside(Vh @ d @ V) for d in D.basis)
+
+
 def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     """Certify (or refute) that the diagonal is Cartan in the realization.
 
@@ -196,27 +194,17 @@ def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     defect = comm.dim - D.dim
 
     # regularity: each delta normalizes the diagonal and deltas span
-    G = R.twist.groupoid
-    regular = True
-    for a in G.arrows:
-        v = R.represent(delta(R.twist, R.degree, a))
-        for d in D.basis:
-            if not D.contains(v @ d @ v.conj().T, 1e-7):
-                regular = False
-            if not D.contains(v.conj().T @ d @ v, 1e-7):
-                regular = False
+    N = R.total_dim
+    regular = _normalizes(D, R._delta_images.reshape(-1, N, N))
 
     # faithfulness of E: the sesquilinear form sum_x E(f* g)(x) must be
-    # positive definite; exact at finite scale
-    arrows = G.arrows
-    unit_idx = [R.twist.arrow_index[e] for e in G.unit_arrow.values()]
-    gram = np.zeros((len(arrows), len(arrows)), dtype=complex)
-    deltas = [delta(R.twist, R.degree, a) for a in arrows]
-    stars = [involution(d) for d in deltas]
-    for i in range(len(arrows)):
-        for j in range(len(arrows)):
-            ee = R.expectation(convolve(stars[i], deltas[j]))
-            gram[i, j] = np.sum(ee.values[unit_idx])
+    # positive definite; exact at finite scale.  Row i of the Gram matrix
+    # is delta_i^* times the part of the convolution landing on units.
+    t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
+    on_unit = t.unit[t.ab]
+    Q = np.zeros((n, n), dtype=complex)
+    Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
+    gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     faithful = bool(evals.min() > eps)
     return CartanCertificate(diagonal_is_masa=masa, regular=regular,

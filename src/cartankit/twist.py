@@ -1,10 +1,12 @@
 """Twists over finite groupoids and their convolution *-algebras.
 
 A twist is stored as a normalized T-valued 2-cocycle sigma on the
-composable pairs.  Degree-k functions (k in {-1, +1}) multiply with the
-structure phases c_k, where c_1 = sigma and c_{-1} = conj(sigma); both
-degrees carry genuine convolution *-algebras and are exchanged by the
-transpose map.
+composable pairs, keyed by arrow-id pairs and, for computing, as a vector
+over the groupoid's pair arrays (``FiniteGroupoid.arrays``); convolution,
+involution and transpose are gathers and scatters over those arrays.
+Degree-k functions (k in {-1, +1}) multiply with the structure phases
+c_k, where c_1 = sigma and c_{-1} = conj(sigma); both degrees carry
+genuine convolution *-algebras and are exchanged by the transpose map.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     TwistMismatch,
     UnknownArrow,
 )
-from .groupoid import FiniteGroupoid, restrict_groupoid
+from .groupoid import FiniteGroupoid, _violations, restrict_groupoid
 
 #: Tolerance for the cocycle identity and normalization.
 COCYCLE_TOL = 1e-12
@@ -33,66 +35,73 @@ class CocycleTwist:
     groupoid: FiniteGroupoid
     sigma: dict  # (a, b) -> complex of modulus 1, keyed by composable pairs
 
-    def value(self, a, b) -> complex:
-        try:
-            return self.sigma[(a, b)]
-        except KeyError:
-            raise UnknownArrow(f"pair ({a!r}, {b!r}) is not composable")
-
-    def c(self, k: int, a, b) -> complex:
-        """Structure phase for degree-k multiplication."""
-        v = self.value(a, b)
-        return v if k == 1 else np.conj(v)
-
-    def weight(self, k: int, a) -> complex:
-        """Involution phase w_k(a) = conj(c_k(a, a^-1))."""
-        return np.conj(self.c(k, a, self.groupoid.inv[a]))
-
     @cached_property
+    def sigma_vector(self) -> np.ndarray:
+        """sigma at each pair of ``groupoid.arrays``, in pair order."""
+        pairs = self.groupoid.arrays.pairs
+        return np.fromiter(map(self.sigma.__getitem__, pairs), complex,
+                           len(pairs))
+
+    def phases(self, k: int) -> np.ndarray:
+        """Structure phases c_k of degree-k multiplication, per pair."""
+        return self.sigma_vector if k == 1 else self.sigma_vector.conj()
+
+    @property
     def arrow_index(self) -> dict:
-        return {a: i for i, a in enumerate(self.groupoid.arrows)}
+        """The groupoid's arrow numbering, ``groupoid.arrays.index``."""
+        return self.groupoid.arrays.index
+
+
+def _with_phases(G: FiniteGroupoid, phases) -> CocycleTwist:
+    return CocycleTwist(groupoid=G,
+                        sigma=dict(zip(G.arrays.pairs, phases.tolist())))
 
 
 def trivial_twist(G: FiniteGroupoid) -> CocycleTwist:
-    sigma = {pair: 1.0 + 0.0j for pair in G.compose_table}
-    return CocycleTwist(groupoid=G, sigma=sigma)
+    return _with_phases(G, np.ones(len(G.arrays.pairs), dtype=complex))
 
 
 def coboundary_twist(G: FiniteGroupoid, lam: dict) -> CocycleTwist:
     """sigma(a, b) = lam(a) lam(b) / lam(ab) for a modulus-one lam with
     lam = 1 on unit arrows; always a normalized cocycle."""
-    sigma = {}
-    for (a, b), ab in G.compose_table.items():
-        sigma[(a, b)] = lam[a] * lam[b] / lam[ab]
-    return CocycleTwist(groupoid=G, sigma=sigma)
+    t = G.arrays
+    v = np.array([lam[a] for a in G.arrows], dtype=complex)
+    return _with_phases(G, v[t.a] * v[t.b] / v[t.ab])
 
 
 def conjugate_twist(T: CocycleTwist) -> CocycleTwist:
-    return CocycleTwist(groupoid=T.groupoid,
-                        sigma={k: np.conj(v) for k, v in T.sigma.items()})
+    return _with_phases(T.groupoid, T.phases(-1))
 
 
 def validate_cocycle(T: CocycleTwist, tol: float = COCYCLE_TOL) -> list:
-    """Check normalization, modulus one, and the 2-cocycle identity."""
-    G = T.groupoid
-    bad = []
-    if set(T.sigma) != set(G.compose_table):
-        bad.append("sigma is not keyed exactly by the composable pairs")
-        return bad
-    for (a, b), v in T.sigma.items():
-        if abs(abs(v) - 1.0) > tol:
-            bad.append(f"sigma({a!r},{b!r}) has modulus {abs(v):.3g} != 1")
-        if (G.is_unit_arrow(a) or G.is_unit_arrow(b)) and abs(v - 1.0) > tol:
-            bad.append(f"sigma not normalized at unit pair ({a!r},{b!r})")
-    for (a, b), ab in G.compose_table.items():
-        for c in G.arrows:
-            if G.src[b] != G.rng[c]:
-                continue
-            bc = G.compose_table[(b, c)]
-            lhs = T.sigma[(a, b)] * T.sigma[(ab, c)]
-            rhs = T.sigma[(b, c)] * T.sigma[(a, bc)]
-            if abs(lhs - rhs) > tol:
-                bad.append(f"cocycle identity fails at ({a!r},{b!r},{c!r})")
+    """Check normalization, modulus one, and the 2-cocycle identity.
+
+    On invalid groupoid tables, a triple whose identity names a pair
+    outside the table is reported as undefined (``groupoid.validate``
+    says which entry is wrong)."""
+    t = T.groupoid.arrays
+    if T.sigma.keys() != set(t.pairs):
+        return ["sigma is not keyed exactly by the composable pairs"]
+    s = T.sigma_vector
+    p = np.arange(len(s))
+    names = lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]]}
+    bad = _violations([
+        ("sigma({a!r},{b!r}) has modulus {m:.3g} != 1",
+         p[np.abs(np.abs(s) - 1.0) > tol]),
+        ("sigma not normalized at unit pair ({a!r},{b!r})",
+         p[(t.unit[t.a] | t.unit[t.b]) & (np.abs(s - 1.0) > tol)]),
+    ], lambda q: {**names(q), "m": np.abs(s[q])})
+    s1 = np.append(s, np.nan)
+    for q, c, b_c, ab_c, a_bc in t.triples(p):
+        # an undefined term reads NaN and fails no comparison
+        fails = np.abs(s[q] * s1[ab_c] - s1[b_c] * s1[a_bc]) > tol
+        undefined = (b_c < 0) | (ab_c < 0) | (a_bc < 0)
+        bad += _violations([
+            ("cocycle identity fails at ({a!r},{b!r},{c!r})",
+             np.flatnonzero(fails)),
+            ("cocycle identity undefined at ({a!r},{b!r},{c!r})",
+             np.flatnonzero(undefined)),
+        ], lambda i: {**names(q[i]), "c": t.names[c[i]]})
     return bad
 
 
@@ -116,7 +125,7 @@ class EquivariantFunction:
         object.__setattr__(self, "values", v)
 
     def __getitem__(self, arrow) -> complex:
-        return complex(self.values[self.twist.arrow_index[arrow]])
+        return complex(self.values[self.twist.groupoid.arrays.index[arrow]])
 
     def _like(self, values) -> "EquivariantFunction":
         return EquivariantFunction(self.twist, self.degree,
@@ -150,11 +159,12 @@ def _check_same(f: EquivariantFunction, g: EquivariantFunction):
 
 def function(T: CocycleTwist, degree: int, assignments: dict) -> EquivariantFunction:
     """Build a function from a sparse {arrow: value} dict."""
+    index = T.groupoid.arrays.index
     vals = np.zeros(len(T.groupoid.arrows), dtype=complex)
     for a, z in assignments.items():
-        if a not in T.arrow_index:
+        if a not in index:
             raise UnknownArrow(f"unknown arrow {a!r}")
-        vals[T.arrow_index[a]] = z
+        vals[index[a]] = z
     return EquivariantFunction(T, degree, vals)
 
 
@@ -164,51 +174,48 @@ def delta(T: CocycleTwist, degree: int, arrow) -> EquivariantFunction:
 
 def unit_function(T: CocycleTwist, degree: int) -> EquivariantFunction:
     """The convolution identity: indicator of the unit arrows."""
-    return function(T, degree,
-                    {e: 1.0 for e in T.groupoid.unit_arrow.values()})
+    return EquivariantFunction(T, degree, T.groupoid.arrays.unit)
+
+
+def _convolve_values(T: CocycleTwist, degree: int, f, g) -> np.ndarray:
+    """(f * g)(c) = sum_{ab = c} c_k(a, b) f(a) g(b) on value arrays
+    (..., n), broadcast over their leading axes: one bincount scatter of
+    the pair terms per real part."""
+    t, n = T.groupoid.arrays, len(T.groupoid.arrows)
+    w = T.phases(degree) * f[..., t.a] * g[..., t.b]
+    *lead, _ = w.shape
+    rows = int(np.prod(lead))
+    bins = (np.arange(rows)[:, None] * n + t.ab).ravel()
+    part = lambda x: np.bincount(bins, x.ravel(), rows * n)
+    return (part(w.real) + 1j * part(w.imag)).reshape(*lead, n)
+
+
+def _involution_values(T: CocycleTwist, degree: int, f) -> np.ndarray:
+    t = T.groupoid.arrays
+    return np.conj(T.phases(degree)[t.inv_pair]) * np.conj(f[..., t.inv])
 
 
 def convolve(f: EquivariantFunction, g: EquivariantFunction) -> EquivariantFunction:
     """(f * g)(c) = sum_{ab = c} c_k(a, b) f(a) g(b)."""
     _check_same(f, g)
-    T = f.twist
-    G = T.groupoid
-    out = np.zeros_like(f.values)
-    idx = T.arrow_index
-    for (a, b), ab in G.compose_table.items():
-        fa = f.values[idx[a]]
-        if fa == 0:
-            continue
-        gb = g.values[idx[b]]
-        if gb == 0:
-            continue
-        out[idx[ab]] += T.c(f.degree, a, b) * fa * gb
-    return EquivariantFunction(T, f.degree, out)
+    return EquivariantFunction(
+        f.twist, f.degree, _convolve_values(f.twist, f.degree, f.values,
+                                            g.values))
 
 
 def involution(f: EquivariantFunction) -> EquivariantFunction:
     """f*(a) = conj(c_k(a, a^-1)) conj(f(a^-1))."""
-    T = f.twist
-    G = T.groupoid
-    idx = T.arrow_index
-    out = np.zeros_like(f.values)
-    for a in G.arrows:
-        ia = G.inv[a]
-        out[idx[a]] = T.weight(f.degree, a) * np.conj(f.values[idx[ia]])
-    return EquivariantFunction(T, f.degree, out)
+    return EquivariantFunction(
+        f.twist, f.degree, _involution_values(f.twist, f.degree, f.values))
 
 
 def transpose(f: EquivariantFunction) -> EquivariantFunction:
     """Linear anti-multiplicative *-map into the opposite degree:
     tau(f)(a) = c_k(a, a^-1) f(a^-1)."""
-    T = f.twist
-    G = T.groupoid
-    idx = T.arrow_index
-    out = np.zeros_like(f.values)
-    for a in G.arrows:
-        ia = G.inv[a]
-        out[idx[a]] = T.c(f.degree, a, ia) * f.values[idx[ia]]
-    return EquivariantFunction(T, -f.degree, out)
+    t = f.twist.groupoid.arrays
+    return EquivariantFunction(
+        f.twist, -f.degree,
+        f.twist.phases(f.degree)[t.inv_pair] * f.values[t.inv])
 
 
 def restrict_twist(T: CocycleTwist, H) -> CocycleTwist:
@@ -222,16 +229,15 @@ def restrict_twist(T: CocycleTwist, H) -> CocycleTwist:
         raise FactorizationPropertyFails(
             "arrow subset admits factorizations leaving it")
     GH = restrict_groupoid(T.groupoid, H)
-    sigma = {pair: T.sigma[pair] for pair in GH.compose_table}
-    return CocycleTwist(groupoid=GH, sigma=sigma)
+    t, th = T.groupoid.arrays, GH.arrays
+    to_g = np.array([t.index[a] for a in GH.arrows], dtype=np.intp)
+    return _with_phases(GH, T.sigma_vector[t.pair_at[to_g[th.a], to_g[th.b]]])
 
 
 def structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
     """Dense tensor S[i, j, l]: delta_i * delta_j = sum_l S[i,j,l] delta_l."""
-    G = T.groupoid
-    n = len(G.arrows)
-    idx = T.arrow_index
+    t = T.groupoid.arrays
+    n = len(T.groupoid.arrows)
     S = np.zeros((n, n, n), dtype=complex)
-    for (a, b), ab in G.compose_table.items():
-        S[idx[a], idx[b], idx[ab]] += T.c(degree, a, b)
+    S[t.a, t.b, t.ab] = T.phases(degree)
     return S
