@@ -20,7 +20,7 @@ from .inclusion import (
     strongly_compatible,
 )
 from .matalg import DIM_CAP, EPS, block_structure
-from .reduced import is_cartan_pair, realize, reduced_norm
+from .reduced import is_cartan_pair, realize
 from .serialize import (
     classify,
     groupoid_from_json,
@@ -29,7 +29,7 @@ from .serialize import (
     twist_from_json,
     twist_to_json,
 )
-from .twist import delta, trivial_twist, validate_cocycle
+from .twist import trivial_twist, validate_cocycle
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -117,9 +117,8 @@ def cmd_cstar(args) -> int:
                         "regular": cert.regular,
                         "faithful_E": cert.expectation_faithful,
                         "is_cartan": cert.is_cartan}
-    report["norm_table"] = {
-        a: reduced_norm(delta(T, args.degree, a))
-        for a in T.groupoid.arrows}
+    report["norm_table"] = dict(zip(T.groupoid.arrows,
+                                    map(float, R.delta_norms())))
     _emit(report, args)
     return EXIT_OK
 

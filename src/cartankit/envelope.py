@@ -36,18 +36,19 @@ from .inclusion import (
     pseudo_expectations,
     radical_ideal,
     strongly_compatible,
-    _functional_values,
     _is_invariant,
+    _located_state,
     _normalizer_reps,
 )
 from .matalg import (
     FdStarAlgebra,
+    _vec,
     central_projections,
     generate_star_algebra,
     hs_norm,
     null_space,
     rank,
-    span_residual,
+    span_residuals,
 )
 from .reduced import ReducedAlgebra, _normalizes, is_cartan_pair, realize
 from .twist import (
@@ -74,13 +75,10 @@ class Eigenfunctional:
 
     @cached_property
     def range(self) -> ModState:
-        inc = self.inclusion
+        C = self.inclusion.C
         pv = complex(self(self.v))
-        vals = _functional_values(inc, lambda x: self(x @ self.v) / pv)
-        corner = max(range(inc.n_corners),
-                     key=lambda j: (vals @ inc.C.coefficients(
-                         inc.min_projs[j])).real)
-        return ModState(inclusion=inc, corner_index=corner, values=vals)
+        return _located_state(self.inclusion, C.coefficient_matrix(
+            C.stack @ self.v) @ self.values / pv)
 
     def equal(self, other: "Eigenfunctional", tol: float = _EIG_TOL) -> bool:
         """Equality criterion: same source state and s(v* w) > 0."""
@@ -103,7 +101,7 @@ def eigenfunctional(inc: Inclusion, v, f: ModState) -> Eigenfunctional:
     if wt.real <= 1e-9:
         raise SourceVanishes("f(v*v) vanishes; [v, f] is undefined")
     root = np.sqrt(wt.real)
-    vals = _functional_values(inc, lambda x: f(v.conj().T @ x) / root)
+    vals = inc.C.coefficient_matrix(v.conj().T @ inc.C.stack) @ f.values / root
     return Eigenfunctional(inclusion=inc, v=v, source=f, values=vals)
 
 
@@ -321,8 +319,8 @@ def essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra) -> bool:
     """Every nonzero ideal of A meets B (finite scale: every minimal
     central block of A)."""
     for q in central_projections(A):
-        cols = [(b - q @ b).ravel() for b in B.basis]
-        if rank(np.array(cols).T) == B.dim:  # no nonzero b with qb = b
+        # no nonzero b with qb = b
+        if rank(_vec(B.stack - q @ B.stack).T) == B.dim:
             return False
     return True
 
@@ -399,12 +397,8 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     # ker theta_F = K_F
     ker_rows = theta_kernel_rows(data)
     KF = radical_ideal(inc, cover.states, check_invariance=False)
-    same_dim = ker_rows.shape[0] == KF.dim
-    ker_eq = same_dim and all(
-        span_residual(ker_rows, k) < 1e-7 for k in KF.basis) if same_dim \
-        else False
-    if same_dim and KF.dim == 0:
-        ker_eq = True
+    ker_eq = ker_rows.shape[0] == KF.dim and (KF.dim == 0 or bool(np.all(
+        span_residuals(ker_rows, KF.basis_rows) < 1e-7)))
 
     # generation checks
     img_mats = [R.represent(f) for f in theta_imgs]

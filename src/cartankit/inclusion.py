@@ -10,6 +10,12 @@ the corner p_i C p_i; uniqueness holds iff all corners are scalar.
 When all corners are scalar the normalizer classes are exactly the
 nonzero slices p_j C p_i (``Inclusion.corner_slices``); otherwise they
 are approximated by bounded words in the normalizer generators.
+
+A functional on C is stored as its values on the basis of C.  The values
+are contractions over the basis stack ``C.stack`` (see ``matalg``): a
+corner state is ``C.basis_rows @ vec((p rho p)^T)``, a transported state
+``C.coefficient_matrix(v* S v) @ rho.values / rho(v*v)``, and normalizer,
+corner and kernel conditions are checked on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -70,11 +76,13 @@ class Inclusion:
     def n_corners(self) -> int:
         return len(self.min_projs)
 
-    def char(self, i: int, d) -> complex:
-        """The character sigma_i of D, extended to C by compression."""
+    def char(self, i: int, d):
+        """The character sigma_i of D, extended to C by compression; on a
+        (k, n, n) stack d, the array of its values on each matrix."""
         p = self.min_projs[i]
-        return complex(np.trace(p @ np.asarray(d, dtype=complex) @ p)
-                       / np.trace(p))
+        vals = np.trace(p @ np.asarray(d, dtype=complex) @ p,
+                        axis1=-2, axis2=-1) / np.trace(p)
+        return complex(vals) if vals.ndim == 0 else vals
 
     @cached_property
     def corner_slices(self) -> dict | None:
@@ -106,6 +114,18 @@ class Inclusion:
                 out[(i, j)] = rows[0].reshape(n, n) * np.sqrt(
                     np.trace(P[i]).real)
         return out
+
+    @cached_property
+    def corner_algebras(self) -> tuple:
+        """The corner algebras p_i C p_i, computed once per inclusion.
+        Nothing cached on an Inclusion refers back to it, so reference
+        counting frees it without waiting for the cycle collector."""
+        return tuple(corner_algebra(self, i) for i in range(self.n_corners))
+
+    @cached_property
+    def scalar_corners(self) -> bool:
+        """Every corner is C p_i: the pseudo-expectation is unique."""
+        return all(A.dim == 1 for A in self.corner_algebras)
 
     @cached_property
     def regular(self) -> bool:
@@ -145,12 +165,9 @@ def is_normalizer(inc: Inclusion, v, eps: float = EPS) -> bool:
     if not inc.C.contains(v, max(eps, 1e-7)):
         raise OutsideAmbient("v lies outside the ambient algebra")
     tol = max(eps, 1e-7)
-    for d in inc.D.basis:
-        if not inc.D.contains(v @ d @ v.conj().T, tol):
-            return False
-        if not inc.D.contains(v.conj().T @ d @ v, tol):
-            return False
-    return True
+    vh, S = v.conj().T, inc.D.stack
+    return inc.D.contains_all(v @ S @ vh, tol) and \
+        inc.D.contains_all(vh @ S @ v, tol)
 
 
 def _require_normalizer(inc: Inclusion, v) -> np.ndarray:
@@ -221,13 +238,10 @@ def fixed_point_ideal(inc: Inclusion, v, eps: float = EPS) -> IdealSubspace:
     projs = [inc.min_projs[j] for j in support]
     dc = inc.commutant_of_D
     # linear conditions on coefficients t_j of d = sum t_j p_j
-    cols = []
-    for p in projs:
-        rows = [(v @ p - p @ v).ravel()]
-        for c in dc.basis:
-            rows.append((v @ p @ c - c @ v @ p).ravel())
-        cols.append(np.concatenate(rows))
-    K = np.array(cols).T
+    S = dc.stack
+    K = np.array([np.concatenate([(v @ p - p @ v).ravel(),
+                                  (v @ p @ S - S @ v @ p).ravel()])
+                  for p in projs]).T
     # the projections are not HS-normalized, so re-orthonormalize
     rows = row_span(null_space(K) @ _vec(projs))
     return ideal_from_subspace(inc.D, rows)
@@ -249,7 +263,7 @@ def fixed_set_check(inc: Inclusion, v, eps: float = EPS):
         elif K0.dim:
             # p need not be in K0 itself; check p against the projection of
             # K0 onto this corner: some element of K0 is nonzero at corner i
-            if any(abs(inc.char(i, k)) > 1e-7 for k in K0.basis):
+            if np.any(np.abs(inc.char(i, np.array(K0.basis))) > 1e-7):
                 support.add(i)
     return (support == fixed, {"support": sorted(support),
                                "fixed": sorted(fixed)})
@@ -273,15 +287,26 @@ class ModState:
         return bool(np.max(np.abs(self.values - other.values)) < tol)
 
 
-def _functional_values(inc: Inclusion, func) -> np.ndarray:
-    return np.array([func(b) for b in inc.C.basis], dtype=complex)
+def _located_state(inc: Inclusion, vals: np.ndarray) -> ModState:
+    """The ModState with these values, at the corner it is largest on."""
+    on_d = inc.C.coefficient_matrix(np.array(inc.min_projs)) @ vals
+    return ModState(inclusion=inc, corner_index=int(np.argmax(on_d.real)),
+                    values=vals)
+
+
+def _gram(C: FdStarAlgebra, vals: np.ndarray) -> np.ndarray:
+    """G[a, b] = f(a* b) over the basis of C, for the functional f with
+    values ``vals``: f(x) = sum(w * x) with w = (B^H vals) as a matrix."""
+    n = C.ambient_dim
+    w = (C.basis_rows.conj().T @ vals).reshape(n, n)
+    return C.basis_rows.conj() @ _vec(C.stack @ w.T).T
 
 
 def mod_state_from_density(inc: Inclusion, i: int, rho) -> ModState:
     """The state x -> trace(rho p_i x p_i) as a ModState at corner i."""
     rho = np.asarray(rho, dtype=complex)
     p = inc.min_projs[i]
-    vals = _functional_values(inc, lambda x: np.trace(rho @ p @ x @ p))
+    vals = inc.C.basis_rows @ (p @ rho @ p).T.ravel()
     return ModState(inclusion=inc, corner_index=i, values=vals)
 
 
@@ -294,23 +319,24 @@ def canonical_corner_state(inc: Inclusion, i: int) -> ModState:
 def check_mod_state(rho: ModState, eps: float = 1e-7) -> list:
     """Verify the ModState invariants; returns violations."""
     inc = rho.inclusion
+    C = inc.C
     bad = []
-    if abs(rho(inc.C.unit) - 1.0) > eps:
+    if abs(rho(C.unit) - 1.0) > eps:
         bad.append("not unital")
-    basis = inc.C.basis
-    gram = np.array([[rho(a.conj().T @ b) for b in basis] for a in basis])
+    gram = _gram(C, rho.values)
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     if evals.min() < -eps:
         bad.append(f"Gram matrix not PSD (min eigenvalue {evals.min():.2e})")
-    for j, p in enumerate(inc.min_projs):
+    on_d = C.coefficient_matrix(np.array(inc.min_projs)) @ rho.values
+    for j, val in enumerate(on_d):
         want = 1.0 if j == rho.corner_index else 0.0
-        if abs(rho(p) - want) > eps:
+        if abs(val - want) > eps:
             bad.append(f"restriction to D wrong at corner {j}")
     p = inc.min_projs[rho.corner_index]
-    for b in basis:
-        if abs(rho(b) - rho(p @ b @ p)) > eps:
-            bad.append("state not concentrated on its corner")
-            break
+    S = C.stack
+    if np.any(np.abs(C.coefficient_matrix(S) @ rho.values
+                     - C.coefficient_matrix(p @ S @ p) @ rho.values) > eps):
+        bad.append("state not concentrated on its corner")
     return bad
 
 
@@ -326,8 +352,7 @@ class CornerDescriptor:
 
 def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
     p = inc.min_projs[i]
-    mats = [p @ b @ p for b in inc.C.basis]
-    rows = row_span(_vec(mats))
+    rows = row_span(_vec(p @ inc.C.stack @ p))
     return _algebra_from_rows(inc.C.ambient_dim, rows, p,
                               unit_is_ambient=False)
 
@@ -335,8 +360,7 @@ def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
 def mod_states(inc: Inclusion) -> tuple:
     """One CornerDescriptor per minimal projection of D."""
     out = []
-    for i in range(inc.n_corners):
-        A = corner_algebra(inc, i)
+    for i, A in enumerate(inc.corner_algebras):
         extremes = ()
         if A.is_abelian(1e-8):
             qs = minimal_projections(A)
@@ -428,12 +452,10 @@ def is_compatible_state(inc: Inclusion, rho: ModState,
 
 def transported_state(inc: Inclusion, rho: ModState, v) -> ModState:
     """beta-tilde_v(rho): x -> rho(v* x v)/rho(v*v)."""
-    wt = rho(v.conj().T @ v).real
-    vals = _functional_values(inc, lambda x: rho(v.conj().T @ x @ v) / wt)
-    # locate the corner the transported state restricts to
-    corner = max(range(inc.n_corners),
-                 key=lambda j: (vals @ inc.C.coefficients(inc.min_projs[j])).real)
-    return ModState(inclusion=inc, corner_index=corner, values=vals)
+    vh = v.conj().T
+    wt = rho(vh @ v).real
+    return _located_state(inc, inc.C.coefficient_matrix(
+        vh @ inc.C.stack @ v) @ rho.values / wt)
 
 
 # --- pseudo-expectations -------------------------------------------------
@@ -473,7 +495,7 @@ class PseudoExpectationSet:
 
 def pseudo_expectations(inc: Inclusion) -> PseudoExpectationSet:
     corners = mod_states(inc)
-    unique = all(c.algebra.dim == 1 for c in corners)
+    unique = inc.scalar_corners
     E = None
     faithful = None
     if unique:
@@ -496,10 +518,9 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
         evals, evecs = np.linalg.eigh(rho)
         evals = np.clip(evals, 0.0, None)
         roots.append(p @ evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T)
-    cols = []
-    for b in inc.C.basis:
-        cols.append(np.concatenate([(b @ r).ravel() for r in roots]))
-    K = np.array(cols).T
+    # row (r, k, l), column b: (b root_r)[k, l]
+    K = (inc.C.stack[None] @ np.array(roots)[:, None]).transpose(0, 2, 3, 1)
+    K = K.reshape(-1, inc.C.dim)
     return ideal_from_subspace(inc.C, null_space(K) @ inc.C.basis_rows)
 
 
@@ -518,11 +539,9 @@ def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
         return ideal_from_subspace(inc.C, inc.C.basis_rows)
     if check_invariance and not _is_invariant(inc, F, word_bound):
         raise NotInvariant("F is not invariant under the normalizer action")
-    basis = inc.C.basis
-    total = np.zeros((inc.C.dim, inc.C.dim), dtype=complex)
-    for rho in F:
-        gram = np.array([[rho(a.conj().T @ b) for b in basis] for a in basis])
-        total += 0.5 * (gram + gram.conj().T)
+    # sum over rho of the Grams rho(a* b): the Gram of the summed values
+    gram = _gram(inc.C, np.sum([rho.values for rho in F], axis=0))
+    total = 0.5 * (gram + gram.conj().T)
     # total is Hermitian PSD: its singular values are its eigenvalues
     return ideal_from_subspace(inc.C, null_space(total) @ inc.C.basis_rows)
 
@@ -540,14 +559,10 @@ def _is_invariant(inc: Inclusion, F, word_bound: int) -> bool:
 
 def strongly_compatible(inc: Inclusion) -> tuple:
     """S_s(C, D) = {sigma_i o E} for the unique pseudo-expectation E."""
-    pe = pseudo_expectations(inc)
-    if not pe.unique:
+    if not inc.scalar_corners:
         raise NonUniquePseudoExpectation(
             "inclusion does not have the unique pseudo-expectation property")
-    E = pe.expectation
-    out = []
-    for i in range(inc.n_corners):
-        vals = _functional_values(
-            inc, lambda x: inc.char(i, E.apply(x)))
-        out.append(ModState(inclusion=inc, corner_index=i, values=vals))
-    return tuple(out)
+    # E is the canonical expectation and the p_j are orthogonal, so
+    # sigma_i(E(x)) = trace(p_i x p_i)/trace(p_i)
+    return tuple(canonical_corner_state(inc, i)
+                 for i in range(inc.n_corners))

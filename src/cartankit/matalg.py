@@ -4,6 +4,12 @@ Algebras are concrete *-subalgebras of M_n(C), carried around as an
 orthonormal basis under the Hilbert-Schmidt inner product
 <a, b> = trace(b* a).  Membership questions are answered by orthogonal
 projection residuals rather than exact linear solves.
+
+The basis is held once as a stack: ``FdStarAlgebra.basis_rows`` is the
+(d, n^2) matrix of flattened basis elements and ``FdStarAlgebra.stack``
+the (d, n, n) view of it.  Coefficients, containment, commutators and
+products are contractions over that stack, taken for a whole stack of
+matrices at a time (``coefficient_matrix``, ``contains_all``).
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ EPS = 1e-9
 RANK_TOL = 1e-8
 #: Dimension cap for generated algebras.
 DIM_CAP = 4096
+#: Complex entries per chunk of products in ``generate_star_algebra``.
+_PRODUCT_CHUNK = 1 << 12
 
 # Fixed seed: genericity arguments (generic elements of abelian algebras)
 # must stay deterministic across runs.
@@ -60,7 +68,9 @@ def _as_matrix(x, n: int | None = None) -> np.ndarray:
 
 
 def _vec(mats) -> np.ndarray:
-    return np.array([np.asarray(m, dtype=complex).ravel() for m in mats])
+    """Rows of flattened matrices, from a list or a (k, n, n) stack."""
+    m = np.asarray(mats, dtype=complex)
+    return m.reshape(len(m), -1) if m.size else m.reshape(len(m), 0)
 
 
 def _rank_of(s: np.ndarray) -> int:
@@ -92,17 +102,26 @@ def rank(K: np.ndarray) -> int:
     return _rank_of(np.linalg.svd(K, compute_uv=False))
 
 
-def _span_project(basis_rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project v onto the row span of an orthonormal basis_rows."""
-    if basis_rows.shape[0] == 0:
-        return np.zeros_like(v)
-    coeff = basis_rows.conj() @ v
-    return basis_rows.T @ coeff
+def span_residuals(basis_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``rows`` (k, n^2) from the row span of an
+    orthonormal ``basis_rows``."""
+    return np.linalg.norm(rows - rows @ basis_rows.conj().T @ basis_rows,
+                          axis=-1)
 
 
 def span_residual(basis_rows: np.ndarray, m: np.ndarray) -> float:
-    v = np.asarray(m, dtype=complex).ravel()
-    return float(np.linalg.norm(v - _span_project(basis_rows, v)))
+    v = np.asarray(m, dtype=complex).reshape(1, -1)
+    return float(span_residuals(basis_rows, v)[0])
+
+
+def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """K[i, :, :, j] = a_i b_j - b_j a_i for stacks A (k, n, n), B (l, n, n),
+    written in place so that K.reshape(k n^2, l) costs no copy."""
+    K = np.empty((len(A), A.shape[1], A.shape[2], len(B)), dtype=complex)
+    view = K.transpose(0, 3, 1, 2)
+    np.matmul(A[:, None], B[None], out=view)
+    view -= B[None] @ A[:, None]
+    return K
 
 
 @dataclass(frozen=True)
@@ -126,13 +145,36 @@ class FdStarAlgebra:
     def basis_rows(self) -> np.ndarray:
         return _vec(self.basis)
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The basis as a (d, n, n) view of ``basis_rows``."""
+        n = self.ambient_dim
+        return self.basis_rows.reshape(self.dim, n, n)
+
     def contains(self, m, eps: float = EPS) -> bool:
         return span_residual(self.basis_rows, _as_matrix(m, self.ambient_dim)) < eps
+
+    def contains_all(self, stack, eps: float = EPS) -> bool:
+        """``contains(m, eps)`` for every m of a (k, n, n) stack."""
+        return bool(np.all(span_residuals(self.basis_rows,
+                                          self._rows(stack)) < eps))
 
     def coefficients(self, m) -> np.ndarray:
         """HS coefficients of m against the basis (projection if outside)."""
         v = _as_matrix(m, self.ambient_dim).ravel()
         return self.basis_rows.conj() @ v
+
+    def coefficient_matrix(self, stack) -> np.ndarray:
+        """Row k: the HS coefficients of stack[k] (k, n, n) -> (k, d)."""
+        return self._rows(stack) @ self.basis_rows.conj().T
+
+    def _rows(self, stack) -> np.ndarray:
+        m = np.asarray(stack, dtype=complex)
+        n = self.ambient_dim
+        if m.ndim != 3 or m.shape[1:] != (n, n):
+            raise NonSquareMatrix(
+                f"expected a stack of ({n},{n}) matrices, got shape {m.shape}")
+        return m.reshape(len(m), n * n)
 
     def element(self, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=complex)
@@ -142,16 +184,19 @@ class FdStarAlgebra:
     def subspace_equals(self, other: "FdStarAlgebra", eps: float = EPS) -> bool:
         if self.dim != other.dim:
             return False
-        return all(other.contains(b, eps) for b in self.basis) and \
-            all(self.contains(b, eps) for b in other.basis)
+        return other.contains_all(self.stack, eps) and \
+            self.contains_all(other.stack, eps)
 
     def is_subalgebra_of(self, other: "FdStarAlgebra", eps: float = EPS) -> bool:
-        return all(other.contains(b, eps) for b in self.basis)
+        return other.contains_all(self.stack, eps)
 
     def is_abelian(self, eps: float = EPS) -> bool:
-        return all(hs_norm(a @ b - b @ a) < eps
-                   for i, a in enumerate(self.basis)
-                   for b in self.basis[i + 1:])
+        """Every pair of basis elements commutes; one batch of commutators
+        per basis element, so memory stays at d n^2."""
+        S = self.stack
+        return all(np.all(np.linalg.norm(a @ S[i + 1:] - S[i + 1:] @ a,
+                                         axis=(1, 2)) < eps)
+                   for i, a in enumerate(S))
 
 
 @dataclass(frozen=True)
@@ -193,6 +238,20 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
                          unit_is_ambient=unit_is_ambient)
 
 
+def _product_block(rows: np.ndarray, n: int) -> np.ndarray:
+    """A matrix with the row span and the singular values of rows stacked
+    over every product a b of the matrices they hold: the R factor of a
+    QR taken a chunk of products at a time, so memory stays at a chunk
+    plus n^4 instead of the d^2 n^2 block."""
+    mats = rows.reshape(len(rows), n, n)
+    step = max(1, _PRODUCT_CHUNK // (len(rows) * n * n))
+    R = rows
+    for i in range(0, len(mats), step):
+        prods = (mats[i:i + step, None] @ mats[None]).reshape(-1, n * n)
+        R = np.linalg.qr(np.vstack([R, prods]), mode="r")
+    return R
+
+
 def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
                           unit: np.ndarray | None = None,
                           unit_is_ambient: bool = True) -> FdStarAlgebra:
@@ -210,9 +269,7 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
     seed = gens + [g.conj().T for g in gens] + [unit]
     rows = row_span(_vec(seed))
     while True:
-        mats = [r.reshape(n, n) for r in rows]
-        prods = [a @ b for a in mats for b in mats]
-        new_rows = row_span(np.vstack([rows, _vec(prods)]))
+        new_rows = row_span(_product_block(rows, n))
         if new_rows.shape[0] > cap:
             raise DimensionOverflow(
                 f"generated algebra exceeds dimension cap {cap}")
@@ -226,21 +283,22 @@ def check_star_algebra(A: FdStarAlgebra, eps: float = EPS) -> list:
     """Check the FdStarAlgebra invariants; returns a list of violations."""
     bad = []
     rows = A.basis_rows
-    for i, a in enumerate(A.basis):
-        for j, b in enumerate(A.basis):
-            r = span_residual(rows, a @ b)
-            if r >= eps:
-                bad.append(f"product of basis elements {i},{j} leaves span "
-                           f"(residual {r:.2e})")
-        r = span_residual(rows, a.conj().T)
-        if r >= eps:
+    S = A.stack
+    adj = span_residuals(rows, _vec(S.conj().transpose(0, 2, 1)))
+    for i, a in enumerate(S):
+        prod = span_residuals(rows, _vec(a @ S))
+        bad += [f"product of basis elements {i},{j} leaves span "
+                f"(residual {prod[j]:.2e})"
+                for j in np.flatnonzero(prod >= eps)]
+        if adj[i] >= eps:
             bad.append(f"adjoint of basis element {i} leaves span "
-                       f"(residual {r:.2e})")
+                       f"(residual {adj[i]:.2e})")
     if span_residual(rows, A.unit) >= eps:
         bad.append("unit not in span of basis")
-    for i, b in enumerate(A.basis):
-        if hs_norm(A.unit @ b - b) >= eps or hs_norm(b @ A.unit - b) >= eps:
-            bad.append(f"unit does not act as identity on basis element {i}")
+    left = np.linalg.norm(A.unit @ S - S, axis=(1, 2))
+    right = np.linalg.norm(S @ A.unit - S, axis=(1, 2))
+    bad += [f"unit does not act as identity on basis element {i}"
+            for i in np.flatnonzero((left >= eps) | (right >= eps))]
     gram = rows @ rows.conj().T
     if np.max(np.abs(gram - np.eye(A.dim))) >= eps:
         bad.append("basis not HS-orthonormal")
@@ -253,11 +311,7 @@ def relative_commutant(A: FdStarAlgebra, within: FdStarAlgebra,
     if not A.is_subalgebra_of(within, eps):
         raise NotASubalgebra("A is not contained in the ambient algebra")
     n = within.ambient_dim
-    blocks = []
-    for a in A.basis:
-        cols = [(a @ b - b @ a).ravel() for b in within.basis]
-        blocks.append(np.array(cols).T)
-    K = np.vstack(blocks)
+    K = _commutators(A.stack, within.stack).reshape(A.dim * n * n, within.dim)
     # within's basis is HS-orthonormal, so the mapped null rows are too
     return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
                               within.unit, within.unit_is_ambient)
@@ -278,12 +332,13 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
     n = D.ambient_dim
     rng = np.random.default_rng(_GENERIC_SEED)
     complement = np.eye(n, dtype=complex) - D.unit
+    S, Sh = D.stack, D.stack.conj().transpose(0, 2, 1)
+    herm, skew = S + Sh, 1j * (S - Sh)
     for attempt in range(8):
         t = rng.standard_normal(D.dim)
         s = rng.standard_normal(D.dim)
-        h = np.zeros((n, n), dtype=complex)
-        for tj, sj, b in zip(t, s, D.basis):
-            h += tj * (b + b.conj().T) + sj * 1j * (b - b.conj().T)
+        # summed along the stack axis in basis order, as a running sum would
+        h = (t[:, None, None] * herm + s[:, None, None] * skew).sum(axis=0)
         sentinel = 10.0 * (1.0 + float(np.abs(h).sum()))
         evals, evecs = np.linalg.eigh(h + sentinel * complement)
         # cluster eigenvalues
@@ -333,7 +388,7 @@ def block_structure(A: FdStarAlgebra) -> tuple:
     """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C)."""
     sizes = []
     for p in central_projections(A):
-        d = rank(_vec([p @ b @ p for b in A.basis]))
+        d = rank(_vec(p @ A.stack @ p))
         ni = round(np.sqrt(d))
         if ni * ni != d:
             raise NumericalRankAmbiguity(
@@ -357,7 +412,7 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
     support_blocks = [q for q in central_projections(A)
                       if any(hs_norm(q @ s) >= eps for s in live)]
     support = sum(support_blocks)
-    rows = row_span(_vec([support @ b for b in A.basis]))
+    rows = row_span(_vec(support @ A.stack))
     basis = tuple(r.reshape(n, n) for r in rows)
     return IdealSubspace(parent=A, basis=basis, support_projection=support)
 

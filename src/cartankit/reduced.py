@@ -125,6 +125,19 @@ class ReducedAlgebra:
                                      rcond=None)
         return EquivariantFunction(self.twist, self.degree, coeffs)
 
+    def delta_norms(self) -> np.ndarray:
+        """reduced_norm of each delta_g, in arrow order: the largest
+        operator norm of its orbit blocks."""
+        N = self.total_dim
+        imgs = self._delta_images.reshape(-1, N, N)
+        out = np.zeros(len(imgs))
+        end = 0
+        for fiber in self.fibers:
+            start, end = end, end + len(fiber)
+            out = np.maximum(out, np.linalg.norm(
+                imgs[:, start:end, start:end], 2, axis=(1, 2)))
+        return out
+
     def expectation(self, f: EquivariantFunction) -> EquivariantFunction:
         """Restriction to the unit arrows (the canonical expectation)."""
         unit = self.twist.groupoid.arrays.unit
@@ -170,14 +183,9 @@ class CartanCertificate:
 def _normalizes(D: FdStarAlgebra, V: np.ndarray) -> bool:
     """v d v* and v* d v lie in D, as ``D.contains(m, 1e-7)`` decides, for
     every v of the stack V and every basis element d of D."""
-    B = D.basis_rows
     Vh = V.conj().transpose(0, 2, 1)
-
-    def inside(X):
-        rows = X.reshape(len(X), -1)
-        return np.all(np.linalg.norm(rows - rows @ B.conj().T @ B, axis=1)
-                      < 1e-7)
-    return all(inside(V @ d @ Vh) and inside(Vh @ d @ V) for d in D.basis)
+    return all(D.contains_all(V @ d @ Vh, 1e-7) and
+               D.contains_all(Vh @ d @ V, 1e-7) for d in D.stack)
 
 
 def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
