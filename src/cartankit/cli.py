@@ -14,12 +14,8 @@ import sys
 from . import __version__
 from .errors import CartanKitError, DimensionOverflow, ParseError
 from .groupoid import validate as validate_groupoid
-from .inclusion import (
-    left_kernel,
-    pseudo_expectations,
-    strongly_compatible,
-)
-from .matalg import DIM_CAP, EPS, block_structure
+from .inclusion import pseudo_expectations, strongly_compatible
+from .matalg import DIM_CAP, EPS
 from .reduced import is_cartan_pair, realize
 from .serialize import (
     classify,
@@ -83,6 +79,10 @@ def _load_twist(data):
     raise ParseError(f"expected a groupoid or twist file, found {kind}")
 
 
+def _table_violations(T) -> list:
+    return validate_groupoid(T.groupoid) + validate_cocycle(T)
+
+
 def cmd_validate(args) -> int:
     data = load_json(args.path)
     kind = classify(data)
@@ -92,8 +92,7 @@ def cmd_validate(args) -> int:
     if kind == "inclusion":
         inclusion_from_json(data, cap=args.cap)  # constructor validates
     else:
-        T = _load_twist(data)
-        violations = validate_groupoid(T.groupoid) + validate_cocycle(T)
+        violations = _table_violations(_load_twist(data))
     report["violations"] = violations
     report["valid"] = not violations
     _emit(report, args)
@@ -102,7 +101,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cstar(args) -> int:
     T = _load_twist(load_json(args.path))
-    bad = validate_groupoid(T.groupoid) + validate_cocycle(T)
+    bad = _table_violations(T)
     if bad:
         report = _base_report(args)
         report["violations"] = bad
@@ -112,7 +111,7 @@ def cmd_cstar(args) -> int:
     cert = is_cartan_pair(R)
     report = _base_report(args)
     report["degree"] = args.degree
-    report["block_structure"] = list(block_structure(R.algebra))
+    report["block_structure"] = list(R.block_structure())
     report["cartan"] = {"masa": cert.diagonal_is_masa,
                         "regular": cert.regular,
                         "faithful_E": cert.expectation_faithful,
@@ -136,7 +135,7 @@ def cmd_analyze(args) -> int:
     report["unique_pseudo_expectation"] = pe.unique
     report["faithful"] = pe.faithful
     if pe.unique and inc.regular:
-        report["left_kernel_dim"] = left_kernel(inc, pe.expectation).dim
+        report["left_kernel_dim"] = pe.left_kernel.dim
         report["strongly_compatible_states"] = len(strongly_compatible(inc))
     _emit(report, args)
     return EXIT_OK
@@ -180,8 +179,7 @@ def cmd_envelope(args) -> int:
         report["rejection_reason"] = cert.rejection_reason
     if cert.data is not None:
         report["twist"] = twist_to_json(cert.data.twist)
-        report["block_structure"] = list(
-            block_structure(cert.realization.algebra))
+        report["block_structure"] = list(cert.realization.block_structure())
     _emit(report, args)
     return EXIT_OK if cert.success else EXIT_VIOLATION
 
@@ -200,8 +198,13 @@ def cmd_compare(args) -> int:
     else:
         T1 = _load_twist(load_json(args.path))
         T2 = _load_twist(load_json(args.path2))
-        b1 = list(block_structure(realize(T1, args.degree).algebra))
-        b2 = list(block_structure(realize(T2, args.degree).algebra))
+        bad = [_table_violations(T1), _table_violations(T2)]
+        if any(bad):
+            report["violations"] = bad
+            _emit(report, args)
+            return EXIT_VIOLATION
+        b1 = list(realize(T1, args.degree).block_structure())
+        b2 = list(realize(T2, args.degree).block_structure())
         iso = find_isomorphism(T1.groupoid, T2.groupoid)
         report["mode"] = "twist-comparison"
         report["block_structures"] = [b1, b2]

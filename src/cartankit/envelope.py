@@ -494,7 +494,6 @@ def envelope_uniqueness_crosscheck(inc: Inclusion) -> bool:
     twist; compare block structures, and check that matching arrows by
     corner pair is an isomorphism of the two groupoids."""
     from .weyl import weyl_twist
-    from .matalg import block_structure
 
     cert = cartan_envelope(inc)
     if not cert.success:
@@ -504,8 +503,8 @@ def envelope_uniqueness_crosscheck(inc: Inclusion) -> bool:
     # corner densities p_i/tr p_i are faithful, so E(x*x) = 0 forces
     # x p_i = 0 for every i, hence x = 0
     W = weyl_twist(inc)
-    if block_structure(cert.realization.algebra) != \
-            block_structure(realize(W.twist, 1).algebra):
+    if cert.realization.block_structure() != \
+            realize(W.twist, 1).block_structure():
         return False
     data = cert.data
     GA = data.twist.groupoid

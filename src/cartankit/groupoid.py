@@ -117,13 +117,28 @@ class GroupoidArrays:
     def triples(self, p):
         """Chunks of the triples (a, b, c): each pair position q of p with
         every listed arrow c with r(c) = s(b), c ascending.  Yields q, c and
-        the pair positions of (b, c), (ab, c) and (a, bc), -1 if none."""
+        the pair positions of (b, c), (ab, c) and (a, bc), -1 if none.
+
+        The listed arrows are grouped by range (``by_range[start[u]:]``
+        holds the cnt[u] arrows of range u), and chunks end at the first
+        pair that brings the triple count past a multiple of _CHUNK."""
         n = len(self.index)
-        step = max(1, _CHUNK // max(n, 1))
-        for lo in range(0, len(p), step):
-            i, c = np.nonzero(
-                self.rng[:n] == self.src[self.b[p[lo:lo + step]]][:, None])
-            q = p[lo + i]
+        by_range = np.argsort(self.rng[:n], kind="stable")
+        # a trailing empty group, reached by the end -1 of unlisted arrows
+        cnt = np.bincount(self.rng[:n], minlength=len(self.unit_index) + 1)
+        start = np.cumsum(cnt) - cnt
+        s_b = self.src[self.b[p]]
+        end = np.cumsum(cnt[s_b])  # pair i's triples are first[i]:end[i]
+        first = end - cnt[s_b]
+        total = end[-1] if len(end) else 0
+        cuts = np.searchsorted(end, np.arange(_CHUNK, total, _CHUNK),
+                               side="right")
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(p)]):
+            i = np.repeat(np.arange(lo, hi), cnt[s_b[lo:hi]])
+            if not len(i):
+                continue
+            k = np.arange(first[lo], end[hi - 1]) - first[i]
+            q, c = p[i], by_range[start[s_b[i]] + k]
             b_c = self.pair_at[self.b[q], c]
             yield (q, c, b_c, self.pair_at[self.ab[q], c],
                    self.pair_at[self.a[q], self._ab[b_c]])
@@ -223,11 +238,12 @@ def validate(G: FiniteGroupoid) -> list:
     # associativity over the listed pairs in sorted order
     for q, c, b_c, ab_c, a_bc in t.triples(listed[np.argsort(a * n + b)]):
         fails = (b_c >= 0) & (t._ab[ab_c] != t._ab[a_bc])
-        bad += _violations(
-            [("associativity fails at ({a!r},{b!r},{c!r})",
-              np.flatnonzero(fails))],
-            lambda i: {"a": t.names[t.a[q[i]]], "b": t.names[t.b[q[i]]],
-                       "c": t.names[c[i]]})
+        if fails.any():
+            bad += _violations(
+                [("associativity fails at ({a!r},{b!r},{c!r})",
+                  np.flatnonzero(fails))],
+                lambda i: {"a": t.names[t.a[q[i]]], "b": t.names[t.b[q[i]]],
+                           "c": t.names[c[i]]})
     return bad
 
 

@@ -491,35 +491,34 @@ class PseudoExpectationSet:
     unique: bool
     expectation: PseudoExpectation | None
     faithful: bool | None
+    left_kernel: IdealSubspace | None  # L(C, D) of ``expectation``
 
 
 def pseudo_expectations(inc: Inclusion) -> PseudoExpectationSet:
     corners = mod_states(inc)
     unique = inc.scalar_corners
-    E = None
-    faithful = None
+    E = L = faithful = None
     if unique:
         E = canonical_expectation(inc)
         L = left_kernel(inc, E) if inc.regular else _left_kernel_subspace(inc, E)
         faithful = (L.dim == 0)
     return PseudoExpectationSet(inclusion=inc, corners=corners,
                                 unique=unique, expectation=E,
-                                faithful=faithful)
+                                faithful=faithful, left_kernel=L)
 
 
 def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
     """{x in C : E(x* x) = 0}, as a subspace wrapped with central support.
 
     Since each phi_i is a state with density rho_i, E(x*x) = 0 iff
-    x p_i rho_i^{1/2} = 0 for every corner; this is a linear condition.
+    x p_i rho_i^{1/2} = 0 for every corner, iff x p_i rho_i = 0 (rho_i^{1/2}
+    and rho_i have the same range); this is a linear condition.  Taking no
+    square root keeps rounding noise in rho_i's spectrum below the rank cut.
     """
-    roots = []
-    for p, rho in zip(inc.min_projs, E.corner_densities):
-        evals, evecs = np.linalg.eigh(rho)
-        evals = np.clip(evals, 0.0, None)
-        roots.append(p @ evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T)
-    # row (r, k, l), column b: (b root_r)[k, l]
-    K = (inc.C.stack[None] @ np.array(roots)[:, None]).transpose(0, 2, 3, 1)
+    dens = np.array([p @ rho for p, rho in
+                     zip(inc.min_projs, E.corner_densities)])
+    # row (r, k, l), column b: (b p_r rho_r)[k, l]
+    K = (inc.C.stack[None] @ dens[:, None]).transpose(0, 2, 3, 1)
     K = K.reshape(-1, inc.C.dim)
     return ideal_from_subspace(inc.C, null_space(K) @ inc.C.basis_rows)
 

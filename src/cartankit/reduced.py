@@ -4,7 +4,8 @@ The regular representation at a unit x acts on l^2 of the arrows with
 source x; the full realization is the direct sum over one unit per
 r-orbit (units in the same orbit give unitarily equivalent blocks).
 At finite scale the diagonal conditional expectation is exactly
-faithful: E(f* f)(x) = sum_{s(a)=x} |f(a)|^2.
+faithful: E(f* f)(x) = sum_{s(a)=x} |f(a)|^2.  The block structure and the
+MASA test are read from orbit and isotropy data, not from commutants.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from .matalg import (
     EPS,
     FdStarAlgebra,
     _algebra_from_rows,
+    block_structure as algebra_blocks,
     operator_norm,
-    relative_commutant,
     row_span,
 )
 from .twist import (
     CocycleTwist,
     EquivariantFunction,
     _involution_values,
+    _phases_at,
     unit_function,
 )
 
@@ -119,11 +121,37 @@ class ReducedAlgebra:
         return self.represent(unit_function(self.twist, self.degree))
 
     def function_of(self, M: np.ndarray) -> EquivariantFunction:
-        """Invert the representation on its image (least squares)."""
+        """Invert the representation on its image.  The delta images have
+        disjoint supports, so they are HS-orthogonal and the orthogonal
+        projection onto the image has coefficients <M, delta_g>/|delta_g|^2."""
         rows = self._delta_images
-        coeffs, *_ = np.linalg.lstsq(rows.T, np.asarray(M, dtype=complex).ravel(),
-                                     rcond=None)
-        return EquivariantFunction(self.twist, self.degree, coeffs)
+        coeffs = rows.conj() @ np.asarray(M, dtype=complex).ravel()
+        return EquivariantFunction(self.twist, self.degree,
+                                   coeffs / np.linalg.norm(rows, axis=1) ** 2)
+
+    def block_structure(self) -> tuple:
+        """Sorted block sizes of ``algebra``, read from orbit and isotropy
+        data instead of a center computation.
+
+        On the orbit of x with isotropy group H_x, the algebra is
+        M_|orbit| tensor C*(H_x, sigma') with sigma' cohomologous to the
+        restriction of sigma to H_x (Muhly-Renault-Williams equivalence), so
+        the orbit gives the blocks |orbit| d_i, where the d_i are the block
+        sizes of C*(H_x, sigma|H_x).  |orbit| = |s^-1(x)| / |H_x| on valid
+        tables, as ``realize`` assumes.
+        """
+        t, n = self.twist.groupoid.arrays, len(self.twist.groupoid.arrows)
+        src, rng = t.src[:n], t.rng[:n]
+        loops = src == rng
+        reps = np.array([t.unit_index[x] for x in self.orbit_reps],
+                        dtype=np.intp)
+        units = len(t.unit_index)
+        orbit = np.bincount(src, minlength=units)[reps] // \
+            np.bincount(src[loops], minlength=units)[reps]
+        sizes = [k * np.array(_isotropy_blocks(
+            self.twist, self.degree, np.flatnonzero(loops & (src == x))))
+            for k, x in zip(orbit, reps)]
+        return tuple(sorted(np.concatenate(sizes).tolist()))
 
     def delta_norms(self) -> np.ndarray:
         """reduced_norm of each delta_g, in arrow order: the largest
@@ -155,6 +183,24 @@ def realize(T: CocycleTwist, degree: int = 1) -> ReducedAlgebra:
     fibers = tuple(G.arrows_with_source(x) for x in reps)
     return ReducedAlgebra(twist=T, degree=degree, orbit_reps=reps,
                           fibers=fibers)
+
+
+def _isotropy_blocks(T: CocycleTwist, degree: int, h: np.ndarray) -> tuple:
+    """Block sizes of C*(H, c_k|H) for the isotropy group H on the arrow
+    numbers h: (1,) for the trivial group without any linear algebra,
+    otherwise the generic split of its left-regular realization on l^2(H),
+    where delta_a sends delta_b to c_k(a, b) delta_ab."""
+    m = len(h)
+    if m == 1:
+        return (1,)
+    local = np.zeros(len(T.groupoid.arrays.unit), dtype=np.intp)
+    local[h] = np.arange(m)
+    a, b = h[:, None], h[None, :]
+    L = np.zeros((m, m, m), dtype=complex)
+    L[np.arange(m)[:, None], local[T.groupoid.arrays.compose(a, b)],
+      np.arange(m)] = _phases_at(T, degree, a, b)
+    return algebra_blocks(_algebra_from_rows(
+        m, L.reshape(m, m * m), np.eye(m, dtype=complex)))
 
 
 def groupoid_inclusion(R: ReducedAlgebra):
@@ -191,15 +237,25 @@ def _normalizes(D: FdStarAlgebra, V: np.ndarray) -> bool:
 def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     """Certify (or refute) that the diagonal is Cartan in the realization.
 
+    The MASA test is exact, read from the tables.  For a unit x,
+    delta_x delta_g = delta_g if r(g) = x and 0 otherwise, and
+    delta_g delta_x = delta_g if s(g) = x and 0 otherwise (sigma is
+    normalized), so delta_g commutes with every delta_x exactly when
+    s(g) = r(g).  The delta images have disjoint matrix-unit supports and
+    the realization is faithful, so sum_g f(g) delta_g commutes with D
+    exactly when each of its terms does:
+    D' cap C = span{delta_g : g in Iso(G)}, of dimension |Iso(G)|.  Hence
+    ``masa_defect`` = |Iso(G)| - |G^0|, and D is a MASA exactly when it is 0,
+    i.e. when G is principal, whatever the twist.
+
     Regularity and faithfulness hold structurally for groupoid models but
-    are re-verified numerically; the MASA property genuinely depends on the
-    isotropy of the groupoid and the twist.
+    are re-verified numerically.
     """
-    A = R.algebra
+    t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
+    defect = int(np.count_nonzero(t.src[:n] == t.rng[:n])) - \
+        len(R.twist.groupoid.units)
+    masa = defect == 0
     D = R.diagonal
-    comm = relative_commutant(D, A, eps)
-    masa = comm.subspace_equals(D, max(eps, 1e-7))
-    defect = comm.dim - D.dim
 
     # regularity: each delta normalizes the diagonal and deltas span
     N = R.total_dim
@@ -208,7 +264,6 @@ def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     # faithfulness of E: the sesquilinear form sum_x E(f* g)(x) must be
     # positive definite; exact at finite scale.  Row i of the Gram matrix
     # is delta_i^* times the part of the convolution landing on units.
-    t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
     on_unit = t.unit[t.ab]
     Q = np.zeros((n, n), dtype=complex)
     Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]

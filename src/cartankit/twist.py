@@ -96,12 +96,13 @@ def validate_cocycle(T: CocycleTwist, tol: float = COCYCLE_TOL) -> list:
         # an undefined term reads NaN and fails no comparison
         fails = np.abs(s[q] * s1[ab_c] - s1[b_c] * s1[a_bc]) > tol
         undefined = (b_c < 0) | (ab_c < 0) | (a_bc < 0)
-        bad += _violations([
-            ("cocycle identity fails at ({a!r},{b!r},{c!r})",
-             np.flatnonzero(fails)),
-            ("cocycle identity undefined at ({a!r},{b!r},{c!r})",
-             np.flatnonzero(undefined)),
-        ], lambda i: {**names(q[i]), "c": t.names[c[i]]})
+        if fails.any() or undefined.any():
+            bad += _violations([
+                ("cocycle identity fails at ({a!r},{b!r},{c!r})",
+                 np.flatnonzero(fails)),
+                ("cocycle identity undefined at ({a!r},{b!r},{c!r})",
+                 np.flatnonzero(undefined)),
+            ], lambda i: {**names(q[i]), "c": t.names[c[i]]})
     return bad
 
 
@@ -231,7 +232,13 @@ def restrict_twist(T: CocycleTwist, H) -> CocycleTwist:
     GH = restrict_groupoid(T.groupoid, H)
     t, th = T.groupoid.arrays, GH.arrays
     to_g = np.array([t.index[a] for a in GH.arrows], dtype=np.intp)
-    return _with_phases(GH, T.sigma_vector[t.pair_at[to_g[th.a], to_g[th.b]]])
+    return _with_phases(GH, _phases_at(T, 1, to_g[th.a], to_g[th.b]))
+
+
+def _phases_at(T: CocycleTwist, degree: int, x, y) -> np.ndarray:
+    """c_k at the pairs (x, y) of arrow numbers (broadcast), each of
+    which must compose."""
+    return T.phases(degree)[T.groupoid.arrays.pair_at[x, y]]
 
 
 def structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
