@@ -31,6 +31,11 @@ class SeedOutsideAlgebra(CartanKitError):
     pass
 
 
+class EmptyAlgebra(CartanKitError):
+    """The zero algebra (e.g. realized from a groupoid with no units): it
+    has no unit, so it carries no unital subalgebra or Cartan pair."""
+
+
 # --- groupoid layer ---
 
 class UnknownUnit(CartanKitError):

@@ -7,6 +7,17 @@ sigma_i(d) = trace(p_i d)/trace(p_i).  Pseudo-expectations are exactly
 the maps E(x) = sum_i phi_i(p_i x p_i) p_i with each phi_i a state on
 the corner p_i C p_i; uniqueness holds iff all corners are scalar.
 
+Slices, corners and D' cap C are read from one compression of C per
+inclusion.  Q_i is an isometry onto the range of p_i (``eigh`` of p_i),
+and ``Inclusion._compressed_basis`` holds the blocks Q_j* b Q_i of every
+basis element b of C, taken in one contraction.  x -> Q_j* x Q_i is an
+HS isometry on p_j C p_i, so the rank of each slice is decided on its
+rank p_j x rank p_i block, one batched ``row_span`` per block shape,
+with the singular values, hence the cuts, of the full-width rows
+p_j b p_i.  The corner algebras p_i C p_i are the diagonal blocks lifted
+by Q_i, D' cap C is their direct sum, and D is a MASA exactly when every
+corner is scalar (``Inclusion.commutant_of_D``).
+
 When all corners are scalar the normalizer classes are exactly the
 nonzero slices p_j C p_i (``Inclusion.corner_slices``); otherwise they
 are approximated by bounded words in the normalizer generators.
@@ -46,7 +57,6 @@ from .matalg import (
     ideal_from_subspace,
     minimal_projections,
     null_space,
-    relative_commutant,
     row_span,
     span_residual,
 )
@@ -85,6 +95,81 @@ class Inclusion:
         return complex(vals) if vals.ndim == 0 else vals
 
     @cached_property
+    def _ranks(self) -> np.ndarray:
+        """rank p_i = trace p_i, per corner."""
+        return np.rint(np.trace(np.array(self.min_projs), axis1=1,
+                                axis2=2).real).astype(np.intp)
+
+    @cached_property
+    def _ranges(self) -> np.ndarray:
+        """(m, n, r) stack of isometries, r = max rank p_i: the first
+        rank p_i columns Q_i of entry i are orthonormal eigenvectors of
+        p_i for the eigenvalue 1, so p_i = Q_i Q_i*, and the rest are 0."""
+        _, vecs = np.linalg.eigh(np.array(self.min_projs))
+        r = int(self._ranks.max())
+        return vecs[:, :, ::-1][:, :, :r] * \
+            (np.arange(r) < self._ranks[:, None])[:, None, :]
+
+    @cached_property
+    def _compressed_basis(self) -> np.ndarray:
+        """Q_j* b Q_i for every basis element b of C and every pair of
+        corners, in one contraction: a (d, m, r, m, r) array in the layout
+        of ``_ranges``, whose [:, j, :, i, :] is Q_j* b Q_i (zero outside
+        its rank p_j x rank p_i corner)."""
+        m, n, r = self._ranges.shape
+        Q = self._ranges.transpose(1, 0, 2).reshape(n, m * r)
+        return (Q.conj().T @ self.C.stack @ Q).reshape(-1, m, r, m, r)
+
+    def _slice_spans(self, keys) -> dict:
+        """{(i, j): orthonormal rows spanning Q_j* (p_j C p_i) Q_i} over the
+        keys, from one batched ``row_span`` per block shape.  Q_j* Q_j = 1
+        and p_j x p_i = Q_j (Q_j* x Q_i) Q_i*, so x -> Q_j* x Q_i is an HS
+        isometry on p_j C p_i: the blocks have the singular values, hence
+        every rank cut, of the full-width rows p_j b p_i."""
+        W, r = self._compressed_basis, self._ranks
+        keys = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        rj, ri = r[keys[:, 1]], r[keys[:, 0]]
+        out = {}
+        for a, b in sorted(set(zip(rj.tolist(), ri.tolist()))):
+            sel = keys[(rj == a) & (ri == b)]
+            # the two index arrays are split by a slice, so numpy puts
+            # their axis first: blocks is (k, d, a, b)
+            blocks = W[:, sel[:, 1], :a, sel[:, 0], :b]
+            out.update(zip(map(tuple, sel.tolist()), row_span(
+                blocks.reshape(len(sel), len(W), a * b))))
+        return out
+
+    @cached_property
+    def _corner_rows(self) -> tuple:
+        """Orthonormal rows spanning Q_i* (p_i C p_i) Q_i, per corner."""
+        spans = self._slice_spans([(i, i) for i in range(self.n_corners)])
+        return tuple(spans[(i, i)] for i in range(self.n_corners))
+
+    @cached_property
+    def _slice_blocks(self) -> tuple | None:
+        """(keys, X) over the nonzero slices p_j C p_i, keys (i, j) in
+        order: X[k] is the slice at keys[k] as an r x r block (zero outside
+        its rank p_j x rank p_i corner), scaled so that u = Q_j X[k] Q_i*
+        has u*u = p_i and uu* = p_j; None when some corner is not scalar."""
+        if not self.scalar_corners:
+            return None
+        m, r = self.n_corners, self._ranks
+        spans = self._slice_spans([(i, j) for i in range(m)
+                                   for j in range(m) if i != j])
+        spans.update(((i, i), rows) for i, rows in enumerate(self._corner_rows))
+        keys = sorted(key for key, rows in spans.items() if len(rows))
+        X = np.zeros((len(keys),) + self._ranges.shape[2:] * 2, dtype=complex)
+        for k, (i, j) in enumerate(keys):
+            rows = spans[(i, j)]
+            if len(rows) > 1:
+                raise NumericalRankAmbiguity(
+                    f"slice p_{j} C p_{i} has rank {len(rows)} although "
+                    "every corner is scalar")
+            # rows[0] has unit HS norm, so x*x = p_i / rank p_i
+            X[k, :r[j], :r[i]] = rows[0].reshape(r[j], r[i]) * np.sqrt(r[i])
+        return keys, X
+
+    @cached_property
     def corner_slices(self) -> dict | None:
         """{(i, j): u} over the nonzero slices p_j C p_i, with u spanning
         the slice and scaled so that u*u = p_i and uu* = p_j; None when
@@ -96,24 +181,12 @@ class Inclusion:
         nonzero slice elements are normalizers, and each v p_i of a
         normalizer v lies in one slice: the slices are the classes.
         """
-        n = self.C.ambient_dim
-        B = np.array(self.C.basis)
-        P = self.min_projs
-        spans = {(i, j): row_span((pj @ B @ pi).reshape(len(B), n * n))
-                 for i, pi in enumerate(P) for j, pj in enumerate(P)}
-        if any(spans[(i, i)].shape[0] > 1 for i in range(self.n_corners)):
+        if self._slice_blocks is None:
             return None
-        out = {}
-        for (i, j), rows in spans.items():
-            if rows.shape[0] > 1:
-                raise NumericalRankAmbiguity(
-                    f"slice p_{j} C p_{i} has rank {rows.shape[0]} although "
-                    "every corner is scalar")
-            if rows.shape[0]:
-                # rows[0] has unit HS norm, so x*x = p_i / trace(p_i)
-                out[(i, j)] = rows[0].reshape(n, n) * np.sqrt(
-                    np.trace(P[i]).real)
-        return out
+        keys, X = self._slice_blocks
+        i, j = np.array(keys).T
+        Q = self._ranges
+        return dict(zip(keys, Q[j] @ X @ Q[i].conj().transpose(0, 2, 1)))
 
     @cached_property
     def corner_algebras(self) -> tuple:
@@ -125,7 +198,7 @@ class Inclusion:
     @cached_property
     def scalar_corners(self) -> bool:
         """Every corner is C p_i: the pseudo-expectation is unique."""
-        return all(A.dim == 1 for A in self.corner_algebras)
+        return all(len(rows) == 1 for rows in self._corner_rows)
 
     @cached_property
     def regular(self) -> bool:
@@ -137,11 +210,22 @@ class Inclusion:
 
     @cached_property
     def commutant_of_D(self) -> FdStarAlgebra:
-        return relative_commutant(self.D, self.C)
+        """D' cap C = (+)_i p_i C p_i, the direct sum of the corners.
+
+        D is spanned by the orthogonal p_i, which sum to the unit of C.  If
+        x in C commutes with D then p_j x p_i = p_j p_i x = 0 for i != j,
+        so x = sum_i p_i x p_i; conversely such an x has
+        p_k x = p_k x p_k = x p_k for every k.  Each p_i x p_i lies in C,
+        as p_i does."""
+        rows = np.concatenate([A.basis_rows for A in self.corner_algebras])
+        return _algebra_from_rows(self.C.ambient_dim, rows, self.C.unit,
+                                  self.C.unit_is_ambient)
 
     @cached_property
     def is_masa(self) -> bool:
-        return self.commutant_of_D.subspace_equals(self.D, 1e-7)
+        """D' cap C = D, i.e. (see ``commutant_of_D``) every corner p_i C p_i
+        is C p_i, as D's part of it is."""
+        return self.scalar_corners
 
 
 def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
@@ -351,10 +435,12 @@ class CornerDescriptor:
 
 
 def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
-    p = inc.min_projs[i]
-    rows = row_span(_vec(p @ inc.C.stack @ p))
-    return _algebra_from_rows(inc.C.ambient_dim, rows, p,
-                              unit_is_ambient=False)
+    """p_i C p_i: the compressed corner Q_i* C Q_i, lifted by Q_i."""
+    rows, r = inc._corner_rows[i], inc._ranks[i]
+    Q = inc._ranges[i, :, :r]
+    return _algebra_from_rows(
+        inc.C.ambient_dim, _vec(Q @ rows.reshape(-1, r, r) @ Q.conj().T),
+        inc.min_projs[i], unit_is_ambient=False)
 
 
 def mod_states(inc: Inclusion) -> tuple:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionOverflow,
+    EmptyAlgebra,
     NonSquareMatrix,
     NotAbelian,
     NotASubalgebra,
@@ -73,18 +74,26 @@ def _vec(mats) -> np.ndarray:
     return m.reshape(len(m), -1) if m.size else m.reshape(len(m), 0)
 
 
-def _rank_of(s: np.ndarray) -> int:
-    """Number of singular values (descending) above RANK_TOL * max(s_max, 1)."""
-    cut = RANK_TOL * max(s[0], 1.0) if len(s) else RANK_TOL
-    return int(np.sum(s > cut))
+def _rank_of(s: np.ndarray):
+    """Number of singular values (descending along the last axis) above
+    RANK_TOL * max(s_max, 1); an int for one spectrum, an array for a
+    stack of them."""
+    s_max = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    ranks = np.sum(s > RANK_TOL * np.maximum(s_max, 1.0)[..., None], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def row_span(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the row span, via SVD."""
+def row_span(rows: np.ndarray):
+    """Orthonormal basis for the row span, via SVD.  On a (k, r, c) stack,
+    the tuple of the k bases, from one batched SVD cut matrix by matrix."""
     if rows.size == 0:
+        if rows.ndim == 3:
+            return tuple(rows[:, :0])
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[:_rank_of(s)]
+    if rows.ndim == 2:
+        return vh[:_rank_of(s)]
+    return tuple(v[:r] for v, r in zip(vh, _rank_of(s)))
 
 
 def null_space(K: np.ndarray) -> np.ndarray:
@@ -227,6 +236,10 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
     n = ambient_dim
     uvec = unit.ravel()
     unorm = np.linalg.norm(uvec)
+    if unorm == 0:
+        raise EmptyAlgebra(
+            "the zero algebra has no unit (a groupoid with no units "
+            "realizes to it)")
     first = uvec / unorm
     if rows.shape[0]:
         resid = rows - np.outer(rows @ first.conj(), first)
@@ -244,7 +257,7 @@ def _product_block(rows: np.ndarray, n: int) -> np.ndarray:
     QR taken a chunk of products at a time, so memory stays at a chunk
     plus n^4 instead of the d^2 n^2 block."""
     mats = rows.reshape(len(rows), n, n)
-    step = max(1, _PRODUCT_CHUNK // (len(rows) * n * n))
+    step = max(1, _PRODUCT_CHUNK // max(rows.size, 1))
     R = rows
     for i in range(0, len(mats), step):
         prods = (mats[i:i + step, None] @ mats[None]).reshape(-1, n * n)
@@ -385,7 +398,10 @@ def central_projections(A: FdStarAlgebra) -> tuple:
 
 
 def block_structure(A: FdStarAlgebra) -> tuple:
-    """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C)."""
+    """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C); () for
+    the zero algebra."""
+    if A.dim == 0:
+        return ()
     sizes = []
     for p in central_projections(A):
         d = rank(_vec(p @ A.stack @ p))

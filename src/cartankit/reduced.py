@@ -138,8 +138,11 @@ class ReducedAlgebra:
         restriction of sigma to H_x (Muhly-Renault-Williams equivalence), so
         the orbit gives the blocks |orbit| d_i, where the d_i are the block
         sizes of C*(H_x, sigma|H_x).  |orbit| = |s^-1(x)| / |H_x| on valid
-        tables, as ``realize`` assumes.
+        tables, as ``realize`` assumes.  A groupoid with no units realizes
+        to the zero algebra, with no blocks.
         """
+        if not self.orbit_reps:
+            return ()
         t, n = self.twist.groupoid.arrays, len(self.twist.groupoid.arrows)
         src, rng = t.src[:n], t.rng[:n]
         loops = src == rng

@@ -63,14 +63,18 @@ def germ_equal(inc: Inclusion, v, w, i: int, mode: str = "RT") -> bool:
     raise ValueError(f"unknown germ mode {mode!r}")
 
 
+def _canonical_phases(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Per matrix of the stack U, the unimodular factor that rotates its
+    first nonzero entry (row-major) to the positive reals; 1 for 0."""
+    mag = np.abs(U.reshape(len(U), -1))
+    first = np.argmax(mag > tol * mag.max(axis=1, keepdims=True), axis=1)
+    z = U.reshape(len(U), -1)[np.arange(len(U)), first]
+    return np.divide(np.abs(z), z, out=np.ones_like(z), where=z != 0)
+
+
 def canonical_phase(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Rotate u so its first nonzero entry (row-major) is positive real."""
-    flat = u.ravel()
-    scale = np.abs(flat).max()
-    for z in flat:
-        if abs(z) > tol * scale:
-            return u * (abs(z) / z)
-    return u
+    return u * _canonical_phases(u[None], tol)[0]
 
 
 def germ_expectation_criterion(inc: Inclusion, v, w, i: int,
@@ -110,31 +114,39 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
             "Weyl twist extraction refuses non-MASA inclusions: the germ "
             "relations are only equivalent when D is a MASA")
     m = inc.n_corners
-    # germ classes keyed by (source corner, target corner)
-    classes = {key: canonical_phase(u) for key, u in slices.items()}
+    # germ classes keyed by (source corner, target corner), in key order;
+    # X holds them compressed, class = Q_j X Q_i* (see Inclusion._slice_blocks)
+    keys, X = inc._slice_blocks
+    U = np.array([slices[key] for key in keys])
+    phase = _canonical_phases(U)[:, None, None]
+    U, X = U * phase, X * phase
 
     unit_id = {i: f"x{i}" for i in range(m)}
-    arrow_id = {key: f"g{key[0]}.{key[1]}" for key in sorted(classes)}
+    arrow_id = {key: f"g{key[0]}.{key[1]}" for key in keys}
     specs = [(arrow_id[(i, j)], unit_id[i], unit_id[j], arrow_id[(j, i)])
-             for (i, j) in sorted(classes)]
-    pairs = []
-    sigma = {}
-    for (i1, j1) in sorted(classes):
-        for (i2, j2) in sorted(classes):
-            if i1 != j2:
-                continue
-            prod = classes[(i1, j1)] @ classes[(i2, j2)]
-            target = classes[(i2, j1)]
-            lam = _ratio(prod, target)
-            if lam is None:
-                raise NoConditionalExpectation(
-                    "germ product is not a germ: inclusion is not MASA")
-            a, b = arrow_id[(i1, j1)], arrow_id[(i2, j2)]
-            pairs.append((a, b, arrow_id[(i2, j1)]))
-            sigma[(a, b)] = lam / abs(lam)
+             for (i, j) in keys]
+    # the composable pairs (a, b), s(a) = r(b), in key order; a b lies in
+    # the slice (s(b), r(a)).  Q_j* Q_j = 1, so products, inner products
+    # and norms of the classes are those of their blocks.
+    src, rng = np.array(keys).T
+    where = np.full((m, m), -1)
+    where[src, rng] = np.arange(len(keys))
+    a, b = np.nonzero(src[:, None] == rng[None, :])
+    t = where[src[b], rng[a]]
+    prod, target = X[a] @ X[b], X[t]
+    lam = np.einsum("kij,kij->k", target.conj(), prod) / \
+        np.einsum("kij,kij->k", target.conj(), target).real
+    resid = np.linalg.norm(prod - lam[:, None, None] * target, axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(prod, axis=(1, 2)))
+    if np.any(t < 0) or np.any(resid > _GERM_TOL * scale):
+        raise NoConditionalExpectation(
+            "germ product is not a germ: inclusion is not MASA")
+    ids = [arrow_id[key] for key in keys]
+    pairs = [(ids[x], ids[y], ids[z]) for x, y, z in zip(a, b, t)]
+    sigma = {(x, y): z for (x, y, _), z in zip(pairs,
+                                               (lam / np.abs(lam)).tolist())}
     unit_arrows = {unit_id[i]: arrow_id[(i, i)] for i in range(m)}
     G = build_groupoid(list(unit_id.values()), specs, pairs, unit_arrows)
     T = CocycleTwist(groupoid=G, sigma=sigma)
-    reps = {arrow_id[key]: cls for key, cls in classes.items()}
-    return WeylTwistResult(twist=T, representatives=reps,
+    return WeylTwistResult(twist=T, representatives=dict(zip(ids, U)),
                            corner_of_unit={unit_id[i]: i for i in range(m)})

@@ -127,6 +127,20 @@ class TestCstar:
         assert all(abs(v - 1.0) < 1e-9
                    for v in report["norm_table"].values())
 
+    def test_empty_groupoid_refused(self, tmp_path, capsys):
+        """A groupoid with no units is valid and realizes to the zero
+        algebra, which has no unit: a typed refusal, not a traceback."""
+        path = write(tmp_path, "empty.json", {"units": [], "arrows": [],
+                                              "compose": [],
+                                              "unit_arrows": {}})
+        assert main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert main(["cstar", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the zero algebra has no unit")
+        assert "Traceback" not in captured.err
+
     def test_degree_flag(self, k4ns_file, capsys):
         assert main(["--degree", "-1", "cstar", k4ns_file]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -14,19 +14,29 @@ from cartankit.envelope import (
     cartan_envelope,
     envelope_uniqueness_crosscheck,
 )
-from cartankit.errors import NumericalRankAmbiguity
+from cartankit.errors import NoConditionalExpectation, NumericalRankAmbiguity
 from cartankit.groupoid import build_groupoid
 from cartankit.inclusion import (
     WORD_BOUND,
+    Inclusion,
     beta,
+    make_inclusion,
     mod_state_from_density,
     normalizer_words,
 )
-from cartankit.matalg import hs_inner, hs_norm
+from cartankit.matalg import (
+    _algebra_from_rows,
+    _vec,
+    generate_star_algebra,
+    hs_inner,
+    hs_norm,
+    relative_commutant,
+    row_span,
+)
 from cartankit.reduced import groupoid_inclusion, is_cartan_pair, realize
 from cartankit.twist import CocycleTwist
 from cartankit.weyl import WeylTwistResult, weyl_twist
-from conftest import mndn_inclusion, random_twist_corpus
+from conftest import E, m2c_inclusion, mndn_inclusion, random_twist_corpus
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 
 
@@ -98,20 +108,16 @@ class TestCornerSlices:
     def test_wide_off_diagonal_slice_is_typed_error(self, monkeypatch):
         """A rank-2 off-diagonal slice under scalar corners cannot occur in
         exact arithmetic; the forced branch raises, never asserts."""
-        real = cartankit.inclusion.row_span
+        real = cartankit.inclusion.Inclusion._slice_spans
 
-        def widened(rows):
-            out = real(rows)
-            n = int(round(np.sqrt(out.shape[1])))
-            # off-diagonal slices p_j C p_i (i != j) are trace-free
-            if out.shape[0] == 1 and \
-                    abs(np.trace(out[0].reshape(n, n))) < 1e-9:
-                extra = np.zeros_like(out)
-                extra[0, np.argmin(np.abs(out[0]))] = 1.0
-                out = np.vstack([out, extra])
-            return out
+        def widened(self, keys):
+            out = real(self, keys)
+            # every off-diagonal slice p_j C p_i (i != j) spans two rows
+            return {(i, j): rows if i == j else np.vstack([rows, rows])
+                    for (i, j), rows in out.items()}
 
-        monkeypatch.setattr(cartankit.inclusion, "row_span", widened)
+        monkeypatch.setattr(cartankit.inclusion.Inclusion, "_slice_spans",
+                            widened)
         with pytest.raises(NumericalRankAmbiguity):
             mndn_inclusion(2).corner_slices
 
@@ -180,3 +186,165 @@ class TestCrosscheckIsomorphism:
             lambda inc: _relabelled(real(inc), {"g0.1": "g1.0",
                                                 "g1.0": "g0.1"}))
         assert not envelope_uniqueness_crosscheck(mndn_inclusion(3))
+
+
+# --- the corner-block kernel against the full-width path -----------------
+
+def reference_slices(inc):
+    """``Inclusion.corner_slices`` on full-width rows: one ``row_span`` of
+    p_j B p_i (d x n^2) per corner pair."""
+    n, B, P = inc.C.ambient_dim, inc.C.stack, inc.min_projs
+    spans = {(i, j): row_span(_vec(pj @ B @ pi))
+             for i, pi in enumerate(P) for j, pj in enumerate(P)}
+    if any(spans[(i, i)].shape[0] > 1 for i in range(len(P))):
+        return None
+    assert all(rows.shape[0] <= 1 for rows in spans.values())
+    return {(i, j): rows[0].reshape(n, n) * np.sqrt(np.trace(P[i]).real)
+            for (i, j), rows in spans.items() if rows.shape[0]}
+
+
+def reference_corner(inc, i):
+    """p_i C p_i from the full-width rows ``row_span(p S p)``."""
+    p = inc.min_projs[i]
+    return _algebra_from_rows(inc.C.ambient_dim,
+                              row_span(_vec(p @ inc.C.stack @ p)), p,
+                              unit_is_ambient=False)
+
+
+def reference_weyl_sigma(inc):
+    """The Weyl cocycle one composable key pair at a time, from the
+    reference slices."""
+    classes = {key: cartankit.weyl.canonical_phase(u)
+               for key, u in reference_slices(inc).items()}
+    sigma = {}
+    for (i1, j1), u in classes.items():
+        for (i2, j2), w in classes.items():
+            if i1 == j2:
+                lam = cartankit.weyl._ratio(u @ w, classes[(i2, j1)])
+                sigma[(f"g{i1}.{j1}", f"g{i2}.{j2}")] = lam / abs(lam)
+    return sigma
+
+
+def tensor_inclusion(k):
+    """M_2 (x) 1_k over D_2 (x) 1_k: scalar corners on rank-k projections."""
+    one = np.eye(k)
+    units = [np.kron(E(i, j, 2), one) for i in range(2) for j in range(2)]
+    C = generate_star_algebra(2 * k, units)
+    D = generate_star_algebra(2 * k, [units[0], units[3]])
+    return make_inclusion(C, D, units)
+
+
+def mixed_rank_inclusion():
+    """(M_2 (x) 1_2) + C over (D_2 (x) 1_2) + C in M_5: ranks 2, 2, 1, so
+    the slices fall into several block shapes."""
+    def pad(m, z):
+        out = np.zeros((5, 5), dtype=complex)
+        out[:4, :4] = m
+        out[4, 4] = z
+        return out
+
+    units = [pad(np.kron(E(i, j, 2), np.eye(2)), 0) for i in range(2)
+             for j in range(2)]
+    e = pad(np.zeros((4, 4)), 1)
+    C = generate_star_algebra(5, units + [e])
+    D = generate_star_algebra(5, [units[0], units[3], e])
+    return make_inclusion(C, D, units + [e])
+
+
+def non_scalar_rank_two():
+    """M_2 (x) M_2 over D_2 (x) 1_2: corners M_2 on rank-2 projections."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1]),
+              np.array([[0, -1j], [1j, 0]])]
+    gens = [np.kron(E(i, j, 2), u) for i in range(2) for j in range(2)
+            for u in paulis]
+    C = generate_star_algebra(4, gens)
+    D = generate_star_algebra(4, [np.kron(E(0, 0, 2), np.eye(2)),
+                                  np.kron(E(1, 1, 2), np.eye(2))])
+    return make_inclusion(C, D, gens)
+
+
+def kernel_fixtures():
+    out = [mndn_inclusion(n) for n in range(2, 9)]
+    out += [k4_cartan_inclusion(), tensor_inclusion(2), tensor_inclusion(3),
+            mixed_rank_inclusion()]
+    corpus = corpus_inclusions()
+    out += [inc for inc, cartan in corpus if cartan]
+    out += [m2c_inclusion(), diagonal_scalar_inclusion(),
+            non_scalar_rank_two()]
+    out += [inc for inc, cartan in corpus if not cartan]
+    return out
+
+
+@pytest.fixture(scope="module")
+def fixtures():
+    return kernel_fixtures()
+
+
+class TestCornerBlockKernel:
+    def test_fixture_coverage(self, fixtures):
+        ranks = [tuple(int(np.trace(p).real) for p in inc.min_projs)
+                 for inc in fixtures]
+        assert any(max(r) >= 2 and inc.scalar_corners
+                   for r, inc in zip(ranks, fixtures))
+        assert any(len(set(r)) > 1 for r in ranks)
+        assert sum(inc.corner_slices is None for inc in fixtures) >= 4
+
+    def test_slices_match_full_width(self, fixtures):
+        for inc in fixtures:
+            want, got = reference_slices(inc), inc.corner_slices
+            assert (want is None) == (got is None)
+            if want is None:
+                continue
+            assert list(got) == list(want)
+            for key, u in got.items():
+                lam = hs_inner(u, want[key]) / hs_norm(want[key]) ** 2
+                assert abs(abs(lam) - 1.0) < 1e-10
+                assert hs_norm(u - lam * want[key]) < 1e-10
+
+    def test_corners_and_commutant_match_full_width(self, fixtures):
+        for inc in fixtures:
+            for i, A in enumerate(inc.corner_algebras):
+                ref = reference_corner(inc, i)
+                assert A.subspace_equals(ref, 1e-9)
+                assert np.allclose(A.unit, ref.unit, atol=1e-12)
+            ref = relative_commutant(inc.D, inc.C)
+            assert inc.commutant_of_D.subspace_equals(ref, 1e-9)
+            assert inc.is_masa == ref.subspace_equals(inc.D, 1e-7)
+            assert inc.is_masa == (reference_slices(inc) is not None)
+
+    def test_weyl_cocycle_matches_pairwise(self, fixtures):
+        for inc in fixtures:
+            if not (inc.is_masa and inc.regular):
+                continue
+            sigma = weyl_twist(inc).twist.sigma
+            want = reference_weyl_sigma(inc)
+            assert sorted(sigma) == sorted(want)
+            assert max(abs(sigma[k] - want[k]) for k in want) < 1e-12
+
+    def test_stacked_row_span_cuts_each_matrix(self):
+        rng = np.random.default_rng(7)
+        mats = rng.standard_normal((6, 5, 4)) + \
+            1j * rng.standard_normal((6, 5, 4))
+        mats[1, :, 2:] = 0                       # rank 2
+        mats[2] = np.outer(mats[2, :, 0], mats[2, 0])   # rank 1
+        mats[3] = 0                              # rank 0
+        mats[4, :, 3] = mats[4, :, 0] * (1 + 1e-9)       # cut by RANK_TOL
+        stacked = row_span(mats)
+        assert [len(rows) for rows in stacked] == [4, 2, 1, 0, 3, 4]
+        for rows, m in zip(stacked, mats):
+            one = row_span(m)
+            assert rows.shape == one.shape
+            assert np.allclose(rows.conj().T @ rows, one.conj().T @ one,
+                               atol=1e-10)
+        assert row_span(np.zeros((0, 3, 2))) == ()
+
+    def test_non_proportional_weyl_product_is_typed_error(self, monkeypatch):
+        """Germ products of a MASA are proportional to germs in exact
+        arithmetic; a tampered class forces the branch, which raises."""
+        keys, X = tensor_inclusion(2)._slice_blocks
+        X = X.copy()
+        X[keys.index((0, 1))] = X[keys.index((0, 1))] @ np.diag([1.0, -1.0])
+        monkeypatch.setattr(Inclusion, "_slice_blocks",
+                            property(lambda self: (keys, X)))
+        with pytest.raises(NoConditionalExpectation):
+            weyl_twist(tensor_inclusion(2))

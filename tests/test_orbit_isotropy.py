@@ -23,7 +23,13 @@ from cartankit.groupoid import (
     pair_groupoid,
     validate,
 )
-from cartankit.matalg import block_structure, relative_commutant
+from cartankit.errors import EmptyAlgebra
+from cartankit.matalg import (
+    FdStarAlgebra,
+    block_structure,
+    generate_star_algebra,
+    relative_commutant,
+)
 from cartankit.reduced import is_cartan_pair, realize
 from cartankit.serialize import groupoid_to_json, twist_to_json
 from cartankit.twist import (
@@ -260,3 +266,33 @@ class TestCompareValidates:
         report = json.loads(capsys.readouterr().out)
         assert report["block_structures"] == [[4], [4]]
         assert "violations" not in report
+
+
+class TestZeroAlgebra:
+    """A groupoid with no units passes validation and realizes to the zero
+    algebra: no blocks, and a typed refusal wherever a unit is needed."""
+
+    def test_block_structures_empty(self):
+        R = realize(trivial_twist(build_groupoid([], [], [], {})))
+        assert R.total_dim == 0
+        assert R.block_structure() == ()
+        for n in (0, 3):
+            zero = FdStarAlgebra(ambient_dim=n, basis=(),
+                                 unit=np.zeros((n, n), dtype=complex))
+            assert block_structure(zero) == ()
+
+    def test_unit_needed_is_typed(self):
+        R = realize(trivial_twist(build_groupoid([], [], [], {})))
+        with pytest.raises(EmptyAlgebra):
+            is_cartan_pair(R)
+        with pytest.raises(EmptyAlgebra):
+            generate_star_algebra(0, [])
+
+    def test_compare_two_empty_twists(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(groupoid_to_json(
+            build_groupoid([], [], [], {}))))
+        assert cli.main(["compare", str(path), str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["block_structures"] == [[], []]
+        assert report["agree"] is True
