@@ -35,7 +35,8 @@ EPS = 1e-9
 RANK_TOL = 1e-8
 #: Dimension cap for generated algebras.
 DIM_CAP = 4096
-#: Complex entries per chunk of products in ``generate_star_algebra``.
+#: Complex entries per chunk of a round's products in
+#: ``generate_star_algebra`` (at least one new direction times S).
 _PRODUCT_CHUNK = 1 << 12
 
 # Fixed seed: genericity arguments (generic elements of abelian algebras)
@@ -251,18 +252,33 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
                          unit_is_ambient=unit_is_ambient)
 
 
-def _product_block(rows: np.ndarray, n: int) -> np.ndarray:
-    """A matrix with the row span and the singular values of rows stacked
-    over every product a b of the matrices they hold: the R factor of a
-    QR taken a chunk of products at a time, so memory stays at a chunk
-    plus n^4 instead of the d^2 n^2 block."""
-    mats = rows.reshape(len(rows), n, n)
-    step = max(1, _PRODUCT_CHUNK // max(rows.size, 1))
-    R = rows
-    for i in range(0, len(mats), step):
-        prods = (mats[i:i + step, None] @ mats[None]).reshape(-1, n * n)
-        R = np.linalg.qr(np.vstack([R, prods]), mode="r")
-    return R
+def _round_residuals(S: np.ndarray, new: np.ndarray, V: np.ndarray):
+    """Rows of the products s b (s in the stack S, b in the stack new),
+    less their projection on the orthonormal rows V; None when their total
+    Frobenius norm is at most RANK_TOL.
+
+    Each singular value is at most the Frobenius norm, so such a block has
+    rank 0 under ``row_span``'s cut.  The products are formed about
+    ``_PRODUCT_CHUNK`` entries at a time and dropped while the running
+    norm stays under RANK_TOL, so a round that adds nothing never holds
+    its whole block; once it passes, every chunk is kept, the earlier ones
+    formed again."""
+    step = max(1, _PRODUCT_CHUNK // S.size)
+    chunks = [slice(i, i + step) for i in range(0, len(new), step)]
+    Vh = V.conj().T
+
+    def residual(sl):
+        P = (S[None] @ new[sl, None]).reshape(-1, V.shape[1])
+        return P - (P @ Vh) @ V
+
+    total = 0.0
+    for j, sl in enumerate(chunks):
+        r = residual(sl)
+        total += float(np.vdot(r, r).real)
+        if total > RANK_TOL ** 2:
+            return np.vstack([residual(c) for c in chunks[:j]] + [r]
+                             + [residual(c) for c in chunks[j + 1:]])
+    return None
 
 
 def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
@@ -270,8 +286,24 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
                           unit_is_ambient: bool = True) -> FdStarAlgebra:
     """Smallest unital *-subalgebra of M_n containing the generators.
 
-    Iterates adjoints and pairwise products, re-orthonormalizing, until the
-    dimension stabilizes.
+    S is the span of the generators, their adjoints and the unit, and V
+    starts as S.  Each round multiplies the directions the previous round
+    added (S itself in the first) on the left by S's basis, and adds the
+    part of those products outside V, through one ``row_span``.  It stops
+    when a round adds nothing, or when dim V = n^2: M_n is the only
+    n^2-dimensional subspace, and it is closed.
+
+    At the fixed point V is the algebra.  V is the sum of the rounds'
+    directions N_0 = S, N_1, ..., N_k; S N_i lies in V for every i (in
+    N_{i+1} + V for i < k, in V for the last round), so S V is in V.
+    With S in V, induction on m puts every word s_1 ... s_m in V, and V,
+    built from such words, is their span: the algebra generated by S,
+    which holds the unit.  S* = S, and the adjoint of a word in S is a
+    word in S, so it is the *-algebra generated by the generators.
+
+    A seed span that is already an algebra is returned as it is.  Raises
+    ``DimensionOverflow`` as soon as the span exceeds ``cap``: on the seed
+    span, and before each round's products.
     """
     n = int(ambient_dim)
     gens = [_as_matrix(g, n) for g in generators]
@@ -281,14 +313,21 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
         unit = np.eye(n, dtype=complex)
     seed = gens + [g.conj().T for g in gens] + [unit]
     rows = row_span(_vec(seed))
+    S = new = rows.reshape(len(rows), n, n)
     while True:
-        new_rows = row_span(_product_block(rows, n))
-        if new_rows.shape[0] > cap:
+        if rows.shape[0] > cap:
             raise DimensionOverflow(
                 f"generated algebra exceeds dimension cap {cap}")
-        if new_rows.shape[0] == rows.shape[0]:
+        if rows.shape[0] >= n * n:
             break
-        rows = new_rows
+        resid = _round_residuals(S, new, rows)
+        if resid is None:
+            break
+        added = row_span(resid)
+        if not added.shape[0]:
+            break
+        rows = np.vstack([rows, added])
+        new = added.reshape(len(added), n, n)
     return _algebra_from_rows(n, rows, unit, unit_is_ambient)
 
 

@@ -295,6 +295,11 @@ class TestRankKernel:
             assert np.linalg.norm(K @ N.T, 2) <= RANK_TOL * max(s_max, 1.0)
 
 
+#: numpy calls that factor a matrix or decide a rank on their own: the
+#: package has one rank path, the SVDs of matalg's kernel.
+OTHER_RANK_PATHS = {"qr", "lstsq", "pinv", "matrix_rank"}
+
+
 def test_svd_only_in_rank_kernel():
     """Every rank decision in the package goes through matalg's kernel."""
     kernel = {"row_span", "null_space", "rank"}
@@ -316,4 +321,26 @@ def test_svd_only_in_rank_kernel():
                 where = owner.get(node, "<module>")
                 if path.name != "matalg.py" or where not in kernel:
                     bad.append(f"{path.name}:{node.lineno}: svd in {where}")
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name in OTHER_RANK_PATHS:
+                where = owner.get(node, "<module>")
+                bad.append(f"{path.name}:{node.lineno}: {name} in {where}")
     assert bad == [], bad
+
+
+@pytest.mark.parametrize("call", sorted(OTHER_RANK_PATHS))
+def test_rank_guard_flags_other_factorizations(call, tmp_path, monkeypatch):
+    """The guard above sees each of the other numpy rank paths, called as
+    an attribute or imported by name."""
+    pkg = tmp_path / "cartankit"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        f"import numpy as np\n\ndef f(x):\n    return np.linalg.{call}(x)\n")
+    (pkg / "b.py").write_text(f"from numpy.linalg import {call}\n")
+    monkeypatch.setattr(cartankit, "__file__", str(pkg / "__init__.py"))
+    with pytest.raises(AssertionError) as info:
+        test_svd_only_in_rank_kernel()
+    assert f"a.py:4: {call} in f" in str(info.value)
+    assert f"b.py:1: {call} in <module>" in str(info.value)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import cartankit.inclusion
-import cartankit.matalg
 from cartankit import cli
 from cartankit.envelope import cartan_envelope, eigenfunctional
 from cartankit.groupoid import disjoint_union, klein_four_groupoid, \
@@ -36,7 +35,6 @@ from cartankit.inclusion import (
 from cartankit.matalg import (
     EPS,
     FdStarAlgebra,
-    _product_block,
     _commutators,
     check_star_algebra,
     generate_star_algebra,
@@ -465,31 +463,6 @@ class TestChecks:
             assert _close(A.basis_rows.T @ A.basis_rows.conj(),
                           rows.T @ rows.conj())
 
-    @pytest.mark.parametrize("chunk", [1, cartankit.matalg._PRODUCT_CHUNK,
-                                       1 << 30])
-    def test_product_block(self, inc, chunk, monkeypatch):
-        """The chunked R factor has the singular values and the row span
-        of rows stacked over all their products, whatever the chunk."""
-        monkeypatch.setattr(cartankit.matalg, "_PRODUCT_CHUNK", chunk)
-        n = inc.C.ambient_dim
-        rng = np.random.default_rng(6)
-        generic = inc.C.element(rng.standard_normal(inc.C.dim))
-        for rows in (inc.C.basis_rows, inc.D.basis_rows,
-                     row_span(np.array([generic.ravel(),
-                                        np.eye(n).ravel()]))):
-            mats = [r.reshape(n, n) for r in rows]
-            block = np.vstack([rows, np.array(
-                [(a @ b).ravel() for a in mats for b in mats])])
-            got = _product_block(rows, n)
-            s_got = np.linalg.svd(got, compute_uv=False)
-            s_want = np.linalg.svd(block, compute_uv=False)
-            k = min(len(s_got), len(s_want))
-            assert np.all(s_want[k:] < 1e-12) and np.all(s_got[k:] < 1e-12)
-            assert _close(s_got[:k], s_want[:k])
-            a, b = row_span(got), row_span(block)
-            assert a.shape == b.shape
-            assert _close(a.T @ a.conj(), b.T @ b.conj())
-
     def test_minimal_projections(self, inc):
         for A in (inc.D, inc.commutant_of_D):
             if not ref_is_abelian(A):
@@ -645,6 +618,7 @@ def test_cstar_norm_table(tmp_path, capsys):
 STACKED = {
     "matalg.py": ["contains_all", "coefficient_matrix", "subspace_equals",
                   "is_subalgebra_of", "is_abelian", "generate_star_algebra",
+                  "_round_residuals",
                   "check_star_algebra", "relative_commutant",
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
