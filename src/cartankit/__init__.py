@@ -80,5 +80,6 @@ from .twist import (
     transpose,
     trivial_twist,
     validate_cocycle,
+    validate_twist,
 )
 from .weyl import germ_equal, germ_expectation_criterion, weyl_twist

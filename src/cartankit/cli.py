@@ -2,7 +2,9 @@
 
 Every command emits a JSON report (the single source of truth); the text
 format is rendered from that JSON.  Exit codes: 0 success/all-pass,
-1 mathematical violation, 2 input error, 3 resource cap exceeded.
+1 mathematical violation, 2 input error, 3 resource cap exceeded,
+4 undecided (``compare`` on groupoids past the isomorphism search's size,
+reported with ``"groupoids_isomorphic": null`` and ``"agree": null``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ import json
 import sys
 
 from . import __version__
-from .errors import CartanKitError, DimensionOverflow, ParseError
-from .groupoid import validate as validate_groupoid
+from .errors import (
+    CartanKitError,
+    DimensionOverflow,
+    IsomorphismUndecided,
+    ParseError,
+)
 from .inclusion import pseudo_expectations, strongly_compatible
 from .matalg import DIM_CAP, EPS
 from .reduced import is_cartan_pair, realize
@@ -25,12 +31,13 @@ from .serialize import (
     twist_from_json,
     twist_to_json,
 )
-from .twist import trivial_twist, validate_cocycle
+from .twist import trivial_twist, validate_twist
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_UNDECIDED = 4
 
 
 def _base_report(args) -> dict:
@@ -79,10 +86,6 @@ def _load_twist(data):
     raise ParseError(f"expected a groupoid or twist file, found {kind}")
 
 
-def _table_violations(T) -> list:
-    return validate_groupoid(T.groupoid) + validate_cocycle(T)
-
-
 def cmd_validate(args) -> int:
     data = load_json(args.path)
     kind = classify(data)
@@ -92,7 +95,7 @@ def cmd_validate(args) -> int:
     if kind == "inclusion":
         inclusion_from_json(data, cap=args.cap)  # constructor validates
     else:
-        violations = _table_violations(_load_twist(data))
+        violations = validate_twist(_load_twist(data))
     report["violations"] = violations
     report["valid"] = not violations
     _emit(report, args)
@@ -101,7 +104,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cstar(args) -> int:
     T = _load_twist(load_json(args.path))
-    bad = _table_violations(T)
+    bad = validate_twist(T)
     if bad:
         report = _base_report(args)
         report["violations"] = bad
@@ -198,19 +201,25 @@ def cmd_compare(args) -> int:
     else:
         T1 = _load_twist(load_json(args.path))
         T2 = _load_twist(load_json(args.path2))
-        bad = [_table_violations(T1), _table_violations(T2)]
+        bad = [validate_twist(T1), validate_twist(T2)]
         if any(bad):
             report["violations"] = bad
             _emit(report, args)
             return EXIT_VIOLATION
         b1 = list(realize(T1, args.degree).block_structure())
         b2 = list(realize(T2, args.degree).block_structure())
-        iso = find_isomorphism(T1.groupoid, T2.groupoid)
+        try:
+            iso = find_isomorphism(T1.groupoid, T2.groupoid) is not None
+        except IsomorphismUndecided:
+            iso = None
         report["mode"] = "twist-comparison"
         report["block_structures"] = [b1, b2]
-        report["groupoids_isomorphic"] = iso is not None
-        report["agree"] = b1 == b2 and iso is not None
+        report["groupoids_isomorphic"] = iso
+        # different blocks decide the answer; equal ones wait on the search
+        report["agree"] = iso if b1 == b2 else False
     _emit(report, args)
+    if report["agree"] is None:
+        return EXIT_UNDECIDED
     return EXIT_OK if report["agree"] else EXIT_VIOLATION
 
 

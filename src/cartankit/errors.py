@@ -50,6 +50,11 @@ class NotASubgroupoid(CartanKitError):
     pass
 
 
+class IsomorphismUndecided(CartanKitError):
+    """The groupoids agree on the invariant signature, and are too large
+    for the exhaustive isomorphism search."""
+
+
 # --- twist layer ---
 
 class TwistMismatch(CartanKitError):

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .errors import NotASubgroupoid, UnknownArrow, UnknownUnit
+from .errors import (
+    IsomorphismUndecided,
+    NotASubgroupoid,
+    UnknownArrow,
+    UnknownUnit,
+)
 
 #: Triples (a, b, c) held in memory at once by the identity checks.
 _CHUNK = 1 << 13
@@ -74,9 +80,10 @@ class GroupoidArrays:
 
     Arrow k is ``names[k]``: the listed arrows in order, then any name the
     tables use without listing it (only invalid tables have such names);
-    units are numbered alike in ``unit_index``.  ``src``/``rng`` (unit
-    numbers), ``inv`` and the ``unit``-arrow mask are indexed by arrow
-    number, with ends and inverse -1 for an unlisted arrow.  Pair p
+    ``code`` maps each name to its number.  Units are numbered alike in
+    ``unit_index``.  ``src``/``rng`` (unit numbers), ``inv`` and the
+    ``unit``-arrow mask are indexed by arrow number, with ends and inverse
+    -1 for an unlisted arrow.  Pair p
     composes ``a[p]`` after ``b[p]`` into ``ab[p]``, in ``compose_table``
     order (keys ``pairs``); a cocycle is a vector over p.  ``pair_at[x, y]``
     is the pair (x, y), -1 if there is none or x or y is -1.
@@ -86,22 +93,24 @@ class GroupoidArrays:
         self.index = {a: k for k, a in enumerate(G.arrows)}
         self.unit_index = units = {x: k for k, x in enumerate(
             dict.fromkeys(G.units + tuple(G.unit_arrow)))}
-        codes = dict(self.index)
-        arrow = lambda x: codes.setdefault(x, len(codes))
-        unit = lambda x: units.setdefault(x, len(units))
-        ends = [(unit(G.src.get(a)), unit(G.rng.get(a)), arrow(G.inv.get(a)))
-                for a in G.arrows]
-        self.pairs = tuple(G.compose_table)
-        self.a, self.b, self.ab = np.array(
-            [(arrow(a), arrow(b), arrow(ab))
-             for (a, b), ab in G.compose_table.items()],
-            dtype=np.intp).reshape(-1, 3).T
+        self.code = codes = dict(self.index)
+        n, table = len(G.arrows), G.compose_table
+        self.pairs = tuple(table)
+        # Names are numbered in this order, so an unlisted name gets the
+        # same number whichever lookups miss: each arrow's ends and
+        # inverse, each pair's a, b and ab, the unit arrows.
+        ends = _numbers([e.get(a) for a in G.arrows for e in (G.src, G.rng)],
+                        units).reshape(-1, 2)
+        inv = _numbers(list(map(G.inv.get, G.arrows)), codes)
+        self.a, self.b, self.ab = _numbers(
+            [x for (a, b), ab in table.items() for x in (a, b, ab)],
+            codes).reshape(-1, 3).T
         self.unit_arrow = np.array(
-            [arrow(G.unit_arrow[x]) if x in G.unit_arrow else -1
-             for x in units], dtype=np.intp)
-        m, n = len(codes), len(G.arrows)
-        self.src, self.rng, self.inv = np.array(
-            ends + [(-1, -1, -1)] * (m - n), dtype=np.intp).reshape(-1, 3).T
+            [codes.setdefault(G.unit_arrow[x], len(codes))
+             if x in G.unit_arrow else -1 for x in units], dtype=np.intp)
+        m = len(codes)
+        self.src, self.rng, self.inv = np.full((3, m), -1, dtype=np.intp)
+        self.src[:n], self.rng[:n], self.inv[:n] = ends[:, 0], ends[:, 1], inv
         self.unit = np.zeros(m, dtype=bool)
         self.unit[self.unit_arrow[self.unit_arrow >= 0]] = True
         self.names = np.array(list(codes) + [None], dtype=object)
@@ -133,15 +142,32 @@ class GroupoidArrays:
         total = end[-1] if len(end) else 0
         cuts = np.searchsorted(end, np.arange(_CHUNK, total, _CHUNK),
                                side="right")
+        # pair_at read flat; its last column is -1, so the flat position
+        # x w - 1 of (x, -1) reads -1 as pair_at[x, -1] does
+        w, flat = len(self.pair_at), self.pair_at.ravel()
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(p)]):
             i = np.repeat(np.arange(lo, hi), cnt[s_b[lo:hi]])
             if not len(i):
                 continue
             k = np.arange(first[lo], end[hi - 1]) - first[i]
             q, c = p[i], by_range[start[s_b[i]] + k]
-            b_c = self.pair_at[self.b[q], c]
-            yield (q, c, b_c, self.pair_at[self.ab[q], c],
-                   self.pair_at[self.a[q], self._ab[b_c]])
+            b_c = flat[self.b[q] * w + c]
+            yield (q, c, b_c, flat[self.ab[q] * w + c],
+                   flat[self.a[q] * w + self._ab[b_c]])
+
+
+def _lookup(names, codes: dict, count: int) -> np.ndarray:
+    """codes[x] for each of the count names, -1 where codes lacks it."""
+    return np.fromiter(map(codes.get, names, repeat(-1)), np.intp, count)
+
+
+def _numbers(names: list, codes: dict) -> np.ndarray:
+    """codes[x] for each name; a name codes lacks is numbered next, in
+    order of first appearance."""
+    out = _lookup(names, codes, len(names))
+    for k in np.flatnonzero(out < 0):
+        out[k] = codes.setdefault(names[k], len(codes))
+    return out
 
 
 def _violations(found, fields) -> list:
@@ -186,6 +212,11 @@ def build_groupoid(units, arrow_specs, compose_pairs=None,
 
 def validate(G: FiniteGroupoid) -> list:
     """Check all groupoid axioms; returns a list of violation strings."""
+    return _axiom_lines(G) + _triple_checks(G.arrays)[0]
+
+
+def _axiom_lines(G: FiniteGroupoid) -> list:
+    """The violations of every groupoid axiom but associativity."""
     bad = []
     for x in G.units:
         e = G.unit_arrow.get(x)
@@ -234,17 +265,52 @@ def validate(G: FiniteGroupoid) -> list:
         [("compose entry ({a!r},{b!r}) names an unknown arrow",
           np.flatnonzero((t.a >= n) | (t.b >= n)))],
         lambda p: {"a": t.names[t.a[p]], "b": t.names[t.b[p]]})
-
-    # associativity over the listed pairs in sorted order
-    for q, c, b_c, ab_c, a_bc in t.triples(listed[np.argsort(a * n + b)]):
-        fails = (b_c >= 0) & (t._ab[ab_c] != t._ab[a_bc])
-        if fails.any():
-            bad += _violations(
-                [("associativity fails at ({a!r},{b!r},{c!r})",
-                  np.flatnonzero(fails))],
-                lambda i: {"a": t.names[t.a[q[i]]], "b": t.names[t.b[q[i]]],
-                           "c": t.names[c[i]]})
     return bad
+
+
+def _triple_checks(t: GroupoidArrays, s=None, tol=0.0) -> tuple:
+    """(associativity lines, cocycle lines) from one pass over the triples
+    of every pair, in table order.
+
+    Associativity is checked on the pairs of listed arrows, and its
+    failures are sorted by (a, b) and then c.  Given phases s over the
+    pairs, the cocycle identity s(a,b) s(ab,c) = s(b,c) s(a,bc) is checked
+    to within tol, and a triple whose identity names a pair outside the
+    table is reported as undefined, each chunk's lines in pass order."""
+    n = len(t.index)
+    unlisted = (t.a >= n) | (t.b >= n)
+    names = lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]]}
+    if s is not None:
+        s1 = np.append(s, np.nan)
+    p = np.arange(len(t.pairs))
+    fq, fc, cocycle = [], [], []
+    for q, c, b_c, ab_c, a_bc in t.triples(p):
+        fails = t._ab[ab_c] != t._ab[a_bc]
+        if fails.any():
+            fails &= (b_c >= 0) & ~unlisted[q]
+            fq.append(q[fails])
+            fc.append(c[fails])
+        if s is None:
+            continue
+        # an undefined term reads NaN and fails no comparison
+        fails = np.abs(s[q] * s1[ab_c] - s1[b_c] * s1[a_bc]) > tol
+        undefined = (b_c | ab_c | a_bc) < 0
+        if fails.any() or undefined.any():
+            cocycle += _violations([
+                ("cocycle identity fails at ({a!r},{b!r},{c!r})",
+                 np.flatnonzero(fails)),
+                ("cocycle identity undefined at ({a!r},{b!r},{c!r})",
+                 np.flatnonzero(undefined)),
+            ], lambda i: {**names(q[i]), "c": t.names[c[i]]})
+    assoc = []
+    if fq:
+        q, c = np.concatenate(fq), np.concatenate(fc)
+        order = np.lexsort((c, t.a[q] * n + t.b[q]))
+        q, c = q[order], c[order]
+        assoc = _violations([("associativity fails at ({a!r},{b!r},{c!r})",
+                              np.arange(len(q)))],
+                            lambda i: {**names(q[i]), "c": t.names[c[i]]})
+    return assoc, cocycle
 
 
 def isotropy(G: FiniteGroupoid, x) -> tuple:
@@ -390,14 +456,19 @@ def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid,
                      max_arrows: int = 12):
     """Exhaustive isomorphism search for small groupoids.
 
-    Returns an arrow bijection dict or None.  For groupoids above
-    max_arrows only the invariant signature is compared and an empty dict
-    is returned on a match.
+    Returns an arrow bijection dict, or None when there is none.  Above
+    max_arrows there is no search: a signature mismatch returns None,
+    equal tables return the identity, and anything else raises
+    IsomorphismUndecided.
     """
     if invariant_signature(G1) != invariant_signature(G2):
         return None
     if len(G1.arrows) > max_arrows:
-        return {}
+        if G1 == G2:  # equal tables: the identity is an isomorphism
+            return {a: a for a in G1.arrows}
+        raise IsomorphismUndecided(
+            f"{len(G1.arrows)} arrows is past the exhaustive search's "
+            f"{max_arrows}, and the invariant signatures agree")
 
     def compat(u_map, a_map, a, b):
         if u_map.get(G1.src[a], G2.src[b]) != G2.src[b]:

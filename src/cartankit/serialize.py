@@ -13,10 +13,10 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .groupoid import FiniteGroupoid, build_groupoid
+from .groupoid import FiniteGroupoid, _lookup, build_groupoid
 from .inclusion import Inclusion, make_inclusion
 from .matalg import generate_star_algebra
-from .twist import CocycleTwist
+from .twist import CocycleTwist, _with_phases
 
 
 def matrix_to_json(m) -> list:
@@ -43,14 +43,36 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_json(data) -> FiniteGroupoid:
+    """Compile a groupoid file, refusing a repeated arrow id or compose
+    pair (a table keeps one entry per key) and a compose entry of other
+    than three items."""
     try:
         specs = [(a["id"], a["src"], a["rng"], a["inv"])
                  for a in data["arrows"]]
-        pairs = [tuple(entry) for entry in data.get("compose", [])]
-        unit_arrows = data.get("unit_arrows")
-        return build_groupoid(data["units"], specs, pairs, unit_arrows)
-    except (KeyError, TypeError) as exc:
+        pairs = data.get("compose", [])
+        G = build_groupoid(data["units"], specs, pairs,
+                           data.get("unit_arrows"))
+        if len(G.src) != len(specs):
+            raise ParseError(
+                f"repeated arrow id {_repeated(s[0] for s in specs)!r}")
+        # the table keeps one entry per pair; its arrays are cached, and
+        # every reader of the file works on them
+        if len(G.arrays.pairs) != len(pairs):
+            a, b = _repeated(tuple(e[:2]) for e in pairs)
+            raise ParseError(f"repeated compose entry for pair "
+                             f"({a!r}, {b!r})")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed groupoid object: {exc}") from exc
+    return G
+
+
+def _repeated(keys):
+    """The first key that occurs a second time."""
+    seen = set()
+    for k in keys:
+        if k in seen:
+            return k
+        seen.add(k)
 
 
 def twist_to_json(T: CocycleTwist) -> dict:
@@ -62,19 +84,56 @@ def twist_to_json(T: CocycleTwist) -> dict:
 
 
 def twist_from_json(data) -> CocycleTwist:
+    """Compile a twist file: sigma is 1 except at the cocycle entries,
+    which are placed by ``pair_at`` into one phase vector over the pairs.
+    An entry on a non-composable pair, or a repeated pair, is refused.
+    Entries are refused in file order, each on its pair before its
+    value, as a loop over the entries would refuse them (but a name that
+    cannot key a table, such as a list, is refused first)."""
     G = groupoid_from_json(data["groupoid"] if "groupoid" in data else data)
-    sigma = {pair: 1.0 + 0.0j for pair in G.compose_table}
+    t = G.arrays
+    a, b, re, im = [], [], [], []
     try:
-        for entry in data.get("cocycle", []):
-            (a, b), (re, im) = entry
-            key = (a, b)
-            if key not in sigma:
+        try:
+            for (x, y), (u, v) in data.get("cocycle", []):
+                a.append(x)
+                b.append(y)
+                re.append(u)
+                im.append(v)
+            unread = None
+        except (TypeError, ValueError) as exc:
+            unread = exc  # entry len(a) is not [[a, b], [re, im]]
+        # pair_at reads -1 for a name outside the tables
+        pos = t.pair_at[_lookup(a, t.code, len(a)),
+                        _lookup(b, t.code, len(b))]
+        bad = (pos < 0) | ~(_is_number(re) & _is_number(im))
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            if pos[k] < 0:
                 raise ParseError(f"cocycle entry on non-composable pair "
-                                 f"({a!r}, {b!r})")
-            sigma[key] = complex(re, im)
-    except (TypeError, ValueError) as exc:
+                                 f"({a[k]!r}, {b[k]!r})")
+            complex(re[k], im[k])  # raises: a part is not a JSON number
+        if unread is not None:
+            raise unread
+        phases = np.ones(len(t.pairs), dtype=complex)
+        phases.real[pos] = np.asarray(re, dtype=float)
+        phases.imag[pos] = np.asarray(im, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed cocycle entry: {exc}") from exc
-    return CocycleTwist(groupoid=G, sigma=sigma)
+    if (np.bincount(pos, minlength=len(t.pairs)) > 1).any():
+        a, b = _repeated(zip(a, b))
+        raise ParseError(f"repeated cocycle entry for pair ({a!r}, {b!r})")
+    return _with_phases(G, phases)
+
+
+#: The types of a JSON number; complex() takes two of them.
+_NUMBER = frozenset((int, float, bool))
+
+
+def _is_number(parts: list) -> np.ndarray:
+    """Whether each part is a JSON number."""
+    return np.fromiter(map(_NUMBER.__contains__, map(type, parts)), bool,
+                       len(parts))
 
 
 def inclusion_to_json(inc: Inclusion) -> dict:

@@ -22,7 +22,13 @@ from .errors import (
     TwistMismatch,
     UnknownArrow,
 )
-from .groupoid import FiniteGroupoid, _violations, restrict_groupoid
+from .groupoid import (
+    FiniteGroupoid,
+    _axiom_lines,
+    _triple_checks,
+    _violations,
+    restrict_groupoid,
+)
 
 #: Tolerance for the cocycle identity and normalization.
 COCYCLE_TOL = 1e-12
@@ -53,8 +59,13 @@ class CocycleTwist:
 
 
 def _with_phases(G: FiniteGroupoid, phases) -> CocycleTwist:
-    return CocycleTwist(groupoid=G,
-                        sigma=dict(zip(G.arrays.pairs, phases.tolist())))
+    """The twist with sigma = phases at ``G.arrays.pairs``; the vector is
+    kept as its ``sigma_vector``."""
+    phases = np.asarray(phases, dtype=complex)
+    T = CocycleTwist(groupoid=G,
+                     sigma=dict(zip(G.arrays.pairs, phases.tolist())))
+    T.__dict__["sigma_vector"] = phases
+    return T
 
 
 def trivial_twist(G: FiniteGroupoid) -> CocycleTwist:
@@ -79,31 +90,35 @@ def validate_cocycle(T: CocycleTwist, tol: float = COCYCLE_TOL) -> list:
     On invalid groupoid tables, a triple whose identity names a pair
     outside the table is reported as undefined (``groupoid.validate``
     says which entry is wrong)."""
+    head, s = _sigma_lines(T, tol)
+    if s is None:
+        return head
+    return head + _triple_checks(T.groupoid.arrays, s, tol)[1]
+
+
+def validate_twist(T: CocycleTwist) -> list:
+    """``validate(T.groupoid) + validate_cocycle(T)``, from one pass over
+    the triples."""
+    head, s = _sigma_lines(T, COCYCLE_TOL)
+    assoc, cocycle = _triple_checks(T.groupoid.arrays, s, COCYCLE_TOL)
+    return _axiom_lines(T.groupoid) + assoc + head + cocycle
+
+
+def _sigma_lines(T: CocycleTwist, tol: float) -> tuple:
+    """(the pairwise sigma violations, the phase vector), or the keying
+    violation and None when sigma is not keyed by the composable pairs."""
     t = T.groupoid.arrays
     if T.sigma.keys() != set(t.pairs):
-        return ["sigma is not keyed exactly by the composable pairs"]
+        return ["sigma is not keyed exactly by the composable pairs"], None
     s = T.sigma_vector
     p = np.arange(len(s))
-    names = lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]]}
-    bad = _violations([
+    return _violations([
         ("sigma({a!r},{b!r}) has modulus {m:.3g} != 1",
          p[np.abs(np.abs(s) - 1.0) > tol]),
         ("sigma not normalized at unit pair ({a!r},{b!r})",
          p[(t.unit[t.a] | t.unit[t.b]) & (np.abs(s - 1.0) > tol)]),
-    ], lambda q: {**names(q), "m": np.abs(s[q])})
-    s1 = np.append(s, np.nan)
-    for q, c, b_c, ab_c, a_bc in t.triples(p):
-        # an undefined term reads NaN and fails no comparison
-        fails = np.abs(s[q] * s1[ab_c] - s1[b_c] * s1[a_bc]) > tol
-        undefined = (b_c < 0) | (ab_c < 0) | (a_bc < 0)
-        if fails.any() or undefined.any():
-            bad += _violations([
-                ("cocycle identity fails at ({a!r},{b!r},{c!r})",
-                 np.flatnonzero(fails)),
-                ("cocycle identity undefined at ({a!r},{b!r},{c!r})",
-                 np.flatnonzero(undefined)),
-            ], lambda i: {**names(q[i]), "c": t.names[c[i]]})
-    return bad
+    ], lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]],
+                  "m": np.abs(s[q])}), s
 
 
 @dataclass(frozen=True)

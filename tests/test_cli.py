@@ -1,10 +1,16 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from cartankit.cli import main
-from cartankit.groupoid import klein_four_groupoid, pair_groupoid
+from cartankit.groupoid import (
+    cyclic_groupoid,
+    group_groupoid,
+    klein_four_groupoid,
+    pair_groupoid,
+)
 from cartankit.serialize import (
     groupoid_from_json,
     groupoid_to_json,
@@ -16,7 +22,7 @@ from cartankit.serialize import (
     twist_to_json,
 )
 from conftest import k4_nontrivial_sigma, mndn_inclusion, m2c_inclusion
-from cartankit.twist import trivial_twist
+from cartankit.twist import CocycleTwist, trivial_twist
 
 
 def write(tmp_path, name, obj):
@@ -213,6 +219,146 @@ class TestWeylEnvelopeCompare:
         assert main(["compare", pair2_file, k4ns_file]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["agree"] is False
+
+
+def z4_squared():
+    """Z/4 x Z/4 over one unit, elements z00 .. z33."""
+    els = [f"{i}{j}" for i in range(4) for j in range(4)]
+    return group_groupoid(
+        els, lambda x, y: f"{(int(x[0]) + int(y[0])) % 4}"
+                          f"{(int(x[1]) + int(y[1])) % 4}",
+        lambda x: f"{-int(x[0]) % 4}{-int(x[1]) % 4}", "00", prefix="z")
+
+
+class TestCompareUndecided:
+    """Above the exhaustive search's 12 arrows a matching signature is not
+    an isomorphism: ``compare`` says undecided (exit 4)."""
+
+    def test_z16_vs_z4_squared(self, tmp_path, capsys):
+        a = write(tmp_path, "z16.json", groupoid_to_json(cyclic_groupoid(16)))
+        b = write(tmp_path, "z4z4.json", groupoid_to_json(z4_squared()))
+        assert main(["compare", a, b]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["block_structures"] == [[1] * 16, [1] * 16]
+        assert report["groupoids_isomorphic"] is None
+        assert report["agree"] is None
+
+    def test_different_blocks_decide(self, tmp_path, capsys):
+        """A nondegenerate bicharacter makes C*(Z/4 x Z/4, sigma) = M_4."""
+        G = z4_squared()
+        sigma = {(x, y): 1j ** (int(x[1]) * int(y[2]))
+                 for x, y in G.compose_table}
+        a = write(tmp_path, "z16.json", groupoid_to_json(cyclic_groupoid(16)))
+        b = write(tmp_path, "z4z4s.json",
+                  twist_to_json(CocycleTwist(G, sigma)))
+        assert main(["compare", a, b]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["block_structures"] == [[1] * 16, [4]]
+        assert report["groupoids_isomorphic"] is None
+        assert report["agree"] is False
+
+    def test_same_tables_agree(self, tmp_path, capsys):
+        a = write(tmp_path, "z16.json", groupoid_to_json(cyclic_groupoid(16)))
+        assert main(["compare", a, a]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["groupoids_isomorphic"] is True
+        assert report["agree"] is True
+
+    def test_text_format_shows_null(self, tmp_path, capsys):
+        a = write(tmp_path, "z16.json", groupoid_to_json(cyclic_groupoid(16)))
+        b = write(tmp_path, "z4z4.json", groupoid_to_json(z4_squared()))
+        assert main(["--format", "text", "compare", a, b]) == 4
+        assert "agree: null" in capsys.readouterr().out
+
+
+class TestMalformedTables:
+    """A compose or cocycle table keeps one entry per pair, so a file that
+    repeats a pair, or an arrow id, is refused with its name (exit 2), as
+    is a compose entry of other than three items."""
+
+    @pytest.fixture(scope="class")
+    def pair20(self):
+        return twist_to_json(trivial_twist(pair_groupoid(20)))
+
+    def _refused(self, tmp_path, capsys, data, cmd, message):
+        path = write(tmp_path, "bad.json", data)
+        assert main([cmd, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_conflicting_compose_entry(self, tmp_path, capsys, pair20, cmd):
+        data = copy.deepcopy(pair20)
+        compose = data["groupoid"]["compose"]
+        k = compose.index(["u0<-u1", "u1<-u2", "u0<-u2"])
+        compose.insert(k, ["u0<-u1", "u1<-u2", "u5<-u5"])
+        self._refused(tmp_path, capsys, data, cmd, "repeated compose entry "
+                      "for pair ('u0<-u1', 'u1<-u2')")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_repeated_compose_entry(self, tmp_path, capsys, cmd):
+        data = groupoid_to_json(cyclic_groupoid(3))
+        data["compose"].append(list(data["compose"][4]))
+        a, b, _ = data["compose"][4]
+        self._refused(tmp_path, capsys, data, cmd, "repeated compose entry "
+                      f"for pair ({a!r}, {b!r})")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_repeated_cocycle_entry(self, tmp_path, capsys, cmd):
+        T = k4_nontrivial_sigma(klein_four_groupoid())
+        data = twist_to_json(T)
+        (a, b), _ = data["cocycle"][1]
+        data["cocycle"].append([[a, b], [1.0, 0.0]])
+        self._refused(tmp_path, capsys, data, cmd, "repeated cocycle entry "
+                      f"for pair ({a!r}, {b!r})")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    @pytest.mark.parametrize("items,error", [
+        (2, "not enough values to unpack (expected 3, got 2)"),
+        (4, "too many values to unpack (expected 3)")])
+    def test_compose_entry_length(self, tmp_path, capsys, cmd, items,
+                                  error):
+        data = groupoid_to_json(pair_groupoid(2))
+        data["compose"][3] = (data["compose"][3] + ["u0<-u0"])[:items]
+        self._refused(tmp_path, capsys, data, cmd,
+                      f"malformed groupoid object: {error}")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_repeated_arrow_id(self, tmp_path, capsys, cmd):
+        data = groupoid_to_json(pair_groupoid(3))
+        data["arrows"].append(dict(data["arrows"][4]))
+        self._refused(tmp_path, capsys, data, cmd,
+                      f"repeated arrow id {data['arrows'][4]['id']!r}")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_non_composable_cocycle_entry(self, tmp_path, capsys, cmd):
+        data = twist_to_json(trivial_twist(pair_groupoid(2)))
+        data["cocycle"] = [[["u0<-u1", "u0<-u1"], [1.0, 0.0]]]
+        self._refused(tmp_path, capsys, data, cmd, "cocycle entry on "
+                      "non-composable pair ('u0<-u1', 'u0<-u1')")
+
+    @pytest.mark.parametrize("value,error", [
+        (["1", 0], "complex() can't take second arg if first is a string"),
+        ([0, None], "complex() second argument must be a number, "
+                    "not 'NoneType'"),
+        ([1.0], "not enough values to unpack (expected 2, got 1)"),
+        ([1, 0, 0], "too many values to unpack (expected 2)"),
+        ([10 ** 400, 0], "int too large to convert to float")])
+    def test_malformed_cocycle_value(self, tmp_path, capsys, value, error):
+        data = twist_to_json(trivial_twist(pair_groupoid(2)))
+        data["cocycle"] = [[["u0<-u1", "u1<-u0"], value]]
+        self._refused(tmp_path, capsys, data, "validate",
+                      f"malformed cocycle entry: {error}")
+
+    def test_big_integer_phase_part(self, tmp_path, capsys):
+        """A JSON integer past int64 is a number: its modulus is refused."""
+        data = twist_to_json(trivial_twist(pair_groupoid(2)))
+        data["cocycle"] = [[["u0<-u1", "u1<-u0"], [10 ** 20, 0]]]
+        path = write(tmp_path, "big.json", data)
+        assert main(["validate", path]) == 1
+        assert "sigma('u0<-u1','u1<-u0') has modulus 1e+20 != 1" in \
+            capsys.readouterr().out
 
 
 class TestOptionsAndDeterminism:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cartankit.errors import NotASubgroupoid, UnknownArrow, UnknownUnit
+from cartankit.errors import (
+    IsomorphismUndecided,
+    NotASubgroupoid,
+    UnknownArrow,
+    UnknownUnit,
+)
 from cartankit.groupoid import (
     build_groupoid,
     cyclic_groupoid,
@@ -125,6 +130,21 @@ class TestIsomorphism:
 
     def test_signature_distinguishes(self, pair2, k4):
         assert invariant_signature(pair2) != invariant_signature(k4)
+
+    def test_past_the_search_a_signature_is_no_proof(self):
+        """Above max_arrows a signature mismatch is None, equal tables are
+        the identity, and anything else is undecided."""
+        G = cyclic_groupoid(16)
+        H = disjoint_union(cyclic_groupoid(8), cyclic_groupoid(8))
+        assert invariant_signature(G) != invariant_signature(H)
+        assert find_isomorphism(G, H) is None
+        with pytest.raises(IsomorphismUndecided):
+            find_isomorphism(G, cyclic_groupoid(16, prefix="d"))
+        assert find_isomorphism(G, cyclic_groupoid(16)) == {
+            a: a for a in G.arrows}
+        with pytest.raises(IsomorphismUndecided):
+            find_isomorphism(pair_groupoid(2), pair_groupoid(2, prefix="v"),
+                             max_arrows=3)
 
     def test_isomorphism_respects_structure(self, k4):
         other = klein_four_groupoid(unit="u", prefix="m")

@@ -1,0 +1,407 @@
+"""Twist files compiled straight to the integer tables, and the one triple
+pass that checks associativity and the cocycle identity together.
+
+References kept here: the numbering of ``GroupoidArrays`` by one
+``setdefault`` per name and the compile of the cocycle through a sigma
+dict, both as they were before the compile read names by lookup and
+placed the file's entries into a phase vector.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import cartankit.groupoid
+from cartankit import cli
+from cartankit.errors import ParseError
+from cartankit.groupoid import (
+    GroupoidArrays,
+    cyclic_groupoid,
+    pair_groupoid,
+    validate,
+)
+from cartankit.serialize import (
+    groupoid_from_json,
+    groupoid_to_json,
+    twist_from_json,
+    twist_to_json,
+)
+from cartankit.twist import (
+    COCYCLE_TOL,
+    CocycleTwist,
+    coboundary_twist,
+    conjugate_twist,
+    restrict_twist,
+    trivial_twist,
+    validate_cocycle,
+    validate_twist,
+)
+from conftest import random_coboundary
+from test_triples import ref_triples
+from test_table_arrays import (
+    TWISTS,
+    _corrupted_groupoids,
+    _corrupted_twists,
+    ref_validate,
+    ref_validate_cocycle,
+)
+
+
+# --- references -----------------------------------------------------------------
+
+def ref_numbering(G):
+    """Arrow and unit numbers by one setdefault per name: each arrow's
+    ends and inverse, each pair's a, b and ab, then the unit arrows."""
+    codes = {a: k for k, a in enumerate(G.arrows)}
+    units = {x: k for k, x in enumerate(
+        dict.fromkeys(G.units + tuple(G.unit_arrow)))}
+    arrow = lambda x: codes.setdefault(x, len(codes))
+    unit = lambda x: units.setdefault(x, len(units))
+    ends = [(unit(G.src.get(a)), unit(G.rng.get(a)), arrow(G.inv.get(a)))
+            for a in G.arrows]
+    abc = [(arrow(a), arrow(b), arrow(ab))
+           for (a, b), ab in G.compose_table.items()]
+    unit_arrow = [arrow(G.unit_arrow[x]) if x in G.unit_arrow else -1
+                  for x in units]
+    return codes, units, ends, abc, unit_arrow
+
+
+def ref_twist_from_json(data):
+    """sigma as a dict over the compose table, overwritten entry by entry."""
+    G = groupoid_from_json(data["groupoid"] if "groupoid" in data else data)
+    sigma = {pair: 1.0 + 0.0j for pair in G.compose_table}
+    for (a, b), (re, im) in data.get("cocycle", []):
+        assert (a, b) in sigma
+        sigma[(a, b)] = complex(re, im)
+    return CocycleTwist(groupoid=G, sigma=sigma)
+
+
+def ref_cocycle_error(G, entries):
+    """The message of the first entry a loop over the cocycle refuses: on
+    its shape, then on its pair, then on complex() of its value."""
+    try:
+        for (a, b), (re, im) in entries:
+            if (a, b) not in G.compose_table:
+                return f"cocycle entry on non-composable pair ({a!r}, {b!r})"
+            complex(re, im)
+    except (TypeError, ValueError) as exc:
+        return f"malformed cocycle entry: {exc}"
+
+
+def ref_associativity(G):
+    """The associativity lines by names: the pairs of listed arrows in
+    sorted order, each with every listed c whose range is b's source."""
+    listed = set(G.arrows)
+    bad = []
+    for a, b in sorted(k for k in G.compose_table if listed.issuperset(k)):
+        for c in G.arrows:
+            bc = G.compose(b, c)
+            if G.src.get(b) == G.rng.get(c) and bc is not None and \
+                    G.compose(G.compose(a, b), c) != G.compose(a, bc):
+                bad.append(f"associativity fails at ({a!r},{b!r},{c!r})")
+    return bad
+
+
+# --- inputs ---------------------------------------------------------------------
+
+def _unlisted_names():
+    """Tables that use names they do not list, in several places, so that
+    the numbering of unlisted names depends on the order of the pass."""
+    P, C = pair_groupoid(3), cyclic_groupoid(4)
+    inv = dict(P.inv, **{"u1<-u2": "nope", "u2<-u0": "zz"})
+    table = {**P.compose_table, ("u0<-u1", "yy"): "nope",
+             ("xx", "u1<-u0"): "yy", ("zz", "xx"): "ww"}
+    unit_arrow = dict(C.unit_arrow, e0="c9")
+    src = dict(P.src, **{"u0<-u1": None, "u1<-u0": "v9"})
+    return [
+        ("inverse and composites", dataclasses.replace(
+            P, inv=inv, compose_table=table)),
+        ("compose entries", dataclasses.replace(P, compose_table=table)),
+        ("unit arrow", dataclasses.replace(C, unit_arrow=unit_arrow)),
+        ("sources", dataclasses.replace(P, src=src, inv=inv)),
+    ]
+
+
+def _corrupted_pair(n, seed):
+    """A coboundary over pair(n) with one inner phase rotated, as the
+    benchmark's corrupted cocycle is."""
+    rng = np.random.default_rng(seed)
+    T = random_coboundary(pair_groupoid(n), rng)
+    units = set(T.groupoid.unit_arrow.values())
+    inner = sorted(k for k in T.sigma if units.isdisjoint(k))
+    sigma = dict(T.sigma)
+    key = inner[int(rng.integers(len(inner)))]
+    sigma[key] *= np.exp(2j * np.pi * (0.25 + 0.5 * rng.random()))
+    return CocycleTwist(T.groupoid, sigma)
+
+
+def _all_twists():
+    out = [(str(len(T.sigma)), T) for T in TWISTS]
+    out += [(label, trivial_twist(G)) for label, G in
+            _corrupted_groupoids() + _unlisted_names()]
+    out += _corrupted_twists()
+    out.append(("corrupted pair12", _corrupted_pair(12, 3)))
+    return out
+
+
+ALL = _all_twists()
+#: The tables ``ref_validate`` reads: all but the compose entries that
+#: name unlisted arrows.
+LOOP_READABLE = {label for label, _ in ALL} - {"inverse and composites",
+                                               "compose entries"}
+ids = lambda v: v if isinstance(v, str) else ""
+
+
+# --- numbering --------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,T", ALL, ids=ids)
+def test_numbering_matches_setdefault(label, T):
+    G = T.groupoid
+    codes, units, ends, abc, unit_arrow = ref_numbering(G)
+    t, n = G.arrays, len(G.arrows)
+    assert list(t.names[:-1]) == list(codes)
+    assert t.unit_index == units
+    want = np.array(ends, dtype=np.intp).reshape(-1, 3)
+    assert np.array_equal(t.src[:n], want[:, 0])
+    assert np.array_equal(t.rng[:n], want[:, 1])
+    assert np.array_equal(t.inv[:n], want[:, 2])
+    assert (t.src[n:] == -1).all() and (t.inv[n:] == -1).all()
+    want = np.array(abc, dtype=np.intp).reshape(-1, 3)
+    assert np.array_equal(np.stack([t.a, t.b, t.ab], axis=1), want)
+    assert np.array_equal(t.unit_arrow, unit_arrow)
+
+
+def test_unlisted_names_numbered_in_pass_order():
+    G = dict(_unlisted_names())["inverse and composites"]
+    names = list(G.arrays.names[len(G.arrows):-1])
+    # the inverses first, then the compose entries in table order
+    assert names == ["nope", "zz", "yy", "xx", "ww"]
+
+
+# --- compile ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("label,T", ALL, ids=ids)
+def test_compile_matches_sigma_dict(label, T):
+    data = twist_to_json(T)
+    got, want = twist_from_json(data), ref_twist_from_json(data)
+    assert got.sigma == want.sigma
+    assert list(got.sigma) == list(want.sigma)
+    assert np.array_equal(got.sigma_vector, want.sigma_vector)
+
+
+_GOOD = [["u0<-u1", "u1<-u0"], [0.0, 1.0]]
+_OFF_TABLE = [["u0<-u1", "u0<-u1"], [1.0, 0.0]]
+_STRING = [["u1<-u0", "u0<-u1"], ["1", 0]]
+
+
+@pytest.mark.parametrize("entries", [
+    [_OFF_TABLE, _STRING], [_STRING, _OFF_TABLE], [_GOOD, _OFF_TABLE],
+    [_OFF_TABLE, [1.0]], [[1.0], _OFF_TABLE], [_GOOD, 7, _STRING],
+    [[["u0<-u1", "u0<-u1"], [None, 0]]], [_GOOD, [_GOOD[0], [0, None]]],
+    [[_GOOD[0], [1.0]]], [[_GOOD[0], [1, 0, 0]]],
+    [[["u0<-u1", "u1<-u0", "u0<-u0"], [1, 0]]],
+    [[[["u0<-u1"], "u1<-u0"], [1, 0]]],
+], ids=str)
+def test_first_refused_entry_in_file_order(entries):
+    G = pair_groupoid(2)
+    data = {"groupoid": groupoid_to_json(G), "cocycle": entries}
+    with pytest.raises(ParseError) as err:
+        twist_from_json(data)
+    assert str(err.value) == ref_cocycle_error(G, entries)
+
+
+def test_phase_parts_any_json_number():
+    """Integers too large for an int64, booleans and floats are read as
+    complex() reads them; an integer past the float range is refused."""
+    G = pair_groupoid(2)
+    parts = [[10 ** 20, 0], [True, False], [-(10 ** 30), 0.5]]
+    pairs = list(G.compose_table)[:3]
+    data = {"groupoid": groupoid_to_json(G),
+            "cocycle": [[list(p), v] for p, v in zip(pairs, parts)]}
+    T = twist_from_json(data)
+    assert [T.sigma[p] for p in pairs] == [complex(*v) for v in parts]
+    data["cocycle"][1][1] = [0, 10 ** 400]
+    with pytest.raises(ParseError, match="^malformed cocycle entry: int "
+                       "too large to convert to float$"):
+        twist_from_json(data)
+
+
+def test_entries_on_pairs_with_unlisted_names():
+    G = dict(_unlisted_names())["compose entries"]
+    data = twist_to_json(trivial_twist(G))
+    data["cocycle"] = [[["xx", "u1<-u0"], [0.0, 1.0]],
+                       [["u0<-u1", "u1<-u0"], [-1.0, 0.0]]]
+    T = twist_from_json(data)
+    assert T.sigma[("xx", "u1<-u0")] == 1j
+    assert T.sigma[("u0<-u1", "u1<-u0")] == -1
+    assert np.array_equal(T.sigma_vector, ref_twist_from_json(data)
+                          .sigma_vector)
+
+
+def test_phase_vector_kept():
+    """Every twist built from a phase vector keeps it as sigma_vector, and
+    sigma is read from it."""
+    rng = np.random.default_rng(2)
+    G = pair_groupoid(3)
+    lam = {a: np.exp(2j * np.pi * rng.random()) for a in G.arrows}
+    for e in G.unit_arrow.values():
+        lam[e] = 1.0
+    T = coboundary_twist(G, lam)
+    twists = [trivial_twist(G), T, conjugate_twist(T),
+              restrict_twist(T, G.arrows), twist_from_json(twist_to_json(T))]
+    for S in twists:
+        assert "sigma_vector" in S.__dict__
+        pairs = S.groupoid.arrays.pairs
+        assert list(S.sigma) == list(pairs)
+        assert np.array_equal(S.sigma_vector,
+                              np.array([S.sigma[p] for p in pairs]))
+
+
+def test_values_keep_signed_zeros():
+    data = twist_to_json(trivial_twist(cyclic_groupoid(3)))
+    data["cocycle"] = [[["c1", "c2"], [1.0, -0.0]], [["c2", "c1"], [-0.0, 1]],
+                       [["c1", "c1"], [True, False]]]
+    T = twist_from_json(data)
+    for key, (re, im) in ((("c1", "c2"), (1.0, -0.0)),
+                          (("c2", "c1"), (-0.0, 1.0)),
+                          (("c1", "c1"), (1.0, 0.0))):
+        z = T.sigma[key]
+        assert (z.real, z.imag) == (re, im)
+        assert np.copysign(1, z.imag) == np.copysign(1, im)
+        assert np.copysign(1, z.real) == np.copysign(1, re)
+
+
+# --- the one triple pass ------------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 13])
+@pytest.mark.parametrize("label,T", ALL, ids=ids)
+def test_one_pass_equals_both_validators(label, T, chunk, monkeypatch):
+    monkeypatch.setattr(cartankit.groupoid, "_CHUNK", chunk)
+    G = T.groupoid
+    assert validate_twist(T) == validate(G) + validate_cocycle(T)
+    if label in LOOP_READABLE:
+        assert validate(G) == ref_validate(G)
+    if not validate(G):  # the loop reference needs whole tables
+        assert validate_cocycle(T) == ref_validate_cocycle(T)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 13])
+def test_missing_bc_reads_no_pair(chunk, monkeypatch):
+    """With (b, c) missing, (a, bc) is no pair even where a composes with
+    the last arrow (the flat read of pair_at at column -1)."""
+    monkeypatch.setattr(cartankit.groupoid, "_CHUNK", chunk)
+    P = pair_groupoid(3)
+    table = {k: v for k, v in P.compose_table.items()
+             if k != ("u2<-u1", "u1<-u0")}
+    t = dataclasses.replace(P, compose_table=table).arrays
+    assert t.names[len(P.arrows) - 1] == "u2<-u2"
+    p = np.arange(len(t.pairs))
+    got = [np.concatenate(x) for x in zip(*t.triples(p))]
+    want = [np.concatenate(x) for x in zip(*ref_triples(t, p))]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    missing = got[2] < 0
+    assert missing.any() and (got[4][missing] == -1).all()
+
+
+def test_corrupted_pair12_reports_its_triples():
+    T = _corrupted_pair(12, 3)
+    lines = validate_twist(T)
+    assert lines and all(v.startswith("cocycle identity fails at ")
+                         for v in lines)
+    assert lines == ref_validate_cocycle(T)
+
+
+def test_associativity_failures_sorted_by_pair_then_c(monkeypatch):
+    """Failures from several chunks, reported in (a, b, c) order."""
+    monkeypatch.setattr(cartankit.groupoid, "_CHUNK", 3)
+    C = cyclic_groupoid(5)
+    table = {**C.compose_table, ("c1", "c1"): "c3", ("c4", "c2"): "c0"}
+    # table order puts (c4, c2) after (c1, c1); a reversed table too
+    for items in (list(table.items()), list(table.items())[::-1]):
+        G = dataclasses.replace(C, compose_table=dict(items))
+        got = validate_twist(trivial_twist(G))
+        assert got == validate(G) == ref_validate(G)
+        assoc = [v for v in got if v.startswith("associativity")]
+        assert len(assoc) > 2 and assoc == sorted(
+            assoc, key=lambda v: tuple(v[v.index("("):].split(",")))
+
+
+@pytest.mark.parametrize("label,T", ALL, ids=ids)
+def test_associativity_on_listed_pairs(label, T):
+    G = T.groupoid
+    got = [v for v in validate_twist(T) if v.startswith("associativity")]
+    assert got == ref_associativity(G)
+
+
+def test_keying_violation_skips_the_cocycle(monkeypatch):
+    T = dict(_corrupted_twists())["keys"]
+    assert validate_twist(T) == [
+        "sigma is not keyed exactly by the composable pairs"]
+
+
+def test_both_validators_use_the_one_pass(monkeypatch):
+    calls = []
+    real = cartankit.groupoid._triple_checks
+
+    def counted(t, *args):
+        calls.append(len(args))
+        return real(t, *args)
+
+    monkeypatch.setattr(cartankit.groupoid, "_triple_checks", counted)
+    monkeypatch.setattr(cartankit.twist, "_triple_checks", counted)
+    T = trivial_twist(pair_groupoid(3))
+    validate(T.groupoid)
+    validate_cocycle(T)
+    validate_twist(T)
+    # validate passes no phases; the other two pass phases and tol
+    assert calls == [0, 2, 2]
+
+
+@pytest.fixture
+def triples_calls(monkeypatch):
+    calls = []
+    real = GroupoidArrays.triples
+
+    def counted(self, p):
+        calls.append(len(p))
+        return real(self, p)
+
+    monkeypatch.setattr(GroupoidArrays, "triples", counted)
+    return calls
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", ["validate", "cstar"])
+def test_one_triples_call_per_command(tmp_path, capsys, triples_calls, cmd):
+    T = random_coboundary(pair_groupoid(4), np.random.default_rng(0))
+    path = _write(tmp_path, "t.json", twist_to_json(T))
+    assert cli.main([cmd, path]) == 0
+    assert triples_calls == [len(T.sigma)]
+
+
+def test_one_triples_call_per_compared_twist(tmp_path, capsys,
+                                             triples_calls):
+    a = _write(tmp_path, "a.json", twist_to_json(trivial_twist(
+        pair_groupoid(2))))
+    b = _write(tmp_path, "b.json", groupoid_to_json(pair_groupoid(3)))
+    assert cli.main(["compare", a, b]) == 1
+    assert triples_calls == [8, 27]
+
+
+def test_cocycle_tolerance_threshold():
+    """The identity is decided by |d| > tol, as before."""
+    C = cyclic_groupoid(3)
+    for defect, bad in ((0.5 * COCYCLE_TOL, False), (2 * COCYCLE_TOL, True)):
+        sigma = dict(trivial_twist(C).sigma)
+        sigma[("c1", "c1")] = np.exp(1j * defect)
+        T = CocycleTwist(C, sigma)
+        assert bool(validate_twist(T)) is bad
+        assert validate_twist(T) == ref_validate_cocycle(T)
