@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class GroupoidArrays:
                         units).reshape(-1, 2)
         inv = _numbers(list(map(G.inv.get, G.arrows)), codes)
         self.a, self.b, self.ab = _numbers(
-            [x for (a, b), ab in table.items() for x in (a, b, ab)],
+            list(chain.from_iterable(zip(*zip(*table), table.values()))),
             codes).reshape(-1, 3).T
         self.unit_arrow = np.array(
             [codes.setdefault(G.unit_arrow[x], len(codes))
@@ -145,15 +145,17 @@ class GroupoidArrays:
         # pair_at read flat; its last column is -1, so the flat position
         # x w - 1 of (x, -1) reads -1 as pair_at[x, -1] does
         w, flat = len(self.pair_at), self.pair_at.ravel()
+        # per pair, for its triples: q, by_range offset, rows of b, ab, a
+        per_pair = (p, start[s_b] - first, self.b[p] * w, self.ab[p] * w,
+                    self.a[p] * w)
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(p)]):
-            i = np.repeat(np.arange(lo, hi), cnt[s_b[lo:hi]])
-            if not len(i):
+            reps = cnt[s_b[lo:hi]]
+            if not reps.any():
                 continue
-            k = np.arange(first[lo], end[hi - 1]) - first[i]
-            q, c = p[i], by_range[start[s_b[i]] + k]
-            b_c = flat[self.b[q] * w + c]
-            yield (q, c, b_c, flat[self.ab[q] * w + c],
-                   flat[self.a[q] * w + self._ab[b_c]])
+            q, at, bw, abw, aw = (np.repeat(x[lo:hi], reps) for x in per_pair)
+            c = by_range[at + np.arange(first[lo], end[hi - 1])]
+            b_c = flat[bw + c]
+            yield q, c, b_c, flat[abw + c], flat[aw + self._ab[b_c]]
 
 
 def _lookup(names, codes: dict, count: int) -> np.ndarray:

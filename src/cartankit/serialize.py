@@ -8,7 +8,9 @@ information for malformed JSON.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,10 +44,22 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
     }
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cycle collector: a parsed file holds no cycles to find."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@_collector_paused()
 def groupoid_from_json(data) -> FiniteGroupoid:
-    """Compile a groupoid file, refusing a repeated arrow id or compose
-    pair (a table keeps one entry per key) and a compose entry of other
-    than three items."""
+    """Compile a groupoid file, refusing a repeated unit id, arrow id or
+    compose pair (a table keeps one entry per key) and a compose entry of
+    other than three items."""
     try:
         specs = [(a["id"], a["src"], a["rng"], a["inv"])
                  for a in data["arrows"]]
@@ -55,6 +69,8 @@ def groupoid_from_json(data) -> FiniteGroupoid:
         if len(G.src) != len(specs):
             raise ParseError(
                 f"repeated arrow id {_repeated(s[0] for s in specs)!r}")
+        if len(set(G.units)) != len(G.units):
+            raise ParseError(f"repeated unit id {_repeated(data['units'])!r}")
         # the table keeps one entry per pair; its arrays are cached, and
         # every reader of the file works on them
         if len(G.arrays.pairs) != len(pairs):
@@ -83,6 +99,7 @@ def twist_to_json(T: CocycleTwist) -> dict:
     return {"groupoid": groupoid_to_json(T.groupoid), "cocycle": cocycle}
 
 
+@_collector_paused()
 def twist_from_json(data) -> CocycleTwist:
     """Compile a twist file: sigma is 1 except at the cocycle entries,
     which are placed by ``pair_at`` into one phase vector over the pairs.
@@ -159,6 +176,7 @@ def inclusion_from_json(data, cap: int = None) -> Inclusion:
     return make_inclusion(C, D, norms)
 
 
+@_collector_paused()
 def load_json(path):
     try:
         with open(path) as fh:

@@ -107,8 +107,8 @@ def validate_twist(T: CocycleTwist) -> list:
 def _sigma_lines(T: CocycleTwist, tol: float) -> tuple:
     """(the pairwise sigma violations, the phase vector), or the keying
     violation and None when sigma is not keyed by the composable pairs."""
-    t = T.groupoid.arrays
-    if T.sigma.keys() != set(t.pairs):
+    t, keyed = T.groupoid.arrays, T.sigma.__contains__
+    if len(T.sigma) != len(t.pairs) or not all(map(keyed, t.pairs)):
         return ["sigma is not keyed exactly by the composable pairs"], None
     s = T.sigma_vector
     p = np.arange(len(s))

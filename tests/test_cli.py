@@ -332,6 +332,14 @@ class TestMalformedTables:
                       f"repeated arrow id {data['arrows'][4]['id']!r}")
 
     @pytest.mark.parametrize("cmd", ["validate", "cstar"])
+    def test_repeated_unit_id(self, tmp_path, capsys, cmd):
+        """A repeated unit would pass validation and then break the
+        orbit computation of ``cstar``."""
+        data = groupoid_to_json(pair_groupoid(2))
+        data["units"].append("u0")
+        self._refused(tmp_path, capsys, data, cmd, "repeated unit id 'u0'")
+
+    @pytest.mark.parametrize("cmd", ["validate", "cstar"])
     def test_non_composable_cocycle_entry(self, tmp_path, capsys, cmd):
         data = twist_to_json(trivial_twist(pair_groupoid(2)))
         data["cocycle"] = [[["u0<-u1", "u0<-u1"], [1.0, 0.0]]]

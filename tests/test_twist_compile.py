@@ -18,6 +18,7 @@ from cartankit import cli
 from cartankit.errors import ParseError
 from cartankit.groupoid import (
     GroupoidArrays,
+    build_groupoid,
     cyclic_groupoid,
     pair_groupoid,
     validate,
@@ -137,10 +138,23 @@ def _corrupted_pair(n, seed):
     return CocycleTwist(T.groupoid, sigma)
 
 
+def _edge_tables():
+    """Tables whose compose table is empty, or holds unit pairs only."""
+    units = ("x", "y", "z")
+    return [
+        ("no units", groupoid_from_json({"units": [], "arrows": [],
+                                         "compose": [],
+                                         "unit_arrows": {}})),
+        ("unit pairs only", build_groupoid(
+            units, [(f"e{x}", x, x, f"e{x}") for x in units],
+            [(f"e{x}", f"e{x}", f"e{x}") for x in units])),
+    ]
+
+
 def _all_twists():
     out = [(str(len(T.sigma)), T) for T in TWISTS]
     out += [(label, trivial_twist(G)) for label, G in
-            _corrupted_groupoids() + _unlisted_names()]
+            _corrupted_groupoids() + _unlisted_names() + _edge_tables()]
     out += _corrupted_twists()
     out.append(("corrupted pair12", _corrupted_pair(12, 3)))
     return out
@@ -339,6 +353,27 @@ def test_associativity_on_listed_pairs(label, T):
 def test_keying_violation_skips_the_cocycle(monkeypatch):
     T = dict(_corrupted_twists())["keys"]
     assert validate_twist(T) == [
+        "sigma is not keyed exactly by the composable pairs"]
+
+
+def test_keying_violation_with_as_many_keys():
+    """A sigma with one pair swapped for a non-composable one has as many
+    keys as the table has pairs, and is still not keyed by them."""
+    T = trivial_twist(pair_groupoid(3))
+    sigma = dict(T.sigma)
+    del sigma[("u0<-u1", "u1<-u2")]
+    sigma[("u0<-u1", "u0<-u1")] = 1.0
+    T = CocycleTwist(T.groupoid, sigma)
+    assert len(T.sigma) == len(T.groupoid.compose_table)
+    assert validate_twist(T) == ref_validate_cocycle(T) == [
+        "sigma is not keyed exactly by the composable pairs"]
+
+
+def test_keying_violation_with_an_extra_key():
+    """A sigma on every pair and one more is not keyed by the pairs."""
+    T = trivial_twist(pair_groupoid(3))
+    T = CocycleTwist(T.groupoid, {**T.sigma, ("u0<-u1", "u0<-u1"): 1.0})
+    assert validate_twist(T) == ref_validate_cocycle(T) == [
         "sigma is not keyed exactly by the composable pairs"]
 
 
