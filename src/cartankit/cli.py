@@ -24,14 +24,12 @@ from .inclusion import pseudo_expectations, strongly_compatible
 from .matalg import DIM_CAP, EPS
 from .reduced import is_cartan_pair, realize
 from .serialize import (
-    classify,
-    groupoid_from_json,
+    TWIST_KINDS,
     inclusion_from_json,
-    load_json,
-    twist_from_json,
+    load_file,
     twist_to_json,
 )
-from .twist import trivial_twist, validate_twist
+from .twist import validate_twist
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,25 +75,20 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(_render_text(report) + "\n")
 
 
-def _load_twist(data):
-    kind = classify(data)
-    if kind == "twist":
-        return twist_from_json(data)
-    if kind == "groupoid":
-        return trivial_twist(groupoid_from_json(data))
-    raise ParseError(f"expected a groupoid or twist file, found {kind}")
+def _load_inclusion(args):
+    _, data = load_file(args.path, ("inclusion",))
+    return inclusion_from_json(data, cap=args.cap)
 
 
 def cmd_validate(args) -> int:
-    data = load_json(args.path)
-    kind = classify(data)
+    kind, content = load_file(args.path)
     report = _base_report(args)
     report["kind"] = kind
     violations = []
     if kind == "inclusion":
-        inclusion_from_json(data, cap=args.cap)  # constructor validates
+        inclusion_from_json(content, cap=args.cap)  # constructor validates
     else:
-        violations = validate_twist(_load_twist(data))
+        violations = validate_twist(content)
     report["violations"] = violations
     report["valid"] = not violations
     _emit(report, args)
@@ -103,7 +96,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cstar(args) -> int:
-    T = _load_twist(load_json(args.path))
+    _, T = load_file(args.path, TWIST_KINDS)
     bad = validate_twist(T)
     if bad:
         report = _base_report(args)
@@ -126,7 +119,7 @@ def cmd_cstar(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    inc = inclusion_from_json(load_json(args.path), cap=args.cap)
+    inc = _load_inclusion(args)
     pe = pseudo_expectations(inc)
     report = _base_report(args)
     report["C_dim"] = inc.C.dim
@@ -147,7 +140,7 @@ def cmd_analyze(args) -> int:
 def cmd_weyl(args) -> int:
     from .weyl import weyl_twist
 
-    inc = inclusion_from_json(load_json(args.path), cap=args.cap)
+    inc = _load_inclusion(args)
     W = weyl_twist(inc)
     report = _base_report(args)
     report["units"] = len(W.twist.groupoid.units)
@@ -160,7 +153,7 @@ def cmd_weyl(args) -> int:
 def cmd_envelope(args) -> int:
     from .envelope import cartan_envelope
 
-    inc = inclusion_from_json(load_json(args.path), cap=args.cap)
+    inc = _load_inclusion(args)
     cert = cartan_envelope(inc)
     report = _base_report(args)
     report["success"] = cert.success
@@ -194,13 +187,13 @@ def cmd_compare(args) -> int:
     if args.path2 is None:
         from .envelope import envelope_uniqueness_crosscheck
 
-        inc = inclusion_from_json(load_json(args.path), cap=args.cap)
+        inc = _load_inclusion(args)
         agree = envelope_uniqueness_crosscheck(inc)
         report["mode"] = "envelope-crosscheck"
         report["agree"] = agree
     else:
-        T1 = _load_twist(load_json(args.path))
-        T2 = _load_twist(load_json(args.path2))
+        _, T1 = load_file(args.path, TWIST_KINDS)
+        _, T2 = load_file(args.path2, TWIST_KINDS)
         bad = [validate_twist(T1), validate_twist(T2)]
         if any(bad):
             report["violations"] = bad

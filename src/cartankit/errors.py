@@ -35,6 +35,10 @@ class EmptyAlgebra(CartanKitError):
     """The zero algebra (e.g. realized from a groupoid with no units): it
     has no unit, so it carries no unital subalgebra or Cartan pair."""
 
+    def __init__(self, msg="the zero algebra has no unit (a groupoid with "
+                           "no units realizes to it)"):
+        super().__init__(msg)
+
 
 # --- groupoid layer ---
 

@@ -51,6 +51,7 @@ from .matalg import (
     FdStarAlgebra,
     IdealSubspace,
     _algebra_from_rows,
+    _as_matrix,
     _vec,
     generate_star_algebra,
     hs_norm,
@@ -59,6 +60,7 @@ from .matalg import (
     null_space,
     row_span,
     span_residual,
+    span_residuals,
 )
 
 #: Default word-length bound for *-semigroup enumeration.
@@ -67,6 +69,9 @@ WORD_BOUND = 4
 WORD_CAP = 4000
 
 _WORD_SEED = 0xC0C0
+#: Complex entries of the products v S v* held at once by the stacked
+#: normalizer check.
+_NORMALIZER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,9 @@ class Inclusion:
 
 def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
                    normalizer_gens=(), eps: float = EPS) -> Inclusion:
+    """The inclusion (C, D) with the given normalizer generators, checked
+    together: the first generator in list order that is malformed, lies
+    outside C or fails the normalizer condition is refused."""
     if not D.is_subalgebra_of(C, eps):
         raise NotASubalgebra("D is not contained in C")
     if not D.is_abelian(eps):
@@ -238,20 +246,45 @@ def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
         raise NotASubalgebra("C and D do not share a unit")
     gens = tuple(np.asarray(v, dtype=complex) for v in normalizer_gens)
     inc = Inclusion(C=C, D=D, normalizer_gens=gens)
-    for v in gens:
-        if not is_normalizer(inc, v, eps):
-            raise NotANormalizer("generator fails the normalizer condition")
+    n = C.ambient_dim
+    good = ([v.shape == (n, n) for v in gens] + [False]).index(False)
+    if not _normalizer_verdicts(inc, np.array(gens[:good]).reshape(
+            good, n, n), eps).all():
+        raise NotANormalizer("generator fails the normalizer condition")
+    if good < len(gens):
+        _as_matrix(gens[good], n)  # raises NonSquareMatrix
     return inc
 
 
 def is_normalizer(inc: Inclusion, v, eps: float = EPS) -> bool:
-    v = np.asarray(v, dtype=complex)
-    if not inc.C.contains(v, max(eps, 1e-7)):
-        raise OutsideAmbient("v lies outside the ambient algebra")
+    v = _as_matrix(v, inc.C.ambient_dim)
+    return bool(_normalizer_verdicts(inc, v[None], eps)[0])
+
+
+def _normalizer_verdicts(inc: Inclusion, V: np.ndarray,
+                         eps: float) -> np.ndarray:
+    """Whether v S v* and v* S v lie in D for each v of the (k, n, n) stack
+    V and the basis stack S of D, up to max(eps, 1e-7).  Raises
+    ``OutsideAmbient`` when the first v that fails lies outside C.  The
+    products are formed about ``_NORMALIZER_CHUNK`` complex entries at a
+    time, for whole generators."""
     tol = max(eps, 1e-7)
-    vh, S = v.conj().T, inc.D.stack
-    return inc.D.contains_all(v @ S @ vh, tol) and \
-        inc.D.contains_all(vh @ S @ v, tol)
+    k, n = len(V), inc.C.ambient_dim
+    inside = span_residuals(inc.C.basis_rows, V.reshape(k, n * n)) < tol
+    S, d = inc.D.stack, inc.D.dim
+    Vh = V.conj().transpose(0, 2, 1)
+    ok = np.ones(k, dtype=bool)
+    step = max(1, _NORMALIZER_CHUNK // max(1, d * n * n))
+    for lo in range(0, k, step):
+        v, vh = V[lo:lo + step, None], Vh[lo:lo + step, None]
+        for left, right in ((v, vh), (vh, v)):
+            P = (left @ S @ right).reshape(-1, n * n)
+            ok[lo:lo + step] &= np.all(span_residuals(
+                inc.D.basis_rows, P).reshape(-1, d) < tol, axis=1)
+    bad = np.flatnonzero(~(inside & ok))
+    if len(bad) and not inside[bad[0]]:
+        raise OutsideAmbient("v lies outside the ambient algebra")
+    return ok
 
 
 def _require_normalizer(inc: Inclusion, v) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -238,9 +239,7 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
     uvec = unit.ravel()
     unorm = np.linalg.norm(uvec)
     if unorm == 0:
-        raise EmptyAlgebra(
-            "the zero algebra has no unit (a groupoid with no units "
-            "realizes to it)")
+        raise EmptyAlgebra()
     first = uvec / unorm
     if rows.shape[0]:
         resid = rows - np.outer(rows @ first.conj(), first)
@@ -379,16 +378,22 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
     Order is deterministic: lexicographic on rounded matrix entries, row
     major, real part before imaginary part.
     """
+    return _minimal_projections(
+        D, eps, np.random.default_rng(_GENERIC_SEED).standard_normal)
+
+
+def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
+    """``minimal_projections``, with the coefficients of the generic
+    self-adjoint element drawn by ``draw(k)`` (k reals a call)."""
     if not D.is_abelian(eps):
         raise NotAbelian("algebra is not abelian")
     n = D.ambient_dim
-    rng = np.random.default_rng(_GENERIC_SEED)
     complement = np.eye(n, dtype=complex) - D.unit
     S, Sh = D.stack, D.stack.conj().transpose(0, 2, 1)
     herm, skew = S + Sh, 1j * (S - Sh)
     for attempt in range(8):
-        t = rng.standard_normal(D.dim)
-        s = rng.standard_normal(D.dim)
+        t = draw(D.dim)
+        s = draw(D.dim)
         # summed along the stack axis in basis order, as a running sum would
         h = (t[:, None, None] * herm + s[:, None, None] * skew).sum(axis=0)
         sentinel = 10.0 * (1.0 + float(np.abs(h).sum()))
@@ -436,13 +441,23 @@ def central_projections(A: FdStarAlgebra) -> tuple:
     return minimal_projections(center(A))
 
 
+def _fixed_draws():
+    """A fixed generic coefficient stream for splits read only for their
+    sizes: call k gives sin(k j), j = 1..d, none of them 0.  The first
+    seeding of a numpy.random generator adds 2.5-6 MB to a process's
+    resident set (x86-64 Linux)."""
+    calls = count(1)
+    return lambda d: np.sin(next(calls) * np.arange(1.0, d + 1.0))
+
+
 def block_structure(A: FdStarAlgebra) -> tuple:
     """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C); () for
-    the zero algebra."""
+    the zero algebra.  Only the ranks of the central projections are read,
+    so they are split with ``_fixed_draws``, not numpy.random."""
     if A.dim == 0:
         return ()
     sizes = []
-    for p in central_projections(A):
+    for p in _minimal_projections(center(A), EPS, _fixed_draws()):
         d = rank(_vec(p @ A.stack @ p))
         ni = round(np.sqrt(d))
         if ni * ni != d:

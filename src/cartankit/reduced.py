@@ -5,7 +5,8 @@ source x; the full realization is the direct sum over one unit per
 r-orbit (units in the same orbit give unitarily equivalent blocks).
 At finite scale the diagonal conditional expectation is exactly
 faithful: E(f* f)(x) = sum_{s(a)=x} |f(a)|^2.  The block structure and the
-MASA test are read from orbit and isotropy data, not from commutants.
+MASA test are read from orbit and isotropy data, not from commutants, and
+regularity and faithfulness of the diagonal from the tables.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import EmptyAlgebra
 from .matalg import (
     EPS,
     FdStarAlgebra,
@@ -26,7 +28,6 @@ from .matalg import (
 from .twist import (
     CocycleTwist,
     EquivariantFunction,
-    _involution_values,
     _phases_at,
     unit_function,
 )
@@ -34,16 +35,21 @@ from .twist import (
 
 def regular_representation(f: EquivariantFunction, x) -> np.ndarray:
     """Matrix of f on l^2 of the arrows with source x."""
-    fiber = f.twist.groupoid.arrows_with_source(x)
-    return _fill(f, _entries(f.twist, fiber), len(fiber))
+    t = f.twist.groupoid.arrays
+    fiber = _numbered(t, f.twist.groupoid.arrows_with_source(x))
+    return _fill(f, _entries(t, fiber), len(fiber))
 
 
-def _entries(T: CocycleTwist, arrows) -> tuple:
-    """Where the pairs land in a matrix on l^2 of ``arrows`` (a union of
-    source fibers): pair (a, b) puts c_k(a, b) f(a) at row ab, column b.
-    Returns (pair positions, rows, columns)."""
-    t = T.groupoid.arrays
-    order = np.fromiter((t.index[a] for a in arrows), np.intp)
+def _numbered(t, arrows) -> np.ndarray:
+    """The arrow numbers of the named arrows."""
+    return np.fromiter(map(t.index.__getitem__, arrows), np.intp,
+                       len(arrows))
+
+
+def _entries(t, order: np.ndarray) -> tuple:
+    """Where the pairs land in a matrix on l^2 of the arrows numbered
+    ``order`` (a union of source fibers): pair (a, b) puts c_k(a, b) f(a)
+    at row ab, column b.  Returns (pair positions, rows, columns)."""
     col = np.full(len(t.unit), -1)
     col[order] = np.arange(len(order))
     p = np.flatnonzero(col[t.b] >= 0)
@@ -86,8 +92,13 @@ class ReducedAlgebra:
         return sum(len(f) for f in self.fibers)
 
     @cached_property
+    def _fiber_arrows(self) -> np.ndarray:
+        """The arrow number at each position of the fibers."""
+        return _numbered(self.twist.groupoid.arrays, sum(self.fibers, ()))
+
+    @cached_property
     def _fiber_entries(self) -> tuple:
-        return _entries(self.twist, sum(self.fibers, ()))
+        return _entries(self.twist.groupoid.arrays, self._fiber_arrows)
 
     def represent(self, f: EquivariantFunction) -> np.ndarray:
         return _fill(f, self._fiber_entries, self.total_dim)
@@ -229,50 +240,104 @@ class CartanCertificate:
                 and self.expectation_faithful)
 
 
+#: Distance (HS norm) from D within which a product v d v* lies in D.
+NORMALIZER_TOL = 1e-7
+
+
 def _normalizes(D: FdStarAlgebra, V: np.ndarray) -> bool:
-    """v d v* and v* d v lie in D, as ``D.contains(m, 1e-7)`` decides, for
-    every v of the stack V and every basis element d of D."""
+    """v d v* and v* d v lie in D, as ``D.contains(m, NORMALIZER_TOL)``
+    decides, for every v of the stack V and every basis element d of D."""
     Vh = V.conj().transpose(0, 2, 1)
-    return all(D.contains_all(V @ d @ Vh, 1e-7) and
-               D.contains_all(Vh @ d @ V, 1e-7) for d in D.stack)
+    return all(D.contains_all(V @ d @ Vh, NORMALIZER_TOL) and
+               D.contains_all(Vh @ d @ V, NORMALIZER_TOL) for d in D.stack)
 
 
 def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
-    """Certify (or refute) that the diagonal is Cartan in the realization.
+    """Certify (or refute) that the diagonal is Cartan in the realization,
+    from the tables and the realization's entries, with no matrix built.
 
-    The MASA test is exact, read from the tables.  For a unit x,
-    delta_x delta_g = delta_g if r(g) = x and 0 otherwise, and
-    delta_g delta_x = delta_g if s(g) = x and 0 otherwise (sigma is
-    normalized), so delta_g commutes with every delta_x exactly when
-    s(g) = r(g).  The delta images have disjoint matrix-unit supports and
-    the realization is faithful, so sum_g f(g) delta_g commutes with D
+    MASA.  For a unit x, delta_x delta_g = delta_g if r(g) = x and 0
+    otherwise, and delta_g delta_x = delta_g if s(g) = x and 0 otherwise
+    (sigma is normalized), so delta_g commutes with every delta_x exactly
+    when s(g) = r(g).  The delta images have disjoint matrix-unit supports
+    and the realization is faithful, so sum_g f(g) delta_g commutes with D
     exactly when each of its terms does:
     D' cap C = span{delta_g : g in Iso(G)}, of dimension |Iso(G)|.  Hence
-    ``masa_defect`` = |Iso(G)| - |G^0|, and D is a MASA exactly when it is 0,
-    i.e. when G is principal, whatever the twist.
+    ``masa_defect`` = |Iso(G)| - |G^0|, and D is a MASA exactly when it is
+    0, i.e. when G is principal, whatever the twist.
 
-    Regularity and faithfulness hold structurally for groupoid models but
-    are re-verified numerically.
+    Regularity: the deltas span C, so it holds when each delta_g
+    normalizes D.  First each delta_g is checked to be a partial isometry
+    pattern: distinct rows (its columns are distinct, one per pair (g, b)),
+    its columns exactly the positions of range s(g) and its rows exactly
+    those of range r(g), and unit arrows on the diagonal (tables that fail
+    are not certified).
+    Then d_y = delta_y is diagonal with u_i (the phase of the unit entry at
+    i) at the positions i of range y; the nonzero d_y have disjoint
+    supports, so normalized to e_y they are an orthonormal basis of D.
+    delta_g e_x delta_g* is 0 unless x = s(g), and delta_g e_s(g) delta_g*
+    is diagonal with |c_k(g, b)|^2 e_s(g)(b) at gb for each realized b with
+    r(b) = s(g): supported on range r(g), so its distance from D is its
+    distance from C u there.  delta_g* e_r(g) delta_g is the mirror case.
+    Both distances are summed per arrow and cut at ``NORMALIZER_TOL``.
+
+    Faithfulness: E is faithful exactly when the Gram E(delta_g* delta_h)
+    is positive definite.  As delta_g* = conj(c_k(g^-1, g)) delta_g^-1, its
+    (g, h) entry is conj(c_k(g^-1, g)) c_k(g^-1, h) when the pair
+    (g^-1, h) lands on a unit and 0 otherwise.  If every pair (a, b)
+    landing on a unit has b = a^-1, the Gram is diagonal, with
+    |c_k(a, b)|^2 at (b, b), and E is faithful exactly when each diagonal
+    entry exceeds ``eps``.  Tables on which another pair lands on a unit
+    are not certified.
     """
+    if not R.total_dim:
+        raise EmptyAlgebra()
     t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
     defect = int(np.count_nonzero(t.src[:n] == t.rng[:n])) - \
         len(R.twist.groupoid.units)
-    masa = defect == 0
-    D = R.diagonal
+    phases = R.twist.phases(R.degree)
+    on = np.flatnonzero(t.unit[t.ab])  # the pairs landing on a unit
+    gram = np.bincount(t.b[on], np.abs(phases[on]) ** 2, n)[:n]
+    p, rows, cols = R._fiber_entries
+    return CartanCertificate(
+        diagonal_is_masa=defect == 0,
+        regular=_deltas_normalize(t, R._fiber_arrows, t.a[p], rows, cols,
+                                  phases[p]),
+        expectation_faithful=bool((t.inv[t.a[on]] == t.b[on]).all()
+                                  and (gram > eps).all()),
+        masa_defect=defect)
 
-    # regularity: each delta normalizes the diagonal and deltas span
-    N = R.total_dim
-    regular = _normalizes(D, R._delta_images.reshape(-1, N, N))
 
-    # faithfulness of E: the sesquilinear form sum_x E(f* g)(x) must be
-    # positive definite; exact at finite scale.  Row i of the Gram matrix
-    # is delta_i^* times the part of the convolution landing on units.
-    on_unit = t.unit[t.ab]
-    Q = np.zeros((n, n), dtype=complex)
-    Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
-    gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
-    evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    faithful = bool(evals.min() > eps)
-    return CartanCertificate(diagonal_is_masa=masa, regular=regular,
-                             expectation_faithful=faithful,
-                             masa_defect=defect)
+def _deltas_normalize(t, arrows, g, rows, cols, phase) -> bool:
+    """The regularity test of ``is_cartan_pair``: entry e of delta_g (the
+    arrow g[e]) is phase[e] at (rows[e], cols[e]), and fiber position i
+    holds the arrow arrows[i]."""
+    at = t.rng[arrows]  # the range of each position
+    size, n = len(arrows), len(t.index)
+    unit = t.unit[g]
+    keys = np.sort(g * size + rows)
+    if not ((rows >= 0).all() and (rows == cols)[unit].all()
+            and (at[rows] == t.rng[g]).all()
+            and (at[cols] == t.src[g]).all()
+            and not (keys[1:] == keys[:-1]).any()):
+        return False
+    # g is listed now (an unlisted arrow has ends -1)
+    per_range = np.bincount(at, minlength=len(t.unit_index))
+    count = np.bincount(g, minlength=n)
+    if not ((count == per_range[t.src[:n]]).all()
+            and (count == per_range[t.rng[:n]]).all()):
+        return False
+    u = np.zeros(size, dtype=complex)
+    u[cols[unit]] = phase[unit]
+    norm2 = np.bincount(at, np.abs(u) ** 2, len(per_range))[at]
+    inv_norm2 = np.divide(1.0, norm2, out=np.zeros(size), where=norm2 > 0)
+    e = u * np.sqrt(inv_norm2)  # e_y at the positions of range y
+    weight = np.abs(phase) ** 2
+    for to, frm in ((rows, cols), (cols, rows)):
+        w = weight * e[frm]
+        x = u[to].conj() * w * inv_norm2[to]  # <u, w> / |u|^2, per entry
+        coef = np.bincount(g, x.real) + 1j * np.bincount(g, x.imag)
+        resid = np.abs(w - coef[g] * u[to]) ** 2
+        if not (np.sqrt(np.bincount(g, resid)) < NORMALIZER_TOL).all():
+            return False
+    return True

@@ -18,7 +18,7 @@ from .errors import ParseError
 from .groupoid import FiniteGroupoid, _lookup, build_groupoid
 from .inclusion import Inclusion, make_inclusion
 from .matalg import generate_star_algebra
-from .twist import CocycleTwist, _with_phases
+from .twist import CocycleTwist, _with_phases, trivial_twist
 
 
 def matrix_to_json(m) -> list:
@@ -185,6 +185,31 @@ def load_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+
+
+#: The kinds of file that compile to a twist.
+TWIST_KINDS = ("groupoid", "twist")
+
+
+@_collector_paused()
+def load_file(path, kinds=TWIST_KINDS + ("inclusion",)) -> tuple:
+    """(kind, content) of the file at path, refusing a kind outside
+    ``kinds``.  The file is decoded, classified and, for a groupoid or
+    twist, compiled to a twist (a groupoid as its trivial twist) under one
+    collector pause, and its parsed tree is dropped before the pause ends.
+    An inclusion comes back parsed: building its algebras
+    (``inclusion_from_json``) is computation, not loading."""
+    data = load_json(path)
+    kind = classify(data)
+    if kind not in kinds:
+        names = " or ".join(sorted(kinds))
+        article = "an" if names[0] in "aeiou" else "a"
+        raise ParseError(f"expected {article} {names} file, found {kind}")
+    if kind == "inclusion":
+        return kind, data
+    if kind == "twist":
+        return kind, twist_from_json(data)
+    return kind, trivial_twist(groupoid_from_json(data))
 
 
 def classify(data) -> str:

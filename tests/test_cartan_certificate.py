@@ -1,0 +1,307 @@
+"""The exact Cartan certificate of ``reduced.is_cartan_pair``: regularity
+and faithfulness read from the tables and the realization's entries,
+cross-checked against the dense numerical path it replaces (kept here as
+``ref_cartan_certificate``), on valid twists, on hand-built phase vectors
+that are no cocycles, and on corrupted composition tables."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import cartankit.matalg
+import cartankit.reduced
+from cartankit import cli
+from cartankit.envelope import build_cover, eigen_twist
+from cartankit.errors import EmptyAlgebra
+from cartankit.groupoid import (
+    build_groupoid,
+    cyclic_groupoid,
+    disjoint_union,
+    klein_four_groupoid,
+    pair_groupoid,
+)
+from cartankit.matalg import (
+    EPS,
+    _vec,
+    block_structure,
+    central_projections,
+    rank,
+)
+from cartankit.reduced import (
+    CartanCertificate,
+    _normalizes,
+    is_cartan_pair,
+    realize,
+)
+from cartankit.serialize import twist_to_json
+from cartankit.twist import CocycleTwist, _involution_values, trivial_twist
+from conftest import (
+    k4_nontrivial_sigma,
+    mndn_inclusion,
+    random_coboundary,
+    random_twist_corpus,
+)
+
+
+def ref_cartan_certificate(R, eps=EPS):
+    """The dense path: every delta image against D's basis through
+    ``_normalizes``, and the eigenvalues of the hermitian part of the Gram
+    E(delta_g* delta_h)."""
+    t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
+    defect = int(np.count_nonzero(t.src[:n] == t.rng[:n])) - \
+        len(R.twist.groupoid.units)
+    N = R.total_dim
+    regular = _normalizes(R.diagonal, R._delta_images.reshape(-1, N, N))
+    on_unit = t.unit[t.ab]
+    Q = np.zeros((n, n), dtype=complex)
+    Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
+    gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
+    evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    return CartanCertificate(diagonal_is_masa=defect == 0, regular=regular,
+                             expectation_faithful=bool(evals.min() > eps),
+                             masa_defect=defect)
+
+
+def _k4s_pair(k, rng):
+    G = disjoint_union(klein_four_groupoid(), pair_groupoid(k))
+    return random_coboundary(G, rng, ("A.k",))
+
+
+def _valid_twists():
+    rng = np.random.default_rng(11)
+    out = [("corpus", T) for T in random_twist_corpus(30, seed=5)]
+    out += [(f"k4s_pair{k}", _k4s_pair(k, rng)) for k in range(1, 7)]
+    # the inputs of the benchmark's cstar workload
+    out += [(f"pair{n}", random_coboundary(pair_groupoid(n), rng))
+            for n in (6, 7)]
+    out += [(f"k4s_pair{k}", _k4s_pair(k, rng)) for k in (4, 6)]
+    out += [("k4s", k4_nontrivial_sigma(klein_four_groupoid()))]
+    for n in range(2, 7):
+        inc = mndn_inclusion(n)
+        out.append((f"eigen_twist M_{n}",
+                    eigen_twist(inc, build_cover(inc)).twist))
+    return out
+
+
+VALID = _valid_twists()
+
+
+@pytest.mark.parametrize("degree", [1, -1])
+@pytest.mark.parametrize("name,T", VALID, ids=[n for n, _ in VALID])
+def test_matches_dense_path_on_valid_twists(name, T, degree):
+    R = realize(T, degree)
+    cert = is_cartan_pair(R)
+    assert cert == ref_cartan_certificate(R)
+    assert cert.regular and cert.expectation_faithful
+
+
+def _with_phase(G, changes):
+    """The trivial twist on G with sigma replaced at some pairs: no
+    cocycle, built directly as CocycleTwist(G, sigma)."""
+    sigma = dict(trivial_twist(G).sigma)
+    sigma.update(changes)
+    return CocycleTwist(G, sigma)
+
+
+Z3 = cyclic_groupoid(3)
+K4 = klein_four_groupoid()
+K4_PAIR2 = disjoint_union(klein_four_groupoid(), pair_groupoid(2))
+
+#: Hand-built phase vectors: (groupoid, {pair: phase}), and which of
+#: regular / faithful the certificate must refuse.
+HAND_BUILT = {
+    "Z3 modulus 2 off the units": (Z3, {("c1", "c1"): 2.0}, "regular"),
+    "Z3 modulus 2 landing on a unit": (Z3, {("c1", "c2"): 2.0}, "regular"),
+    "K4 modulus 2": (K4, {("k01", "k10"): -2.0}, "regular"),
+    "K4+pair2 modulus 2": (K4_PAIR2, {("A.k11", "A.k01"): 2j}, "regular"),
+    "Z3 unnormalized unit pair": (Z3, {("c0", "c1"): 1j}, "regular"),
+    "K4+pair2 unnormalized unit pair": (
+        K4_PAIR2, {("A.k00", "A.k11"): np.exp(0.3j)}, "regular"),
+    "Z3 zero phase": (Z3, {("c2", "c1"): 0.0}, "faithful"),
+    "K4 zero phase": (K4, {("k11", "k11"): 0.0}, "faithful"),
+    "K4+pair2 zero phase": (K4_PAIR2, {("B.u0<-u1", "B.u1<-u0"): 0.0},
+                            "faithful"),
+}
+
+
+@pytest.mark.parametrize("degree", [1, -1])
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_phases_refused(case, degree):
+    G, changes, refused = HAND_BUILT[case]
+    R = realize(_with_phase(G, changes), degree)
+    cert = is_cartan_pair(R)
+    assert cert == ref_cartan_certificate(R)
+    assert not (cert.regular and cert.expectation_faithful)
+    if refused == "regular":
+        assert not cert.regular
+    else:
+        assert not cert.expectation_faithful
+
+
+def test_pair_groupoid_phases_of_other_modulus():
+    """On a pair groupoid every delta has one entry per row, so a phase of
+    another modulus off the unit-landing pairs keeps each product a
+    multiple of a diagonal delta: both paths still certify it."""
+    T = _with_phase(pair_groupoid(3), {("u0<-u1", "u1<-u2"): 2.0})
+    R = realize(T)
+    assert is_cartan_pair(R) == ref_cartan_certificate(R)
+    assert is_cartan_pair(R).is_cartan
+
+
+def _corrupted(G, changes):
+    """G with some composites replaced: tables that fail validation."""
+    table = dict(G.compose_table)
+    table.update(changes)
+    return dataclasses.replace(G, compose_table=table)
+
+
+def test_colliding_rows_refused():
+    """c1 c1 -> c0 in Z/3 sends two columns of delta_c1 to one row: no
+    partial isometry, and delta_c1 delta_c1* is not in D.  The products
+    summed per arrow alone would not see it."""
+    R = realize(trivial_twist(_corrupted(Z3, {("c1", "c1"): "c0"})))
+    assert not is_cartan_pair(R).regular
+    assert not ref_cartan_certificate(R).regular
+
+
+def test_product_outside_the_fibers_refused():
+    """u2<-u0 u0<-u0 -> u2<-u2 in pair(3), whose source is no orbit
+    representative: the entry has no row.  Read as row -1 it would wrap
+    onto the last position, u2<-u0, the right row (the dense path does
+    read it so, and certifies)."""
+    G = _corrupted(pair_groupoid(3), {("u2<-u0", "u0<-u0"): "u2<-u2"})
+    R = realize(trivial_twist(G))
+    assert R._fiber_entries[1].min() == -1
+    assert not is_cartan_pair(R).regular
+    assert ref_cartan_certificate(R).regular
+
+
+def test_missing_pairs_refused():
+    """With every pair (c1, b) gone from Z/3, delta_c1 is realized as 0:
+    no partial isometry between the range parts (the dense path certifies
+    the zero matrix as a normalizer)."""
+    G = dataclasses.replace(Z3, compose_table={
+        k: v for k, v in Z3.compose_table.items() if k[0] != "c1"})
+    R = realize(trivial_twist(G))
+    assert not is_cartan_pair(R).regular
+    assert ref_cartan_certificate(R).regular
+
+
+@pytest.mark.parametrize("degree", [1, -1])
+@pytest.mark.parametrize("delta,regular", [(1e-6, False), (1e-9, True)])
+def test_regularity_cut(delta, regular, degree):
+    """sigma(c1, c1) = 1 + delta in Z/3 puts delta_c1 e delta_c1* about
+    0.94 delta from D, on either side of NORMALIZER_TOL."""
+    R = realize(_with_phase(Z3, {("c1", "c1"): 1 + delta}), degree)
+    cert = is_cartan_pair(R)
+    assert cert == ref_cartan_certificate(R)
+    assert cert.regular is regular
+
+
+def test_off_diagonal_gram_refused():
+    """e0 g -> e0 and g^-1 e0 -> e1 in pair(2) (g = u0<-u1) put 1 at both
+    (e0, g) and (g, e0) of the Gram, whose {e0, g} block [[1, 1], [1, 1]]
+    is singular: not faithful, although every diagonal entry is 1."""
+    G = pair_groupoid(2)
+    e0, e1 = G.unit_arrow["u0"], G.unit_arrow["u1"]
+    R = realize(trivial_twist(_corrupted(G, {(e0, "u0<-u1"): e0,
+                                             ("u1<-u0", e0): e1})))
+    assert not is_cartan_pair(R).expectation_faithful
+    assert not ref_cartan_certificate(R).expectation_faithful
+
+
+def test_missing_inverse_pair_refused():
+    """An arrow g with no pair (g^-1, g) landing on a unit has a zero
+    diagonal Gram entry."""
+    G = _corrupted(Z3, {("c2", "c1"): "c1"})
+    R = realize(trivial_twist(G))
+    assert not is_cartan_pair(R).expectation_faithful
+    assert not ref_cartan_certificate(R).expectation_faithful
+
+
+def test_zero_algebra_refused():
+    R = realize(trivial_twist(build_groupoid([], [], [], {})))
+    with pytest.raises(EmptyAlgebra, match="the zero algebra has no unit"):
+        is_cartan_pair(R)
+
+
+# --- no dense path ----------------------------------------------------------
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("G", [
+    pair_groupoid(8),
+    disjoint_union(klein_four_groupoid(), pair_groupoid(6)),
+], ids=["pair8", "k4s_pair6"])
+def test_no_linear_algebra(G, monkeypatch):
+    """is_cartan_pair calls nothing in np.linalg, no containment test and
+    never builds ``R.diagonal``."""
+    T = random_coboundary(G, np.random.default_rng(1), ("A.k",))
+    R = realize(T)
+    calls = []
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not name.startswith("_") \
+                and not isinstance(getattr(np.linalg, name), type):
+            _counting(monkeypatch, np.linalg, name, calls)
+    for name in ("contains_all", "contains"):
+        _counting(monkeypatch, cartankit.matalg.FdStarAlgebra, name, calls)
+    _counting(monkeypatch, cartankit.matalg, "span_residuals", calls)
+    cert = is_cartan_pair(R)
+    assert calls == []
+    assert "diagonal" not in R.__dict__
+    assert cert.regular and cert.expectation_faithful
+    # the counters do count: the dense path trips them
+    ref_cartan_certificate(R)
+    assert "contains_all" in calls and "eigvalsh" in calls
+
+
+def test_normalizer_tolerance_named_once():
+    """The 1e-7 cut of the regularity test is ``NORMALIZER_TOL``, shared
+    with ``_normalizes``."""
+    assert cartankit.reduced.NORMALIZER_TOL == 1e-7
+    source = open(cartankit.reduced.__file__).read()
+    assert source.count("1e-7") == 1
+
+
+# --- no numpy.random on the cstar path --------------------------------------
+
+def ref_block_structure(A):
+    """Block sizes from the seeded numpy.random split of
+    ``central_projections``, as ``matalg.block_structure`` read them."""
+    sizes = [round(np.sqrt(rank(_vec(p @ A.stack @ p))))
+             for p in central_projections(A)]
+    return tuple(sorted(sizes))
+
+
+def test_block_structure_matches_random_split():
+    rng = np.random.default_rng(3)
+    algebras = [realize(T).algebra for T in random_twist_corpus(8, seed=9)]
+    algebras += [realize(_k4s_pair(k, rng)).algebra for k in (1, 2)]
+    algebras += [realize(k4_nontrivial_sigma(klein_four_groupoid()), d)
+                 .algebra for d in (1, -1)]
+    algebras += [mndn_inclusion(3).C, mndn_inclusion(3).D]
+    for A in algebras:
+        assert block_structure(A) == ref_block_structure(A)
+
+
+def test_cstar_draws_nothing_random(tmp_path, monkeypatch, capsys):
+    """``cstar`` on a twist with nontrivial isotropy splits the isotropy
+    algebra with fixed coefficients: no numpy.random generator is seeded."""
+    path = tmp_path / "k4s_pair3.json"
+    path.write_text(json.dumps(twist_to_json(
+        _k4s_pair(3, np.random.default_rng(2)))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random seeded")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert cli.main(["cstar", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["block_structure"] == [2, 3]

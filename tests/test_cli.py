@@ -369,6 +369,50 @@ class TestMalformedTables:
             capsys.readouterr().out
 
 
+class TestWrongKind:
+    """Every command classifies its file before compiling it: a file of
+    the wrong kind, or a top-level value that is no object, is an input
+    error naming what was found (exit 2)."""
+
+    INCLUSION_COMMANDS = [["analyze"], ["weyl"], ["envelope"], ["compare"]]
+
+    def _refused(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", INCLUSION_COMMANDS, ids=lambda c: c[0])
+    def test_twist_file(self, tmp_path, capsys, k4ns_file, cmd):
+        self._refused(capsys, cmd + [k4ns_file],
+                      "expected an inclusion file, found twist")
+
+    @pytest.mark.parametrize("cmd", INCLUSION_COMMANDS, ids=lambda c: c[0])
+    def test_groupoid_file(self, tmp_path, capsys, cmd):
+        path = write(tmp_path, "g.json", groupoid_to_json(pair_groupoid(2)))
+        self._refused(capsys, cmd + [path],
+                      "expected an inclusion file, found groupoid")
+
+    @pytest.mark.parametrize("cmd", INCLUSION_COMMANDS + [
+        ["validate"], ["cstar"]], ids=lambda c: c[0])
+    def test_top_level_list(self, tmp_path, capsys, cmd):
+        path = write(tmp_path, "list.json", [1, 2])
+        self._refused(capsys, cmd + [path],
+                      "top-level JSON value must be an object")
+
+    def test_twist_commands_refuse_an_inclusion(self, tmp_path, capsys,
+                                                m2d2_file, pair2_file):
+        message = "expected a groupoid or twist file, found inclusion"
+        self._refused(capsys, ["cstar", m2d2_file], message)
+        self._refused(capsys, ["compare", pair2_file, m2d2_file], message)
+        self._refused(capsys, ["compare", m2d2_file, pair2_file], message)
+
+    def test_inclusion_files_still_read(self, capsys, m2d2_file):
+        for cmd in ("validate", "analyze", "weyl", "envelope", "compare"):
+            assert main([cmd, m2d2_file]) == 0
+            assert json.loads(capsys.readouterr().out)
+
+
 class TestOptionsAndDeterminism:
     def test_tolerance_range(self, pair2_file):
         assert main(["--tolerance", "1e-2", "validate", pair2_file]) == 2

@@ -16,6 +16,7 @@ import pytest
 import cartankit.inclusion
 from cartankit import cli
 from cartankit.envelope import cartan_envelope, eigenfunctional
+from cartankit.errors import NonSquareMatrix, NotANormalizer, OutsideAmbient
 from cartankit.groupoid import disjoint_union, klein_four_groupoid, \
     pair_groupoid
 from cartankit.inclusion import (
@@ -26,6 +27,7 @@ from cartankit.inclusion import (
     canonical_corner_state,
     check_mod_state,
     is_normalizer,
+    make_inclusion,
     mod_state_from_density,
     pseudo_expectations,
     radical_ideal,
@@ -111,6 +113,17 @@ def ref_is_normalizer(inc, v, eps=EPS):
         if not inc.D.contains(v.conj().T @ d @ v, tol):
             return False
     return True
+
+
+def ref_make_inclusion_error(inc, gens, eps=EPS):
+    """The error ``make_inclusion`` raised when it checked the generators
+    one ``is_normalizer`` call at a time, or None."""
+    for v in gens:
+        if not inc.C.contains(v, max(eps, 1e-7)):
+            return OutsideAmbient
+        if not ref_is_normalizer(inc, v, eps):
+            return NotANormalizer
+    return None
 
 
 def ref_is_abelian(A, eps=EPS):
@@ -423,6 +436,38 @@ class TestChecks:
         if inc.C.dim > inc.D.dim:
             assert False in verdicts
 
+    def test_make_inclusion_stacked(self, inc, monkeypatch):
+        """One stacked check of all generators refuses the same lists as a
+        loop of ``ref_is_normalizer`` calls, with the error of the first
+        failing generator, at every chunk size."""
+        n = inc.C.ambient_dim
+        rng = np.random.default_rng(7)
+        good = _normalizers(inc)
+        bad = [v for v in list(inc.C.basis) + [
+            inc.C.element(rng.standard_normal(inc.C.dim))]
+            if not ref_is_normalizer(inc, v)]
+        outside = [m for m in (rng.standard_normal((n, n)) for _ in range(3))
+                   if not inc.C.contains(m, 1e-7)]
+        lists = [good, good[:1] + bad[:1] + outside[:1],
+                 good[:1] + outside[:1] + bad[:1], bad + good, outside + bad]
+        lists += [[v] for v in good + bad + outside]
+        for chunk in (1, 3, cartankit.inclusion._NORMALIZER_CHUNK, 1 << 30):
+            monkeypatch.setattr(cartankit.inclusion, "_NORMALIZER_CHUNK",
+                                chunk)
+            for gens in lists:
+                want = ref_make_inclusion_error(inc, gens)
+                if want is None:
+                    make_inclusion(inc.C, inc.D, gens)
+                else:
+                    with pytest.raises(want):
+                        make_inclusion(inc.C, inc.D, gens)
+        if bad and outside:
+            # the second generator fails, the third lies outside C
+            with pytest.raises(NotANormalizer):
+                make_inclusion(inc.C, inc.D, lists[1])
+            with pytest.raises(OutsideAmbient):
+                make_inclusion(inc.C, inc.D, lists[2])
+
     def test_is_abelian(self, inc):
         for A in _near_algebras(inc):
             for eps in (EPS, 1e-8):
@@ -613,6 +658,40 @@ def test_cstar_norm_table(tmp_path, capsys):
                      for a in T.groupoid.arrows}
 
 
+def test_make_inclusion_malformed_generator_in_order():
+    """A generator of the wrong shape is refused where it stands in the
+    list: after an earlier failing generator, before a later one."""
+    inc = mndn_inclusion(3)
+    bad = inc.C.basis[0] + inc.normalizer_gens[1]
+    assert not ref_is_normalizer(inc, bad)
+    wrong = np.eye(2, dtype=complex)
+    with pytest.raises(NotANormalizer):
+        make_inclusion(inc.C, inc.D, [inc.normalizer_gens[0], bad, wrong])
+    with pytest.raises(NonSquareMatrix):
+        make_inclusion(inc.C, inc.D, [inc.normalizer_gens[0], wrong, bad])
+    with pytest.raises(NonSquareMatrix):
+        is_normalizer(inc, np.ones(3))
+
+
+def test_make_inclusion_one_stacked_check(monkeypatch):
+    """make_inclusion on M_6 (36 generators) makes no ``is_normalizer``
+    call and one stacked check; two ``span_residuals`` for the products of
+    each chunk of generators, one for the containment in C."""
+    inc = mndn_inclusion(6)
+    calls = []
+    for name in ("is_normalizer", "_normalizer_verdicts", "span_residuals"):
+        real = getattr(cartankit.inclusion, name)
+        monkeypatch.setattr(cartankit.inclusion, name, functools.partial(
+            lambda real, name, *a, **k: calls.append(name) or real(*a, **k),
+            real, name))
+    make_inclusion(inc.C, inc.D, inc.normalizer_gens)
+    assert calls == ["_normalizer_verdicts"] + ["span_residuals"] * 3
+    monkeypatch.setattr(cartankit.inclusion, "_NORMALIZER_CHUNK", 6 ** 3)
+    calls.clear()
+    make_inclusion(inc.C, inc.D, inc.normalizer_gens)
+    assert calls == ["_normalizer_verdicts"] + ["span_residuals"] * 73
+
+
 # --- source guard ---------------------------------------------------------
 
 STACKED = {
@@ -623,7 +702,8 @@ STACKED = {
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
                   "_commutators", "span_residuals"],
-    "inclusion.py": ["is_normalizer", "mod_state_from_density",
+    "inclusion.py": ["is_normalizer", "_normalizer_verdicts",
+                     "mod_state_from_density",
                      "check_mod_state", "corner_algebra", "transported_state",
                      "_left_kernel_subspace", "radical_ideal",
                      "strongly_compatible", "fixed_point_ideal",
