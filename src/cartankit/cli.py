@@ -43,7 +43,6 @@ def _base_report(args) -> dict:
         "schema": "cartankit/v1",
         "version": __version__,
         "tolerance": args.tolerance,
-        "word_bound": args.word_bound,
     }
 
 
@@ -223,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "C*-algebras")
     p.add_argument("--tolerance", type=float, default=EPS,
                    help="numerical tolerance (1e-14..1e-4)")
-    p.add_argument("--word-bound", type=int, default=4,
-                   help="word-length bound (1..8), echoed in reports; "
-                        "weyl, envelope and compare compute exact "
-                        "normalizer classes and do not read it")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--degree", type=int, choices=(-1, 1), default=1)
     p.add_argument("--cap", type=int, default=DIM_CAP,
@@ -263,9 +258,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not (1e-14 <= args.tolerance <= 1e-4):
         sys.stderr.write("tolerance out of range [1e-14, 1e-4]\n")
-        return EXIT_INPUT
-    if not (1 <= args.word_bound <= 8):
-        sys.stderr.write("word bound out of range [1, 8]\n")
         return EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)

@@ -29,7 +29,6 @@ from .errors import (
 from .groupoid import build_groupoid, is_subgroupoid, \
     has_factorization_property
 from .inclusion import (
-    WORD_BOUND,
     Inclusion,
     ModState,
     is_compatible_state,
@@ -38,7 +37,7 @@ from .inclusion import (
     strongly_compatible,
     _is_invariant,
     _located_state,
-    _normalizer_reps,
+    _transport_reps,
 )
 from .matalg import (
     FdStarAlgebra,
@@ -145,12 +144,14 @@ class CompatibleCover:
 
     inclusion: Inclusion
     states: tuple  # of ModState
-    word_bound: int
     certified: bool = True
 
 
 def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
-                F=None, word_bound: int = WORD_BOUND) -> CompatibleCover:
+                F=None) -> CompatibleCover:
+    """The cover F, refused unless it meets every corner and its states
+    are compatible (``is_compatible_state``) and invariant
+    (``_is_invariant``), both decided exactly."""
     if mode == "strongly_compatible":
         F = strongly_compatible(inc)
     elif mode == "custom":
@@ -161,15 +162,12 @@ def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
     if corners != set(range(inc.n_corners)):
         raise NotCovering("restrictions to the Gelfand space of D are not "
                           "surjective")
-    for rho in F:
-        ok, witness = is_compatible_state(inc, rho, word_bound)
-        if not ok:
-            raise NotCovering("cover contains an incompatible state")
-    if not _is_invariant(inc, F, word_bound):
+    if not all(is_compatible_state(inc, rho)[0] for rho in F):
+        raise NotCovering("cover contains an incompatible state")
+    if not _is_invariant(inc, F):
         raise NotInvariant("cover is not invariant under the normalizer "
                            "action")
-    return CompatibleCover(inclusion=inc, states=tuple(F),
-                           word_bound=word_bound)
+    return CompatibleCover(inclusion=inc, states=tuple(F))
 
 
 def covers_nested(F1: CompatibleCover, F2: CompatibleCover):
@@ -221,23 +219,21 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     F = cover.states
     unit_of_state = {j: f"f{j}" for j in range(len(F))}
 
-    # collect canonical eigenfunctional classes
+    # one class per (state, reachable corner): [1, f] on the diagonal,
+    # [u, f] for the pair's partial isometry u off it (see
+    # ``_is_invariant``; a compatible f is a character of its corner, so
+    # [u w, f] = conj(f(w)) [u, f] for every unitary w of the corner)
     classes = []  # list of (s_idx, r_idx, Eigenfunctional)
+    reps = _transport_reps(inc)
     for j, f in enumerate(F):
-        phi = _canonicalize(eigenfunctional(inc, inc.C.unit, f))
-        classes.append((j, j, phi))
-    for w in _normalizer_reps(inc, cover.word_bound):
-        for j, f in enumerate(F):
-            wt = complex(f(w.conj().T @ w))
-            if wt.real <= 1e-9 or abs(wt.imag) > 1e-9:
+        for (i, k), u in reps.items():
+            if i != f.corner_index:
                 continue
-            phi = _canonicalize(eigenfunctional(inc, w, f))
-            r_idx = _state_index(cover, phi.range)
+            phi = _canonicalize(eigenfunctional(
+                inc, inc.C.unit if k == i else u, f))
+            r_idx = j if k == i else _state_index(cover, phi.range)
             if r_idx is None:
-                continue
-            if any(s == j and phi.phase_class_equal(c)
-                   for (s, r, c) in classes):
-                continue
+                raise CoverNotCertified("cover is not invariant")
             classes.append((j, r_idx, phi))
 
     def sort_key(entry):
@@ -265,8 +261,7 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
         iid, _ = find_class(_canonicalize(eig_inverse(phi)))
         if iid is None:
             raise CoverNotCertified(
-                "eigenfunctional classes not closed under inversion; "
-                "raise the word bound")
+                "eigenfunctional classes not closed under inversion")
         inv[aid] = iid
 
     pairs = []
@@ -279,19 +274,15 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
             cid, lam = find_class(prod)
             if cid is None:
                 raise CoverNotCertified(
-                    "eigenfunctional classes not closed under products; "
-                    "raise the word bound")
+                    "eigenfunctional classes not closed under products")
             pairs.append((a, b, cid))
             # theta_F(x)(g) = phi_g(x) is multiplicative for the cocycle
             # conj(lam), where phi_a phi_b = lam phi_{ab}
             sigma[(a, b)] = np.conj(lam)
 
     specs = [(aid, src[aid], rng[aid], inv[aid]) for aid in arrow_ids]
-    unit_arrows = {unit_of_state[s]: arrow_ids[k]
-                   for k, (s, r, phi) in enumerate(classes)
-                   if s == r and hs_norm(
-                       phi.values - _canonicalize(eigenfunctional(
-                           inc, inc.C.unit, F[s])).values) < 1e-6}
+    unit_arrows = {unit_of_state[s]: aid
+                   for aid, (s, r, _) in zip(arrow_ids, classes) if s == r}
     G = build_groupoid(list(unit_of_state.values()), specs, pairs,
                        unit_arrows)
     T = CocycleTwist(groupoid=G, sigma=sigma)

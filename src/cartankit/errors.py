@@ -73,6 +73,10 @@ class FactorizationPropertyFails(CartanKitError):
     pass
 
 
+class OutsideFibers(CartanKitError):
+    """A product of realized arrows leaves the realized fibers."""
+
+
 # --- inclusion layer ---
 
 class OutsideAmbient(CartanKitError):
@@ -89,6 +93,10 @@ class NotRegular(CartanKitError):
 
 class NotInvariant(CartanKitError):
     pass
+
+
+class InvarianceUndecided(CartanKitError):
+    """No partial isometry is built between non-scalar corners."""
 
 
 class NonUniquePseudoExpectation(CartanKitError):

@@ -19,8 +19,8 @@ by Q_i, D' cap C is their direct sum, and D is a MASA exactly when every
 corner is scalar (``Inclusion.commutant_of_D``).
 
 When all corners are scalar the normalizer classes are exactly the
-nonzero slices p_j C p_i (``Inclusion.corner_slices``); otherwise they
-are approximated by bounded words in the normalizer generators.
+nonzero slices p_j C p_i (``Inclusion.corner_slices``).  Compatibility and
+invariance of corner states are decided exactly on the corners.
 
 A functional on C is stored as its values on the basis of C.  The values
 are contractions over the basis stack ``C.stack`` (see ``matalg``): a
@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    InvarianceUndecided,
     NotANormalizer,
     NotAbelian,
     NotASubalgebra,
@@ -63,12 +64,8 @@ from .matalg import (
     span_residuals,
 )
 
-#: Default word-length bound for *-semigroup enumeration.
-WORD_BOUND = 4
-#: Cap on distinct words kept during enumeration.
-WORD_CAP = 4000
-
-_WORD_SEED = 0xC0C0
+#: Cut on state values: for equal states and for traciality on a corner.
+_STATE_TOL = 1e-7
 #: Complex entries of the products v S v* held at once by the stacked
 #: normalizer check.
 _NORMALIZER_CHUNK = 1 << 16
@@ -400,7 +397,7 @@ class ModState:
         coeffs = self.inclusion.C.coefficients(x)
         return complex(self.values @ coeffs)
 
-    def close_to(self, other: "ModState", tol: float = 1e-7) -> bool:
+    def close_to(self, other: "ModState", tol: float = _STATE_TOL) -> bool:
         return bool(np.max(np.abs(self.values - other.values)) < tol)
 
 
@@ -490,83 +487,63 @@ def mod_states(inc: Inclusion) -> tuple:
     return tuple(out)
 
 
-# --- word enumeration ----------------------------------------------------
+# --- compatibility and invariance ---------------------------------------
 
-def normalizer_words(inc: Inclusion, word_bound: int = WORD_BOUND,
-                     include_d: bool = True, cap: int = WORD_CAP) -> list:
-    """Deduplicated *-semigroup words in the generators (and D elements)
-    up to the given length.  Deterministic order."""
-    alphabet = []
-    for v in inc.normalizer_gens:
-        alphabet.append(v)
-        alphabet.append(v.conj().T)
-    if include_d:
-        alphabet.extend(inc.min_projs)
-        alphabet.append(np.asarray(inc.D.unit, dtype=complex))
-        # a deterministic generic diagonal unitary of D, to exercise
-        # multiplicative D-coefficients
-        rng = np.random.default_rng(_WORD_SEED)
-        phases = np.exp(2j * np.pi * rng.random(inc.n_corners))
-        u = sum(z * p for z, p in zip(phases, inc.min_projs))
-        alphabet.append(u)
-
-    def key(m):
-        return tuple(np.round(m.ravel(), 8).tobytes()
-                     for m in (m.real, m.imag))
-
-    seen = {}
-    frontier = []
-    for m in alphabet:
-        k = key(m)
-        if k not in seen:
-            seen[k] = m
-            frontier.append(m)
-    for _ in range(word_bound - 1):
-        new = []
-        for w in frontier:
-            for a in alphabet:
-                m = w @ a
-                k = key(m)
-                if k not in seen:
-                    seen[k] = m
-                    new.append(m)
-                if len(seen) >= cap:
-                    break
-            if len(seen) >= cap:
-                break
-        frontier = new
-        if not frontier or len(seen) >= cap:
-            break
-    return list(seen.values())
-
-
-def _normalizer_reps(inc: Inclusion, word_bound: int,
-                     include_d: bool = True) -> list:
-    """One normalizer per class: the corner-slice representatives when
-    every corner is scalar, else the bounded normalizer words."""
-    slices = inc.corner_slices
-    if slices is not None:
-        return list(slices.values())
-    return normalizer_words(inc, word_bound, include_d)
-
-
-def is_compatible_state(inc: Inclusion, rho: ModState,
-                        word_bound: int = WORD_BOUND,
+def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None,
                         tol: float = 1e-7):
-    """|rho(v)|^2 in {0, rho(v*v)} over the normalizers of D.
+    """|rho(v)|^2 in {0, rho(v*v)} for every normalizer v, decided exactly:
+    it holds iff rho is a character of A_i = p_i C p_i (i its corner).
 
-    Exact when every corner is scalar (one corner-slice representative
-    per class); otherwise checked over the words of length <= word_bound
-    in the normalizer generators and D, an under-approximation.
-    Returns (True, None) or (False, witness matrix).
+    For a normalizer v, v p_i v* is a multiple of a single p_j, since p_i
+    is minimal in D; so v p_i = c u with u in p_j C p_i, u*u = p_i and
+    uu* = p_j.  Hence rho(v) = 0 unless j = i, and then u is a unitary of
+    A_i with rho(v*v) = |c|^2: characters are compatible.  Conversely
+    every unitary u of A_i is a normalizer and U(A_i) is connected, so
+    |rho(u)| in {0, 1} with rho(p_i) = 1 forces |rho(u)|^2 = 1 = rho(u*u)
+    on all of U(A_i).  That puts every unitary in rho's multiplicative
+    domain, and the unitaries span A_i.
+
+    The test is the rank-one Gram rho(a*b) = conj(rho(a)) rho(b) on A_i's
+    basis: the PSD defect has top eigenvalue lam <= ``tol``.  Otherwise
+    its eigenvector is an a with |a|_HS = 1 and rho(|a - rho(a)|^2) = lam,
+    and h = a + a* or i(a* - a), whichever has the larger variance, has
+    Var(h) >= lam.  With Delta <= 4 the width of h's spectrum on p_i, the
+    witness u = exp(i pi h / (2 Delta)) in A_i has 1/rank p_i <=
+    |rho(u)|^2 <= 1 - 2 Var(h)/Delta^2 <= rho(u*u) - lam/8.
+    ``word_bound`` is accepted and not read.  Returns (True, None) or
+    (False, u).
     """
-    for w in _normalizer_reps(inc, word_bound):
-        lhs = abs(rho(w)) ** 2
-        rhs = rho(w.conj().T @ w).real
-        scale = max(1.0, abs(rhs))
-        if lhs > tol * scale and abs(lhs - rhs) > tol * scale:
-            return False, w
-    return True, None
+    i = rho.corner_index
+    A = inc.corner_algebras[i]
+    r = inc.C.coefficient_matrix(A.stack) @ rho.values  # rho on A's basis
+    lam, vecs = np.linalg.eigh(_gram(A, r) - np.outer(r.conj(), r))
+    if lam[-1] <= tol:
+        return True, None
+    n = inc.C.ambient_dim
+    a = (vecs[:, -1] @ A.basis_rows).reshape(n, n)
+    h = max((a + a.conj().T, 1j * (a.conj().T - a)),
+            key=lambda h: (rho(h @ h) - rho(h) ** 2).real)
+    Q = inc._ranges[i, :, :inc._ranks[i]]
+    spec, V = np.linalg.eigh(Q.conj().T @ h @ Q)
+    W = Q @ V
+    t = np.pi / (2 * (spec[-1] - spec[0]))
+    return False, (W * np.exp(1j * t * spec)) @ W.conj().T
+
+
+def _transport_reps(inc: Inclusion) -> dict:
+    """{(i, j): u}, u in p_j C p_i with u*u = p_i and uu* = p_j, one per
+    reachable corner pair: the corner slices when every corner is scalar,
+    else u = p_i alone when every slice p_j C p_i with i != j and
+    rank p_i = rank p_j is 0 (such a u needs equal ranks)."""
+    if inc.corner_slices is not None:
+        return inc.corner_slices
+    m, r = inc.n_corners, inc._ranks
+    if any(map(len, inc._slice_spans([(i, j) for i in range(m)
+                                      for j in range(m)
+                                      if i != j and r[i] == r[j]]).values())):
+        raise InvarianceUndecided("no partial isometry is built between "
+                                  "non-scalar corners")
+    return {(i, i): p for i, p in enumerate(inc.min_projs)}
 
 
 def transported_state(inc: Inclusion, rho: ModState, v) -> ModState:
@@ -649,13 +626,13 @@ def left_kernel(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
     return _left_kernel_subspace(inc, E)
 
 
-def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
-                  word_bound: int = 2) -> IdealSubspace:
+def radical_ideal(inc: Inclusion, F,
+                  check_invariance: bool = True) -> IdealSubspace:
     """K_F = {x : rho(x*x) = 0 for all rho in F}."""
     F = list(F)
     if not F:
         return ideal_from_subspace(inc.C, inc.C.basis_rows)
-    if check_invariance and not _is_invariant(inc, F, word_bound):
+    if check_invariance and not _is_invariant(inc, F):
         raise NotInvariant("F is not invariant under the normalizer action")
     # sum over rho of the Grams rho(a* b): the Gram of the summed values
     gram = _gram(inc.C, np.sum([rho.values for rho in F], axis=0))
@@ -664,14 +641,30 @@ def radical_ideal(inc: Inclusion, F, check_invariance: bool = True,
     return ideal_from_subspace(inc.C, null_space(total) @ inc.C.basis_rows)
 
 
-def _is_invariant(inc: Inclusion, F, word_bound: int) -> bool:
+def _is_invariant(inc: Inclusion, F) -> bool:
+    """rho(v* . v)/rho(v*v) lies in F for every rho in F and every
+    normalizer v with rho(v*v) > 0, decided exactly.
+
+    As in ``is_compatible_state`` the transport is rho(u* . u) with u in
+    p_j C p_i, u*u = p_i and uu* = p_j, and any other such u is u w with w
+    a unitary of A_i.  So F is invariant iff every rho in F is tracial on
+    its corner algebra (then rho(w* y w) = rho(y)) and rho(u* . u) lies in
+    F for the one u per reachable pair of ``_transport_reps``: the orbit
+    {rho(w* . w)} under the connected U(A_i) lies in the finite F, so it
+    is {rho}, and the unitaries span A_i.
+    """
+    reps = _transport_reps(inc)
+    n = inc.C.ambient_dim
     for rho in F:
-        for v in _normalizer_reps(inc, word_bound, include_d=False):
-            if rho(v.conj().T @ v).real <= 1e-9:
-                continue
-            moved = transported_state(inc, rho, v)
-            if not any(moved.close_to(s) for s in F):
-                return False
+        A = inc.corner_algebras[rho.corner_index]
+        # rho(x) = trace(w x); rho(a* b) - rho(b a*) over A's basis
+        w = (inc.C.basis_rows.conj().T @ rho.values).reshape(n, n).T
+        if np.abs(A.basis_rows.conj() @ _vec(
+                A.stack @ w - w @ A.stack).T).max() > _STATE_TOL:
+            return False
+        if not all(any(transported_state(inc, rho, u).close_to(s) for s in F)
+                   for (i, _), u in reps.items() if i == rho.corner_index):
+            return False
     return True
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyAlgebra
+from .errors import EmptyAlgebra, OutsideFibers
 from .matalg import (
     EPS,
     FdStarAlgebra,
@@ -56,8 +56,16 @@ def _entries(t, order: np.ndarray) -> tuple:
     return p, col[t.ab[p]], col[t.b[p]]
 
 
+def _inside(entries) -> tuple:
+    """``entries``, refused if a pair lands off the fibers (row -1, which
+    numpy would read as the last row)."""
+    if (entries[1] < 0).any():
+        raise OutsideFibers("a product leaves the realized fibers")
+    return entries
+
+
 def _fill(f: EquivariantFunction, entries, size: int) -> np.ndarray:
-    p, rows, cols = entries
+    p, rows, cols = _inside(entries)
     M = np.zeros((size, size), dtype=complex)
     M[rows, cols] = f.twist.phases(f.degree)[p] * \
         f.values[f.twist.groupoid.arrays.a[p]]
@@ -106,7 +114,7 @@ class ReducedAlgebra:
     @cached_property
     def _delta_images(self) -> np.ndarray:
         """Row g: the represented delta_g, flattened."""
-        p, rows, cols = self._fiber_entries
+        p, rows, cols = _inside(self._fiber_entries)
         n, N = len(self.twist.groupoid.arrows), self.total_dim
         out = np.zeros((n, N, N), dtype=complex)
         out[self.twist.groupoid.arrays.a[p], rows, cols] = \

@@ -14,7 +14,7 @@ import cartankit.matalg
 import cartankit.reduced
 from cartankit import cli
 from cartankit.envelope import build_cover, eigen_twist
-from cartankit.errors import EmptyAlgebra
+from cartankit.errors import EmptyAlgebra, OutsideFibers
 from cartankit.groupoid import (
     build_groupoid,
     cyclic_groupoid,
@@ -36,7 +36,12 @@ from cartankit.reduced import (
     realize,
 )
 from cartankit.serialize import twist_to_json
-from cartankit.twist import CocycleTwist, _involution_values, trivial_twist
+from cartankit.twist import (
+    CocycleTwist,
+    _involution_values,
+    delta,
+    trivial_twist,
+)
 from conftest import (
     k4_nontrivial_sigma,
     mndn_inclusion,
@@ -45,22 +50,27 @@ from conftest import (
 )
 
 
+def ref_faithful(R, eps=EPS):
+    """The dense faithfulness test: the eigenvalues of the hermitian part
+    of the Gram E(delta_g* delta_h)."""
+    t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
+    on_unit = t.unit[t.ab]
+    Q = np.zeros((n, n), dtype=complex)
+    Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
+    gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
+    return bool(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > eps)
+
+
 def ref_cartan_certificate(R, eps=EPS):
     """The dense path: every delta image against D's basis through
-    ``_normalizes``, and the eigenvalues of the hermitian part of the Gram
-    E(delta_g* delta_h)."""
+    ``_normalizes``, and ``ref_faithful``."""
     t, n = R.twist.groupoid.arrays, len(R.twist.groupoid.arrows)
     defect = int(np.count_nonzero(t.src[:n] == t.rng[:n])) - \
         len(R.twist.groupoid.units)
     N = R.total_dim
     regular = _normalizes(R.diagonal, R._delta_images.reshape(-1, N, N))
-    on_unit = t.unit[t.ab]
-    Q = np.zeros((n, n), dtype=complex)
-    Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
-    gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
-    evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     return CartanCertificate(diagonal_is_masa=defect == 0, regular=regular,
-                             expectation_faithful=bool(evals.min() > eps),
+                             expectation_faithful=ref_faithful(R, eps),
                              masa_defect=defect)
 
 
@@ -169,13 +179,16 @@ def test_colliding_rows_refused():
 def test_product_outside_the_fibers_refused():
     """u2<-u0 u0<-u0 -> u2<-u2 in pair(3), whose source is no orbit
     representative: the entry has no row.  Read as row -1 it would wrap
-    onto the last position, u2<-u0, the right row (the dense path does
-    read it so, and certifies)."""
+    onto the last position, u2<-u0, the right row; the dense path, which
+    builds the delta images, refuses the tables instead."""
     G = _corrupted(pair_groupoid(3), {("u2<-u0", "u0<-u0"): "u2<-u2"})
     R = realize(trivial_twist(G))
     assert R._fiber_entries[1].min() == -1
     assert not is_cartan_pair(R).regular
-    assert ref_cartan_certificate(R).regular
+    for build in (lambda: R._delta_images, lambda: R.represent(
+            delta(R.twist, 1, "u2<-u0")), lambda: ref_cartan_certificate(R)):
+        with pytest.raises(OutsideFibers):
+            build()
 
 
 def test_missing_pairs_refused():
@@ -209,7 +222,10 @@ def test_off_diagonal_gram_refused():
     R = realize(trivial_twist(_corrupted(G, {(e0, "u0<-u1"): e0,
                                              ("u1<-u0", e0): e1})))
     assert not is_cartan_pair(R).expectation_faithful
-    assert not ref_cartan_certificate(R).expectation_faithful
+    assert not ref_faithful(R)
+    # u1<-u0 e0 -> e1 leaves the fiber of u0: no delta image is built
+    with pytest.raises(OutsideFibers):
+        ref_cartan_certificate(R)
 
 
 def test_missing_inverse_pair_refused():

@@ -418,9 +418,22 @@ class TestOptionsAndDeterminism:
         assert main(["--tolerance", "1e-2", "validate", pair2_file]) == 2
         assert main(["--tolerance", "1e-16", "validate", pair2_file]) == 2
 
-    def test_word_bound_range(self, pair2_file):
-        assert main(["--word-bound", "0", "validate", pair2_file]) == 2
-        assert main(["--word-bound", "9", "validate", pair2_file]) == 2
+    def test_word_bound_refused(self, pair2_file, m2d2_file, capsys):
+        """Normalizer classes are exact, so there is no word bound to set
+        or to report."""
+        for argv in (["--word-bound", "4", "validate", pair2_file],
+                     ["--word-bound=4", "analyze", m2d2_file]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        for cmd, path in (("validate", pair2_file), ("cstar", pair2_file),
+                          ("analyze", m2d2_file), ("weyl", m2d2_file),
+                          ("envelope", m2d2_file), ("compare", m2d2_file)):
+            main([cmd, path])
+            report = json.loads(capsys.readouterr().out)
+            assert "word_bound" not in report
+            assert report["tolerance"] == 1e-9
 
     def test_resource_cap(self, m2d2_file, capsys):
         assert main(["--cap", "2", "analyze", m2d2_file]) == 3

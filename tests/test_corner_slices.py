@@ -1,6 +1,6 @@
 """Corner slices as the exact normalizer classes of scalar-corner
 inclusions, cross-checked against the bounded word search they replace
-in the Weyl and envelope pipelines."""
+in the Weyl and envelope pipelines (kept here as ``ref_normalizer_words``)."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,10 @@ from cartankit.envelope import (
 from cartankit.errors import NoConditionalExpectation, NumericalRankAmbiguity
 from cartankit.groupoid import build_groupoid
 from cartankit.inclusion import (
-    WORD_BOUND,
     Inclusion,
     beta,
     make_inclusion,
     mod_state_from_density,
-    normalizer_words,
 )
 from cartankit.matalg import (
     _algebra_from_rows,
@@ -57,11 +55,58 @@ def scalar_corner_fixtures():
     return out
 
 
+#: Word-length bound and cap of the reference word search.
+WORD_BOUND = 4
+WORD_CAP = 4000
+
+
+def ref_normalizer_words(inc, word_bound=WORD_BOUND, include_d=True,
+                         cap=WORD_CAP):
+    """The bounded word search the exact corner tests replaced:
+    deduplicated *-semigroup words up to ``word_bound`` letters in the
+    normalizer generators, their adjoints and (with ``include_d``) D's
+    minimal projections, its unit and a fixed generic unitary of D, at most
+    ``cap`` of them, in a deterministic order."""
+    alphabet = []
+    for v in inc.normalizer_gens:
+        alphabet += [v, v.conj().T]
+    if include_d:
+        alphabet += list(inc.min_projs) + [np.asarray(inc.D.unit,
+                                                      dtype=complex)]
+        phases = np.exp(2j * np.pi * np.random.default_rng(0xC0C0).random(
+            inc.n_corners))
+        alphabet.append(sum(z * p for z, p in zip(phases, inc.min_projs)))
+
+    def key(m):
+        return tuple(np.round(m.ravel(), 8).tobytes()
+                     for m in (m.real, m.imag))
+
+    seen, frontier = {}, []
+    for m in alphabet:
+        if seen.setdefault(key(m), m) is m:
+            frontier.append(m)
+    for _ in range(word_bound - 1):
+        new = []
+        for w in frontier:
+            for a in alphabet:
+                m = w @ a
+                if seen.setdefault(key(m), m) is m:
+                    new.append(m)
+                if len(seen) >= cap:
+                    break
+            if len(seen) >= cap:
+                break
+        frontier = new
+        if not frontier or len(seen) >= cap:
+            break
+    return list(seen.values())
+
+
 def word_classes(inc):
     """Germ classes by the bounded word search: (i, beta_v(i)) -> every
     normalized slice v p_i / sigma_i(v*v)^{1/2} met among the words."""
     out = {}
-    for v in normalizer_words(inc, WORD_BOUND):
+    for v in ref_normalizer_words(inc):
         for i, j in beta(inc, v).items():
             wt = inc.char(i, v.conj().T @ v).real
             out.setdefault((i, j), []).append(
@@ -122,17 +167,17 @@ class TestCornerSlices:
             mndn_inclusion(2).corner_slices
 
 
-class WordSearchUsed(Exception):
-    pass
+#: The names of the retired word search.
+WORD_SEARCH = ("normalizer_words", "WORD_BOUND", "WORD_CAP", "_WORD_SEED",
+               "_normalizer_reps")
 
 
 class TestNoWordSearch:
     @pytest.fixture
-    def no_words(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise WordSearchUsed
-
-        monkeypatch.setattr(cartankit.inclusion, "normalizer_words", refuse)
+    def no_words(self):
+        for mod in (cartankit.inclusion, cartankit.envelope, cartankit.weyl):
+            for name in WORD_SEARCH:
+                assert not hasattr(mod, name), (mod.__name__, name)
 
     def test_weyl_mndn6_exact(self, no_words):
         W = weyl_twist(mndn_inclusion(6))
@@ -144,10 +189,22 @@ class TestNoWordSearch:
         assert cartan_envelope(k4_cartan_inclusion()).success
         assert envelope_uniqueness_crosscheck(mndn_inclusion(3))
 
-    def test_non_scalar_corners_keep_word_path(self, no_words, m2c):
+    def test_m2c_custom_cover_without_word_search(self, no_words, m2c,
+                                                  monkeypatch):
+        """m2c has one (non-scalar) corner: the cover is checked on its
+        corner algebra and transported by u = p_0 = 1 alone."""
+        moved = []
+        real = cartankit.inclusion.transported_state
+
+        def counted(inc, rho, v):
+            moved.append(v)
+            return real(inc, rho, v)
+
+        monkeypatch.setattr(cartankit.inclusion, "transported_state",
+                            counted)
         rho = mod_state_from_density(m2c, 0, np.diag([0, 0, 1.0]))
-        with pytest.raises(WordSearchUsed):
-            build_cover(m2c, "custom", F=[rho])
+        assert build_cover(m2c, "custom", F=[rho]).certified
+        assert len(moved) == 1 and hs_norm(moved[0] - np.eye(3)) < 1e-12
 
 
 def _relabelled(W: WeylTwistResult, swap: dict) -> WeylTwistResult:
