@@ -6,7 +6,10 @@ value vector on the basis of C.  Stored representatives automatically
 satisfy phi(v) = f(v*v)^{1/2} > 0.  Twist arrows are circle classes of
 eigenfunctionals, pinned by rotating the first significant value-vector
 entry to the positive reals; because the unit direction is the first
-basis vector of C, cover states are already canonical.
+basis vector of C, cover states are already canonical.  The twist is
+built by index, as the Weyl twist is: one class per (cover state,
+reachable corner) pair, and the cocycle from one batched contraction
+(``weyl._class_twist``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from .errors import (
     NotRegular,
     SourceVanishes,
 )
-from .groupoid import build_groupoid, is_subgroupoid, \
-    has_factorization_property
+from .groupoid import is_subgroupoid, has_factorization_property
 from .inclusion import (
     Inclusion,
     ModState,
@@ -56,6 +58,7 @@ from .twist import (
     _convolve_values,
     _involution_values,
 )
+from .weyl import _class_twist
 
 _EIG_TOL = 1e-7
 
@@ -126,9 +129,7 @@ def _canonicalize(a: Eigenfunctional, tol: float = 1e-9) -> Eigenfunctional:
             phase = z / abs(z)
             if abs(phase - 1.0) < 1e-14:
                 return a
-            # values scale by conj(w) when v scales by w; choose w with
-            # conj(w) = conj(phase), i.e. v -> phase^{-1}... rotate v so the
-            # stored functional is values/phase
+            # [phase v, f] = conj(phase) [v, f] = values/phase
             return Eigenfunctional(inclusion=a.inclusion,
                                    v=a.v * phase,
                                    source=a.source,
@@ -149,9 +150,9 @@ class CompatibleCover:
 
 def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
                 F=None) -> CompatibleCover:
-    """The cover F, refused unless it meets every corner and its states
-    are compatible (``is_compatible_state``) and invariant
-    (``_is_invariant``), both decided exactly."""
+    """The cover F, refused unless it meets every corner, repeats no
+    state, and its states are compatible (``is_compatible_state``) and
+    invariant (``_is_invariant``), both decided exactly."""
     if mode == "strongly_compatible":
         F = strongly_compatible(inc)
     elif mode == "custom":
@@ -162,6 +163,8 @@ def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
     if corners != set(range(inc.n_corners)):
         raise NotCovering("restrictions to the Gelfand space of D are not "
                           "surjective")
+    if any(rho.close_to(s) for k, rho in enumerate(F) for s in F[:k]):
+        raise NotCovering("cover repeats a state")
     if not all(is_compatible_state(inc, rho)[0] for rho in F):
         raise NotCovering("cover contains an incompatible state")
     if not _is_invariant(inc, F):
@@ -206,89 +209,46 @@ class EigenTwistData:
             self._eig_values.T
 
 
-def _state_index(cover: CompatibleCover, s: ModState):
-    for j, rho in enumerate(cover.states):
-        if s.close_to(rho):
-            return j
-    return None
-
-
 def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
+    """The twist of eigenfunctional classes [v, f] over the cover, built
+    by index.  A compatible f at corner i is a character of A_i, and a
+    normalizer with f(v*v) > 0 has v p_i = c u w, u the partial isometry
+    of a key (i, k) of ``_transport_reps`` and w a unitary of A_i (see
+    ``_is_invariant``); so [v, f] = conj(c f(w))/|c| [u, f], and the
+    classes at f are the keys, [1, f] on the diagonal.  The range of
+    [u, f] is f on the diagonal, else the cover's one state at corner k:
+    only scalar corners have off-diagonal keys, with one state each, and
+    a built cover is invariant and repeats no state.  Classes are keyed
+    by (source, range), in key order.  [v, f] depends on v only through
+    v p_i, so v p_i represents it in ``weyl._class_twist``, and v_a v_b
+    p_i = mu v_c p_i gives [v_a v_b, f] = conj(mu)/|mu| [v_c, f]: theta_F
+    is multiplicative for sigma = mu/|mu|."""
     if not isinstance(cover, CompatibleCover) or not cover.certified:
         raise CoverNotCertified("cover is not certified")
     F = cover.states
-    unit_of_state = {j: f"f{j}" for j in range(len(F))}
-
-    # one class per (state, reachable corner): [1, f] on the diagonal,
-    # [u, f] for the pair's partial isometry u off it (see
-    # ``_is_invariant``; a compatible f is a character of its corner, so
-    # [u w, f] = conj(f(w)) [u, f] for every unitary w of the corner)
-    classes = []  # list of (s_idx, r_idx, Eigenfunctional)
-    reps = _transport_reps(inc)
+    at_corner = {}
     for j, f in enumerate(F):
-        for (i, k), u in reps.items():
-            if i != f.corner_index:
-                continue
-            phi = _canonicalize(eigenfunctional(
-                inc, inc.C.unit if k == i else u, f))
-            r_idx = j if k == i else _state_index(cover, phi.range)
-            if r_idx is None:
+        at_corner.setdefault(f.corner_index, []).append(j)
+    classes = {}  # (source, range) -> canonical Eigenfunctional
+    for (i, k), u in _transport_reps(inc).items():
+        for j in at_corner.get(i, ()):
+            r = [j] if k == i else at_corner.get(k, [])
+            if len(r) != 1:
                 raise CoverNotCertified("cover is not invariant")
-            classes.append((j, r_idx, phi))
-
-    def sort_key(entry):
-        s, r, phi = entry
-        rounded = np.round(phi.values, 6)
-        return (s, r) + tuple(x for z in rounded for x in (z.real, z.imag))
-
-    classes.sort(key=sort_key)
-    arrow_ids = [f"a{k}" for k in range(len(classes))]
-    arrow_eigs = {aid: phi for aid, (_, _, phi) in zip(arrow_ids, classes)}
-    src = {aid: unit_of_state[s] for aid, (s, _, _) in zip(arrow_ids, classes)}
-    rng = {aid: unit_of_state[r] for aid, (_, r, _) in zip(arrow_ids, classes)}
-
-    def find_class(phi: Eigenfunctional):
-        """Arrow id and circle factor lam with phi = lam * canonical."""
-        for aid, c in arrow_eigs.items():
-            if phi.phase_class_equal(c):
-                lam = complex(np.vdot(c.values, phi.values)
-                              / np.vdot(c.values, c.values))
-                return aid, lam / abs(lam)
-        return None, None
-
-    inv = {}
-    for aid, phi in arrow_eigs.items():
-        iid, _ = find_class(_canonicalize(eig_inverse(phi)))
-        if iid is None:
-            raise CoverNotCertified(
-                "eigenfunctional classes not closed under inversion")
-        inv[aid] = iid
-
-    pairs = []
-    sigma = {}
-    for a, pa in arrow_eigs.items():
-        for b, pb in arrow_eigs.items():
-            if src[a] != rng[b]:
-                continue
-            prod = eig_product(pa, pb)
-            cid, lam = find_class(prod)
-            if cid is None:
-                raise CoverNotCertified(
-                    "eigenfunctional classes not closed under products")
-            pairs.append((a, b, cid))
-            # theta_F(x)(g) = phi_g(x) is multiplicative for the cocycle
-            # conj(lam), where phi_a phi_b = lam phi_{ab}
-            sigma[(a, b)] = np.conj(lam)
-
-    specs = [(aid, src[aid], rng[aid], inv[aid]) for aid in arrow_ids]
-    unit_arrows = {unit_of_state[s]: aid
-                   for aid, (s, r, _) in zip(arrow_ids, classes) if s == r}
-    G = build_groupoid(list(unit_of_state.values()), specs, pairs,
-                       unit_arrows)
-    T = CocycleTwist(groupoid=G, sigma=sigma)
+            classes[(j, r[0])] = _canonicalize(eigenfunctional(
+                inc, inc.C.unit if k == i else u, F[j]))
+    keys = sorted(classes)
+    eigs = [classes[key] for key in keys]
+    units = [f"f{j}" for j in range(len(F))]
+    arrows = [f"a{k}" for k in range(len(keys))]
+    P = np.array(inc.min_projs)
+    X = np.reshape([phi.v @ P[phi.source.corner_index] for phi in eigs],
+                   (-1,) + P.shape[1:])
+    T = _class_twist(keys, X, units, arrows, CoverNotCertified(
+        "eigenfunctional classes not closed under products"))
     return EigenTwistData(inclusion=inc, cover=cover, twist=T,
-                          arrow_eigs=arrow_eigs,
-                          unit_of_state=unit_of_state)
+                          arrow_eigs=dict(zip(arrows, eigs)),
+                          unit_of_state=dict(enumerate(units)))
 
 
 def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
@@ -400,10 +360,9 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     d1 = generate_star_algebra(R.total_dim, e_imgs)
     d1_generation = d1.subspace_equals(R.diagonal, 1e-7)
 
-    # essential extension: cover <-> Gelfand space of D bijectively
-    corners = [s.corner_index for s in cover.states]
-    essential = (len(cover.states) == inc.n_corners
-                 and len(set(corners)) == inc.n_corners)
+    # essential extension: cover <-> Gelfand space of D bijectively (a
+    # built cover meets every corner)
+    essential = len(cover.states) == inc.n_corners
 
     # pointwise density: theta(C) * C(F) spans every arrow coordinate
     n = len(data.twist.groupoid.arrows)
@@ -457,20 +416,22 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
     if not is_subgroupoid(G2, H) or not has_factorization_property(G2, H):
         raise NotNested("restriction to the small cover is not "
                         "factorization-closed")
-    # match small-twist arrows with big-twist arrows via their functionals
-    arrow_map = {}
-    for a1, phi1 in d1.arrow_eigs.items():
-        hits = [a2 for a2 in H
-                if phi1.phase_class_equal(d2.arrow_eigs[a2])
-                and hs_norm(phi1.values - d2.arrow_eigs[a2].values) < 1e-6]
-        if len(hits) != 1:
-            raise NotNested("could not match eigenfunctional classes "
-                            "between the covers")
-        arrow_map[a1] = hits[0]
+    # a small-twist arrow is the big-twist arrow between the images of its
+    # source and range states, with the same functional
+    G1 = d1.twist.groupoid
+    unit = {d1.unit_of_state[j]: d2.unit_of_state[k]
+            for j, k in enumerate(nesting)}
+    by_ends = {(G2.src[a], G2.rng[a]): a for a in H}
+    arrow_map = {a: by_ends.get((unit[G1.src[a]], unit[G1.rng[a]]))
+                 for a in G1.arrows}
+    if any(a2 is None or hs_norm(d1.arrow_eigs[a1].values
+                                 - d2.arrow_eigs[a2].values) >= 1e-6
+           for a1, a2 in arrow_map.items()):
+        raise NotNested("could not match eigenfunctional classes "
+                        "between the covers")
     # intertwining: q(theta_2(b)) = theta_1(b)
     basis = np.array(inc.C.basis)
-    cols = [d2.twist.groupoid.arrays.index[arrow_map[a]]
-            for a in d1.twist.groupoid.arrows]
+    cols = [G2.arrays.index[arrow_map[a]] for a in G1.arrows]
     resid = float(np.max(np.abs(d2._theta(basis)[:, cols]
                                 - d1._theta(basis)), initial=0.0))
     R1 = realize(d1.twist, 1)

@@ -46,6 +46,7 @@ from .errors import (
     NonUniquePseudoExpectation,
     NumericalRankAmbiguity,
     OutsideAmbient,
+    SourceVanishes,
 )
 from .matalg import (
     EPS,
@@ -417,9 +418,11 @@ def _gram(C: FdStarAlgebra, vals: np.ndarray) -> np.ndarray:
 
 
 def mod_state_from_density(inc: Inclusion, i: int, rho) -> ModState:
-    """The state x -> trace(rho p_i x p_i) as a ModState at corner i."""
+    """The state x -> trace(rho p_i x p_i) at corner i, if rho(p_i) != 0."""
     rho = np.asarray(rho, dtype=complex)
     p = inc.min_projs[i]
+    if abs(np.trace(rho @ p)) < _STATE_TOL:
+        raise SourceVanishes(f"no state at corner {i}: rho(p_{i}) = 0")
     vals = inc.C.basis_rows @ (p @ rho @ p).T.ravel()
     return ModState(inclusion=inc, corner_index=i, values=vals)
 

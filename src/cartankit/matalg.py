@@ -40,10 +40,6 @@ DIM_CAP = 4096
 #: ``generate_star_algebra`` (at least one new direction times S).
 _PRODUCT_CHUNK = 1 << 12
 
-# Fixed seed: genericity arguments (generic elements of abelian algebras)
-# must stay deterministic across runs.
-_GENERIC_SEED = 0x5EED
-
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product trace(b* a)."""
@@ -376,10 +372,10 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
     """Ordered minimal projections of an abelian algebra, summing to its unit.
 
     Order is deterministic: lexicographic on rounded matrix entries, row
-    major, real part before imaginary part.
+    major, real part before imaginary part.  The generic element that
+    splits D has the fixed coefficients of ``_fixed_draws``.
     """
-    return _minimal_projections(
-        D, eps, np.random.default_rng(_GENERIC_SEED).standard_normal)
+    return _minimal_projections(D, eps, _fixed_draws())
 
 
 def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
@@ -442,22 +438,20 @@ def central_projections(A: FdStarAlgebra) -> tuple:
 
 
 def _fixed_draws():
-    """A fixed generic coefficient stream for splits read only for their
-    sizes: call k gives sin(k j), j = 1..d, none of them 0.  The first
-    seeding of a numpy.random generator adds 2.5-6 MB to a process's
-    resident set (x86-64 Linux)."""
+    """A fixed generic coefficient stream: call k gives sin(k j),
+    j = 1..d, none of them 0.  Seeding a generator instead would add
+    2.5-6 MB to a process's resident set (x86-64 Linux)."""
     calls = count(1)
     return lambda d: np.sin(next(calls) * np.arange(1.0, d + 1.0))
 
 
 def block_structure(A: FdStarAlgebra) -> tuple:
     """Sorted multiset of matrix-block sizes: A = (+) M_{n_i}(C); () for
-    the zero algebra.  Only the ranks of the central projections are read,
-    so they are split with ``_fixed_draws``, not numpy.random."""
+    the zero algebra."""
     if A.dim == 0:
         return ()
     sizes = []
-    for p in _minimal_projections(center(A), EPS, _fixed_draws()):
+    for p in central_projections(A):
         d = rank(_vec(p @ A.stack @ p))
         ni = round(np.sqrt(d))
         if ni * ni != d:

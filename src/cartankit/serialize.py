@@ -1,9 +1,9 @@
 """JSON schemas for groupoids, twists, inclusions, and matrices.
 
 Matrices serialize as row-major arrays of [re, im] pairs.  Cocycles
-serialize as sparse [pair, [re, im]] entries with omitted pairs
-defaulting to 1.  All loaders raise ParseError with line/column
-information for malformed JSON.
+serialize as sparse [pair, [re, im]] entries; pairs within COCYCLE_TOL
+of 1 are omitted and read back as 1.  All loaders raise ParseError with
+line/column information for malformed JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import ParseError
 from .groupoid import FiniteGroupoid, _lookup, build_groupoid
 from .inclusion import Inclusion, make_inclusion
 from .matalg import generate_star_algebra
-from .twist import CocycleTwist, _with_phases, trivial_twist
+from .twist import COCYCLE_TOL, CocycleTwist, _with_phases, trivial_twist
 
 
 def matrix_to_json(m) -> list:
@@ -94,7 +94,7 @@ def _repeated(keys):
 def twist_to_json(T: CocycleTwist) -> dict:
     cocycle = []
     for (a, b), v in sorted(T.sigma.items()):
-        if abs(v - 1.0) > 1e-14:
+        if abs(v - 1.0) > COCYCLE_TOL:
             cocycle.append([[a, b], [float(v.real), float(v.imag)]])
     return {"groupoid": groupoid_to_json(T.groupoid), "cocycle": cocycle}
 

@@ -113,23 +113,36 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
         raise NoConditionalExpectation(
             "Weyl twist extraction refuses non-MASA inclusions: the germ "
             "relations are only equivalent when D is a MASA")
-    m = inc.n_corners
     # germ classes keyed by (source corner, target corner), in key order;
-    # X holds them compressed, class = Q_j X Q_i* (see Inclusion._slice_blocks)
+    # X holds them compressed, class = Q_j X Q_i* (``_slice_blocks``), and
+    # Q_j* Q_j = 1, so products, inner products and norms of the classes
+    # are those of their blocks
     keys, X = inc._slice_blocks
     U = np.array([slices[key] for key in keys])
     phase = _canonical_phases(U)[:, None, None]
     U, X = U * phase, X * phase
+    units = [f"x{i}" for i in range(inc.n_corners)]
+    ids = [f"g{i}.{j}" for i, j in keys]
+    T = _class_twist(keys, X, units, ids, NoConditionalExpectation(
+        "germ product is not a germ: inclusion is not MASA"))
+    return WeylTwistResult(twist=T, representatives=dict(zip(ids, U)),
+                           corner_of_unit={x: i for i, x in enumerate(units)})
 
-    unit_id = {i: f"x{i}" for i in range(m)}
-    arrow_id = {key: f"g{key[0]}.{key[1]}" for key in keys}
-    specs = [(arrow_id[(i, j)], unit_id[i], unit_id[j], arrow_id[(j, i)])
-             for (i, j) in keys]
-    # the composable pairs (a, b), s(a) = r(b), in key order; a b lies in
-    # the slice (s(b), r(a)).  Q_j* Q_j = 1, so products, inner products
-    # and norms of the classes are those of their blocks.
-    src, rng = np.array(keys).T
-    where = np.full((m, m), -1)
+
+def _class_twist(keys, X, units, arrows, refusal) -> CocycleTwist:
+    """The twist of normalizer classes over scalar corners, shared by the
+    Weyl and eigenfunctional twists: arrows[k] runs from units[s] to
+    units[r], (s, r) = keys[k], and X[k] is a partial isometry from the
+    corner of s onto that of r (or a block of one, with its products and
+    inner products).  With scalar corners each slice p_j C p_i is at most
+    one-dimensional (``Inclusion.corner_slices``), so (s, r) names one
+    class, the inverse (adjoint) class is the swapped key, and for
+    s(a) = r(b), X[a] X[b] lies in the slice of (s(b), r(a)): it is
+    mu X[c] for the class c of that key, and sigma(a, b) = mu/|mu|, from
+    one batched contraction over the pairs.  ``refusal`` is raised when a
+    product's class is missing or the product is not a multiple of it."""
+    src, rng = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    where = np.full((len(units),) * 2, -1)
     where[src, rng] = np.arange(len(keys))
     a, b = np.nonzero(src[:, None] == rng[None, :])
     t = where[src[b], rng[a]]
@@ -139,14 +152,13 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
     resid = np.linalg.norm(prod - lam[:, None, None] * target, axis=(1, 2))
     scale = np.maximum(1.0, np.linalg.norm(prod, axis=(1, 2)))
     if np.any(t < 0) or np.any(resid > _GERM_TOL * scale):
-        raise NoConditionalExpectation(
-            "germ product is not a germ: inclusion is not MASA")
-    ids = [arrow_id[key] for key in keys]
-    pairs = [(ids[x], ids[y], ids[z]) for x, y, z in zip(a, b, t)]
-    sigma = {(x, y): z for (x, y, _), z in zip(pairs,
-                                               (lam / np.abs(lam)).tolist())}
-    unit_arrows = {unit_id[i]: arrow_id[(i, i)] for i in range(m)}
-    G = build_groupoid(list(unit_id.values()), specs, pairs, unit_arrows)
-    T = CocycleTwist(groupoid=G, sigma=sigma)
-    return WeylTwistResult(twist=T, representatives=dict(zip(ids, U)),
-                           corner_of_unit={unit_id[i]: i for i in range(m)})
+        raise refusal
+    pairs = [(arrows[x], arrows[y], arrows[z]) for x, y, z in zip(a, b, t)]
+    sigma = dict(zip(((x, y) for x, y, _ in pairs),
+                     (lam / np.abs(lam)).tolist()))
+    specs = [(arrows[k], units[s], units[r], arrows[where[r, s]])
+             for k, (s, r) in enumerate(zip(src, rng))]
+    unit_arrows = {units[s]: arrows[k]
+                   for k, (s, r) in enumerate(zip(src, rng)) if s == r}
+    G = build_groupoid(units, specs, pairs, unit_arrows)
+    return CocycleTwist(groupoid=G, sigma=sigma)

@@ -6,6 +6,7 @@ that are no cocycles, and on corrupted composition tables."""
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from cartankit.groupoid import (
 )
 from cartankit.matalg import (
     EPS,
+    _minimal_projections,
     _vec,
     block_structure,
-    central_projections,
+    center,
     rank,
 )
 from cartankit.reduced import (
@@ -35,7 +37,7 @@ from cartankit.reduced import (
     is_cartan_pair,
     realize,
 )
-from cartankit.serialize import twist_to_json
+from cartankit.serialize import inclusion_to_json, twist_to_json
 from cartankit.twist import (
     CocycleTwist,
     _involution_values,
@@ -288,13 +290,14 @@ def test_normalizer_tolerance_named_once():
     assert source.count("1e-7") == 1
 
 
-# --- no numpy.random on the cstar path --------------------------------------
+# --- no numpy.random in src/ ---------------------------------------------
 
 def ref_block_structure(A):
-    """Block sizes from the seeded numpy.random split of
-    ``central_projections``, as ``matalg.block_structure`` read them."""
-    sizes = [round(np.sqrt(rank(_vec(p @ A.stack @ p))))
-             for p in central_projections(A)]
+    """Block sizes from a seeded numpy.random split of the centre, as
+    ``matalg.block_structure`` once read them."""
+    split = _minimal_projections(center(A), EPS,
+                                 np.random.default_rng(0x5EED).standard_normal)
+    sizes = [round(np.sqrt(rank(_vec(p @ A.stack @ p)))) for p in split]
     return tuple(sorted(sizes))
 
 
@@ -311,13 +314,26 @@ def test_block_structure_matches_random_split():
 
 def test_cstar_draws_nothing_random(tmp_path, monkeypatch, capsys):
     """``cstar`` on a twist with nontrivial isotropy splits the isotropy
-    algebra with fixed coefficients: no numpy.random generator is seeded."""
+    algebra with fixed coefficients, and ``analyze``, ``weyl`` and
+    ``envelope`` split D and the centres so too: no numpy.random generator
+    is seeded."""
     path = tmp_path / "k4s_pair3.json"
     path.write_text(json.dumps(twist_to_json(
         _k4s_pair(3, np.random.default_rng(2)))))
+    inc_path = tmp_path / "m3.json"
+    inc_path.write_text(json.dumps(inclusion_to_json(mndn_inclusion(3))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.random seeded")
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert cli.main(["cstar", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["block_structure"] == [2, 3]
+    for command in ("analyze", "weyl", "envelope"):
+        assert cli.main([command, str(inc_path)]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+
+def test_src_draws_nothing_random():
+    src = pathlib.Path(cartankit.matalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "random" not in path.read_text(), path.name

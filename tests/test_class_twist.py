@@ -1,0 +1,241 @@
+"""The eigenfunctional twist built by index, against the class search it
+replaced; the refusals of covers and densities that do not give a twist;
+and the emission cut of cocycle entries."""
+
+import inspect
+import json
+
+import numpy as np
+import pytest
+
+import cartankit.envelope
+import cartankit.weyl
+from cartankit.envelope import (
+    CompatibleCover,
+    EigenTwistData,
+    _canonicalize,
+    build_cover,
+    eig_inverse,
+    eig_product,
+    eigen_twist,
+    eigenfunctional,
+)
+from cartankit.errors import CoverNotCertified, NotCovering, SourceVanishes
+from cartankit.groupoid import build_groupoid, pair_groupoid
+from cartankit.inclusion import (
+    _transport_reps,
+    canonical_corner_state,
+    make_inclusion,
+    mod_state_from_density,
+)
+from cartankit.matalg import generate_star_algebra
+from cartankit.reduced import groupoid_inclusion, realize
+from cartankit.serialize import twist_from_json, twist_to_json
+from cartankit.twist import (
+    COCYCLE_TOL,
+    CocycleTwist,
+    coboundary_twist,
+    validate_twist,
+)
+from conftest import E, mndn_inclusion, random_twist_corpus
+from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
+from test_exact_corners import unequal_rank_inclusion
+
+
+def _state_index(cover, s):
+    for j, rho in enumerate(cover.states):
+        if s.close_to(rho):
+            return j
+    return None
+
+
+def ref_eigen_twist(inc, cover):
+    """The class search ``eigen_twist`` replaced: ranges, inverses and
+    products found by scanning the classes with ``phase_class_equal``,
+    one ``eig_product`` per composable pair."""
+    F = cover.states
+    unit_of_state = {j: f"f{j}" for j in range(len(F))}
+    classes = []
+    reps = _transport_reps(inc)
+    for j, f in enumerate(F):
+        for (i, k), u in reps.items():
+            if i != f.corner_index:
+                continue
+            phi = _canonicalize(eigenfunctional(
+                inc, inc.C.unit if k == i else u, f))
+            r_idx = j if k == i else _state_index(cover, phi.range)
+            if r_idx is None:
+                raise CoverNotCertified("cover is not invariant")
+            classes.append((j, r_idx, phi))
+
+    def sort_key(entry):
+        s, r, phi = entry
+        rounded = np.round(phi.values, 6)
+        return (s, r) + tuple(x for z in rounded for x in (z.real, z.imag))
+
+    classes.sort(key=sort_key)
+    arrow_ids = [f"a{k}" for k in range(len(classes))]
+    arrow_eigs = {aid: phi for aid, (_, _, phi) in zip(arrow_ids, classes)}
+    src = {aid: unit_of_state[s] for aid, (s, _, _) in zip(arrow_ids, classes)}
+    rng = {aid: unit_of_state[r] for aid, (_, r, _) in zip(arrow_ids, classes)}
+
+    def find_class(phi):
+        for aid, c in arrow_eigs.items():
+            if phi.phase_class_equal(c):
+                lam = complex(np.vdot(c.values, phi.values)
+                              / np.vdot(c.values, c.values))
+                return aid, lam / abs(lam)
+        return None, None
+
+    inv = {aid: find_class(_canonicalize(eig_inverse(phi)))[0]
+           for aid, phi in arrow_eigs.items()}
+    pairs, sigma = [], {}
+    for a, pa in arrow_eigs.items():
+        for b, pb in arrow_eigs.items():
+            if src[a] != rng[b]:
+                continue
+            cid, lam = find_class(eig_product(pa, pb))
+            pairs.append((a, b, cid))
+            sigma[(a, b)] = np.conj(lam)
+    specs = [(aid, src[aid], rng[aid], inv[aid]) for aid in arrow_ids]
+    unit_arrows = {unit_of_state[s]: aid
+                   for aid, (s, r, _) in zip(arrow_ids, classes) if s == r}
+    G = build_groupoid(list(unit_of_state.values()), specs, pairs,
+                       unit_arrows)
+    return EigenTwistData(inclusion=inc, cover=cover,
+                          twist=CocycleTwist(groupoid=G, sigma=sigma),
+                          arrow_eigs=arrow_eigs, unit_of_state=unit_of_state)
+
+
+def conjugated_m4():
+    inc = mndn_inclusion(4)
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                        + 1j * rng.standard_normal((4, 4)))
+
+    def conj(xs):
+        return [q @ x @ q.conj().T for x in xs]
+    return make_inclusion(generate_star_algebra(4, conj(inc.C.basis)),
+                          generate_star_algebra(4, conj(inc.D.basis)),
+                          conj(inc.normalizer_gens))
+
+
+def abelian_self_inclusion():
+    D = generate_star_algebra(2, [E(0, 0, 2), E(1, 1, 2)])
+    return make_inclusion(D, D, list(D.basis))
+
+
+def _nested_covers():
+    inc = diagonal_scalar_inclusion()
+    s1 = mod_state_from_density(inc, 0, np.diag([1.0, 0]))
+    s2 = mod_state_from_density(inc, 0, np.diag([0, 1.0]))
+    return [(inc, build_cover(inc, "custom", F=F)) for F in ([s1], [s1, s2])]
+
+
+def crosscheck_cases():
+    cases = {f"m{n}": mndn_inclusion(n) for n in range(2, 7)}
+    cases.update(m4conj=conjugated_m4(), k4s=k4_cartan_inclusion(),
+                 abelian=abelian_self_inclusion())
+    out = [pytest.param(inc, None, id=name) for name, inc in cases.items()]
+    out += [pytest.param(inc, F, id=f"d2c-F{len(F.states)}")
+            for inc, F in _nested_covers()]
+    principal = [T for T in random_twist_corpus(30, seed=31)
+                 if all(T.groupoid.src[a] != T.groupoid.rng[a]
+                        or a in T.groupoid.unit_arrow.values()
+                        for a in T.groupoid.arrows)]
+    out += [pytest.param(groupoid_inclusion(realize(T)), None,
+                         id=f"corpus{k}") for k, T in enumerate(principal)]
+    return out
+
+
+@pytest.mark.parametrize("inc, cover", crosscheck_cases())
+def test_matches_class_search(inc, cover):
+    cover = cover or build_cover(inc)
+    got, want = eigen_twist(inc, cover), ref_eigen_twist(inc, cover)
+    G, H = got.twist.groupoid, want.twist.groupoid
+    assert (G.units, G.arrows, G.src, G.rng, G.inv, G.compose_table,
+            G.unit_arrow) == (H.units, H.arrows, H.src, H.rng, H.inv,
+                              H.compose_table, H.unit_arrow)
+    assert got.unit_of_state == want.unit_of_state
+    assert validate_twist(got.twist) == []
+    s, t = got.twist.sigma_vector, want.twist.sigma_vector
+    assert np.max(np.abs(s - t), initial=0.0) <= 1e-12
+    for a in G.arrows:
+        assert np.max(np.abs(got.arrow_eigs[a].values
+                             - want.arrow_eigs[a].values)) <= 1e-9
+
+
+def test_corpus_has_principal_members():
+    ids = [p.id for p in crosscheck_cases()]
+    assert sum(1 for name in ids if name.startswith("corpus")) >= 5
+
+
+def test_one_class_product_helper():
+    """Both twists read their tables and cocycle from ``_class_twist``;
+    the eigenfunctional twist searches no class."""
+    assert cartankit.envelope._class_twist is cartankit.weyl._class_twist
+    for name in ("find_class", "_state_index"):
+        assert not hasattr(cartankit.envelope, name)
+    for fn in (eigen_twist, cartankit.envelope.cover_comparison):
+        source = inspect.getsource(fn)
+        for name in ("phase_class_equal", "eig_product", "close_to"):
+            assert name not in source
+    assert "_class_twist(" in inspect.getsource(cartankit.weyl.weyl_twist)
+    assert "_class_twist(" in inspect.getsource(eigen_twist)
+
+
+# --- covers and densities that give no twist -------------------------------
+
+def test_repeated_state_refused():
+    inc = mndn_inclusion(3)
+    s = [canonical_corner_state(inc, i) for i in range(3)]
+    with pytest.raises(NotCovering, match="repeats"):
+        build_cover(inc, "custom", F=[s[0], s[0], s[1], s[2]])
+    assert len(build_cover(inc, "custom", F=s).states) == 3
+
+
+def test_hand_built_cover_missing_a_corner():
+    inc = mndn_inclusion(3)
+    states = tuple(canonical_corner_state(inc, i) for i in range(2))
+    with pytest.raises(CoverNotCertified):
+        eigen_twist(inc, CompatibleCover(inclusion=inc, states=states))
+    empty = eigen_twist(inc, CompatibleCover(inclusion=inc, states=()))
+    assert empty.twist.groupoid.arrows == ()
+
+
+def test_vanishing_density_refused():
+    inc = unequal_rank_inclusion()
+    p0 = inc.min_projs[0]
+    assert np.allclose(p0, np.diag([0, 0, 1.0]))
+    with pytest.raises(SourceVanishes):
+        mod_state_from_density(inc, 0, np.diag([1.0, 0, 0]))
+    rho = mod_state_from_density(inc, 0, np.diag([0.5, 0, 0.5]))
+    assert abs(rho(inc.C.unit) - 0.5) < 1e-12
+
+
+# --- emission of cocycle entries -------------------------------------------
+
+@pytest.mark.parametrize("t, listed", [(1e-13, False), (1e-11, True)])
+def test_cocycle_entries_cut_at_cocycle_tol(t, listed):
+    G = pair_groupoid(2)
+    lam = {a: 1.0 + 0j for a in G.arrows}
+    lam[next(a for a in G.arrows if G.src[a] != G.rng[a])] = np.exp(1j * t)
+    T = coboundary_twist(G, lam)
+    near = [p for p, z in T.sigma.items() if abs(z - 1.0) > 0.5 * t]
+    assert near and all(abs(T.sigma[p] - 1.0) < 2 * t for p in near)
+    entries = twist_to_json(T)["cocycle"]
+    assert len(entries) == (len(near) if listed else 0)
+    back = twist_from_json(json.loads(json.dumps(twist_to_json(T))))
+    assert validate_twist(back) == []
+    assert max(abs(back.sigma[p] - z) for p, z in T.sigma.items()) \
+        <= COCYCLE_TOL
+
+
+def test_literal_entry_at_one_plus_epsilon():
+    T = coboundary_twist(pair_groupoid(2), {a: 1.0 + 0j for a in
+                                            pair_groupoid(2).arrows})
+    sigma = dict(T.sigma)
+    p, q = sorted(sigma)[:2]
+    sigma[p], sigma[q] = 1.0 + 1e-13, 1.0 + 1e-11
+    listed = twist_to_json(CocycleTwist(T.groupoid, sigma))["cocycle"]
+    assert [tuple(e[0]) for e in listed] == [q]

@@ -38,6 +38,7 @@ from cartankit.matalg import (
     EPS,
     FdStarAlgebra,
     _commutators,
+    _fixed_draws,
     check_star_algebra,
     generate_star_algebra,
     hs_norm,
@@ -211,13 +212,13 @@ def ref_check_mod_state(rho, eps=1e-7):
 
 def ref_minimal_projections(D, eps=EPS):
     """The loop version, up to the ordering (its generic element is summed
-    one basis element at a time)."""
+    one basis element at a time), on the same fixed coefficient stream."""
     n = D.ambient_dim
-    rng = np.random.default_rng(0x5EED)
+    draw = _fixed_draws()
     complement = np.eye(n, dtype=complex) - D.unit
     for attempt in range(8):
-        t = rng.standard_normal(D.dim)
-        s = rng.standard_normal(D.dim)
+        t = draw(D.dim)
+        s = draw(D.dim)
         h = np.zeros((n, n), dtype=complex)
         for tj, sj, b in zip(t, s, D.basis):
             h += tj * (b + b.conj().T) + sj * 1j * (b - b.conj().T)
