@@ -2,11 +2,14 @@
 homomorphism theta_F, and the Cartan-envelope pipeline.
 
 An eigenfunctional [v, f](x) = f(v* x)/f(v*v)^{1/2} is stored as its
-value vector on the basis of C.  Stored representatives automatically
-satisfy phi(v) = f(v*v)^{1/2} > 0.  Twist arrows are circle classes of
-eigenfunctionals, pinned by rotating the first significant value-vector
-entry to the positive reals; because the unit direction is the first
-basis vector of C, cover states are already canonical.  The twist is
+value vector on the basis of C, read off its density conj(v) W /
+f(v*v)^{1/2} for f's density W (see ``inclusion``); its range state
+phi(. v)/phi(v) has density W_phi v^T.  Stored representatives
+automatically satisfy phi(v) = f(v*v)^{1/2} > 0.  Twist arrows are
+circle classes of eigenfunctionals, pinned by rotating the first
+significant value-vector entry to the positive reals; because the unit
+direction is the first basis vector of C, cover states are already
+canonical.  The twist is
 built by index, as the Weyl twist is: one class per (cover state,
 reachable corner) pair, and the cocycle from one batched contraction
 (``weyl._class_twist``).
@@ -37,12 +40,15 @@ from .inclusion import (
     pseudo_expectations,
     radical_ideal,
     strongly_compatible,
+    _density,
+    _functional,
     _is_invariant,
     _located_state,
     _transport_reps,
 )
 from .matalg import (
     FdStarAlgebra,
+    _as_matrix,
     _vec,
     central_projections,
     generate_star_algebra,
@@ -57,6 +63,7 @@ from .twist import (
     EquivariantFunction,
     _convolve_values,
     _involution_values,
+    validate_cocycle,
 )
 from .weyl import _class_twist
 
@@ -77,10 +84,12 @@ class Eigenfunctional:
 
     @cached_property
     def range(self) -> ModState:
+        """x -> phi(x v)/phi(v), of density W v^T for phi's density W;
+        phi(v) = sum(W * v) is its trace."""
         C = self.inclusion.C
-        pv = complex(self(self.v))
-        return _located_state(self.inclusion, C.coefficient_matrix(
-            C.stack @ self.v) @ self.values / pv)
+        moved = _density(C, self.values) @ self.v.T
+        return _located_state(self.inclusion, _functional(C, moved)
+                              / np.trace(moved))
 
     def equal(self, other: "Eigenfunctional", tol: float = _EIG_TOL) -> bool:
         """Equality criterion: same source state and s(v* w) > 0."""
@@ -103,7 +112,7 @@ def eigenfunctional(inc: Inclusion, v, f: ModState) -> Eigenfunctional:
     if wt.real <= 1e-9:
         raise SourceVanishes("f(v*v) vanishes; [v, f] is undefined")
     root = np.sqrt(wt.real)
-    vals = inc.C.coefficient_matrix(v.conj().T @ inc.C.stack) @ f.values / root
+    vals = _functional(inc.C, v.conj() @ f.density) / root
     return Eigenfunctional(inclusion=inc, v=v, source=f, values=vals)
 
 
@@ -141,11 +150,12 @@ def _canonicalize(a: Eigenfunctional, tol: float = 1e-9) -> Eigenfunctional:
 
 @dataclass(frozen=True)
 class CompatibleCover:
-    """A certified finite compatible cover of the Gelfand space of D."""
+    """A finite compatible cover of the Gelfand space of D; certified only
+    when ``build_cover`` has checked it."""
 
     inclusion: Inclusion
     states: tuple  # of ModState
-    certified: bool = True
+    certified: bool = False
 
 
 def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
@@ -170,18 +180,31 @@ def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
     if not _is_invariant(inc, F):
         raise NotInvariant("cover is not invariant under the normalizer "
                            "action")
-    return CompatibleCover(inclusion=inc, states=tuple(F))
+    return CompatibleCover(inclusion=inc, states=tuple(F), certified=True)
 
 
 def covers_nested(F1: CompatibleCover, F2: CompatibleCover):
-    """Map each F1 state to its index in F2, or None if not nested."""
+    """Map each F1 state to its index in F2, or None if not nested: some
+    F1 state matches no F2 state or several.  States are compared only
+    with the F2 states at their corner (equal states restrict to the same
+    character of D)."""
+    at_corner = _by_corner(F2.states)
     idx = []
     for rho in F1.states:
-        hits = [j for j, s in enumerate(F2.states) if rho.close_to(s)]
+        hits = [j for j in at_corner.get(rho.corner_index, ())
+                if rho.close_to(F2.states[j])]
         if len(hits) != 1:
             return None
         idx.append(hits[0])
     return idx
+
+
+def _by_corner(states) -> dict:
+    """{corner index: indices of the states at that corner, in order}."""
+    out = {}
+    for j, s in enumerate(states):
+        out.setdefault(s.corner_index, []).append(j)
+    return out
 
 
 # --- the eigenfunctional twist -------------------------------------------
@@ -197,16 +220,23 @@ class EigenTwistData:
     unit_of_state: dict  # cover-state index -> unit id
 
     @cached_property
-    def _eig_values(self) -> np.ndarray:
-        """Row g: arrow g's eigenfunctional on the basis of C."""
-        return np.array([self.arrow_eigs[a].values
-                         for a in self.twist.groupoid.arrows])
+    def _theta_map(self) -> np.ndarray:
+        """The (n^2, |arrows|) matrix B^H Phi^T of theta_F on flattened
+        elements, Phi's row g being arrow g's eigenfunctional on the basis
+        B of C."""
+        C = self.inclusion.C
+        eigs = np.reshape([self.arrow_eigs[a].values
+                           for a in self.twist.groupoid.arrows], (-1, C.dim))
+        return C.basis_rows.conj().T @ eigs.T
+
+    @cached_property
+    def _basis_images(self) -> np.ndarray:
+        """theta_F on C's basis, (dim C, |arrows|)."""
+        return self._theta(self.inclusion.C.stack)
 
     def _theta(self, mats: np.ndarray) -> np.ndarray:
         """theta_F on a stack (..., n, n) of elements of C."""
-        rows = mats.reshape(*mats.shape[:-2], -1)
-        return rows @ self.inclusion.C.basis_rows.conj().T @ \
-            self._eig_values.T
+        return mats.reshape(*mats.shape[:-2], -1) @ self._theta_map
 
 
 def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
@@ -226,9 +256,7 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     if not isinstance(cover, CompatibleCover) or not cover.certified:
         raise CoverNotCertified("cover is not certified")
     F = cover.states
-    at_corner = {}
-    for j, f in enumerate(F):
-        at_corner.setdefault(f.corner_index, []).append(j)
+    at_corner = _by_corner(F)
     classes = {}  # (source, range) -> canonical Eigenfunctional
     for (i, k), u in _transport_reps(inc).items():
         for j in at_corner.get(i, ()):
@@ -253,23 +281,77 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
 
 def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
     """The degree-1 function g -> phi_g(a)."""
-    return EquivariantFunction(
-        data.twist, 1, data._eig_values @ data.inclusion.C.coefficients(a))
+    return EquivariantFunction(data.twist, 1, data._theta(
+        _as_matrix(a, data.inclusion.C.ambient_dim)))
 
 
 def theta_kernel_rows(data: EigenTwistData) -> np.ndarray:
     """Orthonormal rows spanning ker theta_F inside C."""
-    inc = data.inclusion
-    M = data._theta(np.array(inc.C.basis))
-    return null_space(M.T) @ inc.C.basis_rows
+    return null_space(data._basis_images.T) @ data.inclusion.C.basis_rows
+
+
+def _theta_generators(inc: Inclusion) -> np.ndarray:
+    """The stack S of ``_theta_homomorphism``: D's minimal projections,
+    the slices u of a spanning forest of the corner graph (i ~ j when
+    p_j C p_i != 0; scalar corners) and their adjoints, 3m - 2 of them
+    when the graph is connected."""
+    root = list(range(inc.n_corners))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+    forest = []
+    for (i, j), u in inc.corner_slices.items():
+        a, b = find(i), find(j)
+        if a != b:
+            root[a] = b
+            forest.append(u)
+    return np.array(list(inc.min_projs) + forest
+                    + [u.conj().T for u in forest])
+
+
+def _theta_homomorphism(data: EigenTwistData) -> bool:
+    """theta_F is a *-homomorphism: theta(x*) = theta(x)* for x in C's
+    basis, sigma is a 2-cocycle, and theta(s x) = theta(s) theta(x) for s
+    in the stack S of ``_theta_generators`` and x in C's basis, one
+    convolution batch per s.
+
+    That suffices.  theta is linear, and the twisted convolution is
+    associative, as sigma is a 2-cocycle: ``weyl._class_twist`` reads it
+    off products of partial isometries, v_a v_b = mu v_c, so it holds up
+    to rounding, and it is checked on every composable triple
+    (``validate_cocycle``, at the 1e-8 of the *-check).  Sum p_i = 1
+    with every p_i in S, so theta(1) theta(x) = sum theta(p_i x) =
+    theta(x).  For a word w = s_1 ... s_k in S, induction on k gives
+    theta(w x) = theta(s_1) theta(s_2 ... s_k x) = theta(s_1) ...
+    theta(s_k) theta(x); with x = 1, theta(w) = theta(s_1) ...
+    theta(s_k) theta(1), so theta(w x) = theta(w) theta(x).  The words
+    span C: each nonzero slice p_j C p_i is one-dimensional, p_i spans it
+    when i = j, and otherwise i and j are joined in the forest, where the
+    product of forest slices and adjoints along the path maps p_i onto
+    p_j: a nonzero element of the slice.  So |S| batches stand in for the
+    dim C of the all-pairs check."""
+    inc, T = data.inclusion, data.twist
+    basis, imgs = inc.C.stack, data._basis_images
+    star = data._theta(basis.conj().transpose(0, 2, 1))
+    if np.any(np.linalg.norm(star - _involution_values(T, 1, imgs),
+                             axis=-1) > 1e-8) or validate_cocycle(T, 1e-8):
+        return False
+    S = _theta_generators(inc)
+    return not any(np.any(np.linalg.norm(
+        data._theta(s @ basis) - _convolve_values(T, 1, g, imgs),
+        axis=-1) > 1e-7) for s, g in zip(S, data._theta(S)))
 
 
 # --- envelope pipeline ---------------------------------------------------
 
-def essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra) -> bool:
+def essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra,
+                        blocks=None) -> bool:
     """Every nonzero ideal of A meets B (finite scale: every minimal
-    central block of A)."""
-    for q in central_projections(A):
+    central block of A); ``blocks`` are A's minimal central projections,
+    computed here when not given."""
+    for q in central_projections(A) if blocks is None else blocks:
         # no nonzero b with qb = b
         if rank(_vec(B.stack - q @ B.stack).T) == B.dim:
             return False
@@ -313,7 +395,7 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     dc = inc.commutant_of_D
     dc_abelian = dc.is_abelian(1e-8)
     dc_ess = essential_inclusion(dc, inc.D)
-    c_ess = essential_inclusion(inc.C, dc)
+    c_ess = essential_inclusion(inc.C, dc, inc.central_projections)
     if not pe.unique:
         reason = ("no unique pseudo-expectation; the relative commutant "
                   "of D is " + ("abelian" if dc_abelian else "non-abelian"))
@@ -326,18 +408,9 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     data = eigen_twist(inc, cover)
     R = realize(data.twist, 1)
 
-    # theta_F is a *-homomorphism into the realization, checked on the
-    # basis of C and on the products a b, a batch of b per basis element a
-    # (a batch over all pairs would hold dim(C)^2 x |pairs| terms)
     T = data.twist
-    basis = np.array(inc.C.basis)
-    imgs = data._theta(basis)
-    star_err = np.linalg.norm(data._theta(basis.conj().transpose(0, 2, 1))
-                              - _involution_values(T, 1, imgs), axis=-1)
-    hom = not (np.any(star_err > 1e-8) or any(
-        np.any(np.linalg.norm(data._theta(a @ basis) - _convolve_values(
-            T, 1, imgs[i], imgs), axis=-1) > 1e-7)
-        for i, a in enumerate(basis)))
+    imgs = data._basis_images
+    hom = _theta_homomorphism(data)
     theta_imgs = [EquivariantFunction(T, 1, v) for v in imgs]
     # regularity of theta: generator images normalize the diagonal
     N = R.total_dim
@@ -430,10 +503,9 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
         raise NotNested("could not match eigenfunctional classes "
                         "between the covers")
     # intertwining: q(theta_2(b)) = theta_1(b)
-    basis = np.array(inc.C.basis)
     cols = [G2.arrays.index[arrow_map[a]] for a in G1.arrows]
-    resid = float(np.max(np.abs(d2._theta(basis)[:, cols]
-                                - d1._theta(basis)), initial=0.0))
+    resid = float(np.max(np.abs(d2._basis_images[:, cols]
+                                - d1._basis_images), initial=0.0))
     R1 = realize(d1.twist, 1)
     R2 = realize(d2.twist, 1)
     return CoverComparison(data_big=d2, data_small=d1, arrow_map=arrow_map,

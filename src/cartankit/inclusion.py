@@ -22,11 +22,20 @@ When all corners are scalar the normalizer classes are exactly the
 nonzero slices p_j C p_i (``Inclusion.corner_slices``).  Compatibility and
 invariance of corner states are decided exactly on the corners.
 
-A functional on C is stored as its values on the basis of C.  The values
-are contractions over the basis stack ``C.stack`` (see ``matalg``): a
-corner state is ``C.basis_rows @ vec((p rho p)^T)``, a transported state
-``C.coefficient_matrix(v* S v) @ rho.values / rho(v*v)``, and normalizer,
-corner and kernel conditions are checked on the whole stack at once.
+A functional f on C is stored as its values on the basis of C, and
+evaluated through its density: with B the rows ``C.basis_rows``,
+W = (B^H vals) as an n x n matrix gives f(x) = sum(W * x) (``_density``),
+and a density W' gives back the values B vec(W') (``_functional``).  The
+maps that move functionals act on densities: rho(v* . v) has density
+conj(v) W v^T (``_transports``), f(v* .) has conj(v) W and phi(. v) has
+W v^T.  So a corner state (density (p rho p)^T), a transported state and
+an eigenfunctional each cost O(n^3 + d n^2) on a d-dimensional C, with no
+d x d coefficient matrix of a stack.  Normalizer, corner and kernel
+conditions are checked on the whole stack at once.
+
+C's centre is read inside D' cap C: Z(C) lies in it, as D lies in C, so
+C's central projections come from a null space over dim(D' cap C)
+unknowns (``Inclusion.central_projections``), not over dim C.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from .matalg import (
     _algebra_from_rows,
     _as_matrix,
     _vec,
+    commutant_in,
     generate_star_algebra,
     hs_norm,
     ideal_from_subspace,
@@ -230,6 +240,22 @@ class Inclusion:
         is C p_i, as D's part of it is."""
         return self.scalar_corners
 
+    @cached_property
+    def central_projections(self) -> tuple:
+        """The minimal central projections of C.  A central z commutes
+        with D, which lies in C, so Z(C) lies in D' cap C: it is the
+        commutant of C's basis within ``commutant_of_D``, a null space over
+        dim(D' cap C) unknowns, not over dim C as ``matalg.center`` would
+        take it."""
+        return minimal_projections(commutant_in(self.C.stack,
+                                                self.commutant_of_D))
+
+    @cached_property
+    def _projection_rows(self) -> np.ndarray:
+        """(m, d): row i holds the HS coefficients of p_i on C's basis, so
+        row i @ vals is f(p_i) for the functional f with values vals."""
+        return _vec(self.min_projs) @ self.C.basis_rows.conj().T
+
 
 def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
                    normalizer_gens=(), eps: float = EPS) -> Inclusion:
@@ -398,23 +424,49 @@ class ModState:
         coeffs = self.inclusion.C.coefficients(x)
         return complex(self.values @ coeffs)
 
+    @cached_property
+    def density(self) -> np.ndarray:
+        """W with rho(x) = sum(W * x) on C (``_density``)."""
+        return _density(self.inclusion.C, self.values)
+
     def close_to(self, other: "ModState", tol: float = _STATE_TOL) -> bool:
         return bool(np.max(np.abs(self.values - other.values)) < tol)
 
 
 def _located_state(inc: Inclusion, vals: np.ndarray) -> ModState:
     """The ModState with these values, at the corner it is largest on."""
-    on_d = inc.C.coefficient_matrix(np.array(inc.min_projs)) @ vals
+    on_d = inc._projection_rows @ vals
     return ModState(inclusion=inc, corner_index=int(np.argmax(on_d.real)),
                     values=vals)
 
 
+def _density(C: FdStarAlgebra, vals: np.ndarray) -> np.ndarray:
+    """The density W = (B^H vals) as an n x n matrix of the functional f
+    with values ``vals`` on C's basis (rows B): f(x) = sum(W * x), the
+    projection of x on C included.  On a (..., d) stack of values, the
+    (..., n, n) stack of densities."""
+    n = C.ambient_dim
+    vals = np.asarray(vals)
+    return (vals @ C.basis_rows.conj()).reshape(vals.shape[:-1] + (n, n))
+
+
+def _functional(C: FdStarAlgebra, W: np.ndarray) -> np.ndarray:
+    """The values on C's basis of the functional x -> sum(W * x), for a
+    density or a (..., n, n) stack of them: B vec(W)."""
+    return W.reshape(W.shape[:-2] + (-1,)) @ C.basis_rows.T
+
+
+def _transports(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """conj(v) W v^T, the density of x -> f(v* x v) for f of density W,
+    broadcast over stacks of densities and of v: sum(W * v* x v) =
+    sum_ij W_ij sum_ab conj(v_ai) x_ab v_bj."""
+    return V.conj() @ W @ np.swapaxes(V, -1, -2)
+
+
 def _gram(C: FdStarAlgebra, vals: np.ndarray) -> np.ndarray:
     """G[a, b] = f(a* b) over the basis of C, for the functional f with
-    values ``vals``: f(x) = sum(w * x) with w = (B^H vals) as a matrix."""
-    n = C.ambient_dim
-    w = (C.basis_rows.conj().T @ vals).reshape(n, n)
-    return C.basis_rows.conj() @ _vec(C.stack @ w.T).T
+    values ``vals``: sum(W * a* b) = sum(conj(a) * (b W^T))."""
+    return C.basis_rows.conj() @ _vec(C.stack @ _density(C, vals).T).T
 
 
 def mod_state_from_density(inc: Inclusion, i: int, rho) -> ModState:
@@ -423,7 +475,7 @@ def mod_state_from_density(inc: Inclusion, i: int, rho) -> ModState:
     p = inc.min_projs[i]
     if abs(np.trace(rho @ p)) < _STATE_TOL:
         raise SourceVanishes(f"no state at corner {i}: rho(p_{i}) = 0")
-    vals = inc.C.basis_rows @ (p @ rho @ p).T.ravel()
+    vals = _functional(inc.C, (p @ rho @ p).T)
     return ModState(inclusion=inc, corner_index=i, values=vals)
 
 
@@ -444,15 +496,14 @@ def check_mod_state(rho: ModState, eps: float = 1e-7) -> list:
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
     if evals.min() < -eps:
         bad.append(f"Gram matrix not PSD (min eigenvalue {evals.min():.2e})")
-    on_d = C.coefficient_matrix(np.array(inc.min_projs)) @ rho.values
+    on_d = inc._projection_rows @ rho.values
     for j, val in enumerate(on_d):
         want = 1.0 if j == rho.corner_index else 0.0
         if abs(val - want) > eps:
             bad.append(f"restriction to D wrong at corner {j}")
-    p = inc.min_projs[rho.corner_index]
-    S = C.stack
-    if np.any(np.abs(C.coefficient_matrix(S) @ rho.values
-                     - C.coefficient_matrix(p @ S @ p) @ rho.values) > eps):
+    # rho(x) - rho(p x p) on C's basis, from the density W - conj(p) W p^T
+    p, W = inc.min_projs[rho.corner_index], rho.density
+    if np.any(np.abs(_functional(C, W - _transports(W, p))) > eps):
         bad.append("state not concentrated on its corner")
     return bad
 
@@ -518,7 +569,7 @@ def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None,
     """
     i = rho.corner_index
     A = inc.corner_algebras[i]
-    r = inc.C.coefficient_matrix(A.stack) @ rho.values  # rho on A's basis
+    r = A.basis_rows @ rho.density.ravel()  # rho on A's basis
     lam, vecs = np.linalg.eigh(_gram(A, r) - np.outer(r.conj(), r))
     if lam[-1] <= tol:
         return True, None
@@ -550,11 +601,11 @@ def _transport_reps(inc: Inclusion) -> dict:
 
 
 def transported_state(inc: Inclusion, rho: ModState, v) -> ModState:
-    """beta-tilde_v(rho): x -> rho(v* x v)/rho(v*v)."""
-    vh = v.conj().T
-    wt = rho(vh @ v).real
-    return _located_state(inc, inc.C.coefficient_matrix(
-        vh @ inc.C.stack @ v) @ rho.values / wt)
+    """beta-tilde_v(rho): x -> rho(v* x v)/rho(v*v), of density
+    W' = conj(v) W v^T; rho(v*v) = sum(W' * 1) is the trace of W'."""
+    moved = _transports(rho.density, np.asarray(v, dtype=complex))
+    return _located_state(inc, _functional(inc.C, moved)
+                          / np.trace(moved).real)
 
 
 # --- pseudo-expectations -------------------------------------------------
@@ -619,7 +670,15 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     # row (r, k, l), column b: (b p_r rho_r)[k, l]
     K = (inc.C.stack[None] @ dens[:, None]).transpose(0, 2, 3, 1)
     K = K.reshape(-1, inc.C.dim)
-    return ideal_from_subspace(inc.C, null_space(K) @ inc.C.basis_rows)
+    return _ideal_of_C(inc, null_space(K) @ inc.C.basis_rows)
+
+
+def _ideal_of_C(inc: Inclusion, rows: np.ndarray) -> IdealSubspace:
+    """The ideal of C with these orthonormal rows, its support read from
+    the cached ``Inclusion.central_projections`` (none are needed for the
+    zero ideal)."""
+    return ideal_from_subspace(inc.C, rows, blocks=inc.central_projections
+                               if len(rows) else None)
 
 
 def left_kernel(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
@@ -634,14 +693,14 @@ def radical_ideal(inc: Inclusion, F,
     """K_F = {x : rho(x*x) = 0 for all rho in F}."""
     F = list(F)
     if not F:
-        return ideal_from_subspace(inc.C, inc.C.basis_rows)
+        return _ideal_of_C(inc, inc.C.basis_rows)
     if check_invariance and not _is_invariant(inc, F):
         raise NotInvariant("F is not invariant under the normalizer action")
     # sum over rho of the Grams rho(a* b): the Gram of the summed values
     gram = _gram(inc.C, np.sum([rho.values for rho in F], axis=0))
     total = 0.5 * (gram + gram.conj().T)
     # total is Hermitian PSD: its singular values are its eigenvalues
-    return ideal_from_subspace(inc.C, null_space(total) @ inc.C.basis_rows)
+    return _ideal_of_C(inc, null_space(total) @ inc.C.basis_rows)
 
 
 def _is_invariant(inc: Inclusion, F) -> bool:
@@ -655,20 +714,31 @@ def _is_invariant(inc: Inclusion, F) -> bool:
     F for the one u per reachable pair of ``_transport_reps``: the orbit
     {rho(w* . w)} under the connected U(A_i) lies in the finite F, so it
     is {rho}, and the unitaries span A_i.
+
+    The transports of all states by their u are one contraction of the
+    stacked densities (``_transports``), compared with F (``close_to``)
+    through one table of distances.
     """
     reps = _transport_reps(inc)
-    n = inc.C.ambient_dim
+    F = list(F)
     for rho in F:
         A = inc.corner_algebras[rho.corner_index]
         # rho(x) = trace(w x); rho(a* b) - rho(b a*) over A's basis
-        w = (inc.C.basis_rows.conj().T @ rho.values).reshape(n, n).T
+        w = rho.density.T
         if np.abs(A.basis_rows.conj() @ _vec(
                 A.stack @ w - w @ A.stack).T).max() > _STATE_TOL:
             return False
-        if not all(any(transported_state(inc, rho, u).close_to(s) for s in F)
-                   for (i, _), u in reps.items() if i == rho.corner_index):
-            return False
-    return True
+    moves = [(rho.density, u) for rho in F
+             for (i, _), u in reps.items() if i == rho.corner_index]
+    if not moves:
+        return True
+    W, U = map(np.array, zip(*moves))
+    moved = _transports(W, U)
+    vals = _functional(inc.C, moved) / \
+        np.trace(moved, axis1=1, axis2=2).real[:, None]
+    known = np.array([rho.values for rho in F])
+    dist = np.abs(vals[:, None] - known[None]).max(axis=2)
+    return bool(np.all(np.any(dist < _STATE_TOL, axis=1)))
 
 
 def strongly_compatible(inc: Inclusion) -> tuple:

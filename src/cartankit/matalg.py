@@ -357,8 +357,14 @@ def relative_commutant(A: FdStarAlgebra, within: FdStarAlgebra,
     """{x in `within` : xa = ax for all a in A}."""
     if not A.is_subalgebra_of(within, eps):
         raise NotASubalgebra("A is not contained in the ambient algebra")
+    return commutant_in(A.stack, within)
+
+
+def commutant_in(S: np.ndarray, within: FdStarAlgebra) -> FdStarAlgebra:
+    """{x in `within` : xs = sx for every s of the (k, n, n) stack S}: a
+    null space over dim(within) unknowns, whether or not S lies in it."""
     n = within.ambient_dim
-    K = _commutators(A.stack, within.stack).reshape(A.dim * n * n, within.dim)
+    K = _commutators(S, within.stack).reshape(len(S) * n * n, within.dim)
     # within's basis is HS-orthonormal, so the mapped null rows are too
     return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
                               within.unit, within.unit_is_ambient)
@@ -373,8 +379,12 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
 
     Order is deterministic: lexicographic on rounded matrix entries, row
     major, real part before imaginary part.  The generic element that
-    splits D has the fixed coefficients of ``_fixed_draws``.
+    splits D has the fixed coefficients of ``_fixed_draws``.  A
+    one-dimensional D (a scalar corner, the centre of a factor) is C 1,
+    whose one minimal projection is its unit: no ``eigh`` is run.
     """
+    if D.dim == 1:
+        return (np.array(D.unit, dtype=complex),)
     return _minimal_projections(D, eps, _fixed_draws())
 
 
@@ -482,14 +492,17 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
 
 
 def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray,
-                        eps: float = EPS) -> IdealSubspace:
-    """Wrap an orthonormal subspace of A known to be an ideal."""
+                        eps: float = EPS, blocks=None) -> IdealSubspace:
+    """Wrap an orthonormal subspace of A known to be an ideal; ``blocks``
+    are A's minimal central projections, computed here when not given."""
     n = A.ambient_dim
     if rows.shape[0] == 0:
         return IdealSubspace(parent=A, basis=(),
                              support_projection=np.zeros((n, n), dtype=complex))
     mats = [r.reshape(n, n) for r in rows]
-    support_blocks = [q for q in central_projections(A)
+    if blocks is None:
+        blocks = central_projections(A)
+    support_blocks = [q for q in blocks
                       if any(hs_norm(q @ m) >= eps for m in mats)]
     support = sum(support_blocks) if support_blocks else np.zeros((n, n), dtype=complex)
     return IdealSubspace(parent=A, basis=tuple(mats), support_projection=support)

@@ -198,9 +198,26 @@ def test_hand_built_cover_missing_a_corner():
     inc = mndn_inclusion(3)
     states = tuple(canonical_corner_state(inc, i) for i in range(2))
     with pytest.raises(CoverNotCertified):
-        eigen_twist(inc, CompatibleCover(inclusion=inc, states=states))
-    empty = eigen_twist(inc, CompatibleCover(inclusion=inc, states=()))
+        eigen_twist(inc, CompatibleCover(inclusion=inc, states=states,
+                                         certified=True))
+    empty = eigen_twist(inc, CompatibleCover(inclusion=inc, states=(),
+                                             certified=True))
     assert empty.twist.groupoid.arrows == ()
+
+
+def test_hand_built_cover_is_not_certified(m2c):
+    """Only ``build_cover`` certifies: a hand-built cover holding the
+    incompatible pure state x -> x[0, 0] of m2c is refused, where it used
+    to give a one-arrow twist."""
+    rho = mod_state_from_density(m2c, 0, np.diag([1.0, 0, 0]))
+    with pytest.raises(NotCovering):
+        build_cover(m2c, "custom", F=[rho])
+    cover = CompatibleCover(inclusion=m2c, states=(rho,))
+    assert not cover.certified
+    with pytest.raises(CoverNotCertified):
+        eigen_twist(m2c, cover)
+    assert build_cover(m2c, "custom", F=[mod_state_from_density(
+        m2c, 0, np.diag([0, 0, 1.0]))]).certified
 
 
 def test_vanishing_density_refused():

@@ -192,19 +192,20 @@ class TestNoWordSearch:
     def test_m2c_custom_cover_without_word_search(self, no_words, m2c,
                                                   monkeypatch):
         """m2c has one (non-scalar) corner: the cover is checked on its
-        corner algebra and transported by u = p_0 = 1 alone."""
+        corner algebra and transported by u = p_0 = 1 alone, in the one
+        transport contraction of ``_is_invariant``."""
         moved = []
-        real = cartankit.inclusion.transported_state
+        real = cartankit.inclusion._transports
 
-        def counted(inc, rho, v):
-            moved.append(v)
-            return real(inc, rho, v)
+        def counted(W, V):
+            moved.append(V)
+            return real(W, V)
 
-        monkeypatch.setattr(cartankit.inclusion, "transported_state",
-                            counted)
+        monkeypatch.setattr(cartankit.inclusion, "_transports", counted)
         rho = mod_state_from_density(m2c, 0, np.diag([0, 0, 1.0]))
         assert build_cover(m2c, "custom", F=[rho]).certified
-        assert len(moved) == 1 and hs_norm(moved[0] - np.eye(3)) < 1e-12
+        assert len(moved) == 1 and moved[0].shape == (1, 3, 3)
+        assert hs_norm(moved[0][0] - np.eye(3)) < 1e-12
 
 
 def _relabelled(W: WeylTwistResult, swap: dict) -> WeylTwistResult:

@@ -1,0 +1,329 @@
+"""Functionals on C evaluated through their densities, C's centre read
+inside D' cap C, and theta_F checked on 3m - 2 generators: each matched
+with the slow path it replaced (kept here, or in
+``tests/test_stacked_kernel.py``, as references), and the counts that
+show the slow paths are gone."""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+
+import cartankit.envelope
+import cartankit.inclusion
+import cartankit.matalg
+from cartankit.envelope import (
+    _theta_generators,
+    _theta_homomorphism,
+    build_cover,
+    cartan_envelope,
+    covers_nested,
+    eigenfunctional,
+)
+from cartankit.inclusion import (
+    _density,
+    _functional,
+    _is_invariant,
+    mod_state_from_density,
+    strongly_compatible,
+    transported_state,
+)
+from cartankit.matalg import central_projections
+from cartankit.twist import (
+    CocycleTwist,
+    _convolve_values,
+    _involution_values,
+    validate_cocycle,
+)
+from conftest import m2c_inclusion, mndn_inclusion
+from test_class_twist import conjugated_m4
+from test_corner_slices import mixed_rank_inclusion, tensor_inclusion
+from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
+from test_inclusion import m2_plus_c_inclusion
+from test_stacked_kernel import (
+    ref_eigenfunctional_cm,
+    ref_range_cm,
+    ref_transported_cm,
+)
+
+TOL = 1e-12
+
+
+# --- references -------------------------------------------------------------
+
+def ref_theta_homomorphism(data):
+    """The all-pairs check theta_F replaced: theta(x*) = theta(x)* and
+    theta(a b) = theta(a) theta(b) over C's basis, a batch of b per basis
+    element a, with theta from the eigenfunctionals' coefficient rows."""
+    inc, T = data.inclusion, data.twist
+    eigs = np.array([data.arrow_eigs[a].values for a in T.groupoid.arrows])
+
+    def theta(mats):
+        rows = mats.reshape(*mats.shape[:-2], -1)
+        return rows @ inc.C.basis_rows.conj().T @ eigs.T
+
+    basis = np.array(inc.C.basis)
+    imgs = theta(basis)
+    star_err = np.linalg.norm(theta(basis.conj().transpose(0, 2, 1))
+                              - _involution_values(T, 1, imgs), axis=-1)
+    return not (np.any(star_err > 1e-8) or any(
+        np.any(np.linalg.norm(theta(a @ basis) - _convolve_values(
+            T, 1, imgs[i], imgs), axis=-1) > 1e-7)
+        for i, a in enumerate(basis)))
+
+
+def ref_is_invariant(inc, F):
+    """The per-state loop ``_is_invariant`` replaced: traciality on the
+    corner, then one ``transported_state`` per state and transport,
+    compared with F one state at a time."""
+    reps = cartankit.inclusion._transport_reps(inc)
+    for rho in F:
+        A = inc.corner_algebras[rho.corner_index]
+        if any(abs(rho(a.conj().T @ b) - rho(b @ a.conj().T)) > 1e-7
+               for a in A.basis for b in A.basis):
+            return False
+        if not all(any(transported_state(inc, rho, u).close_to(s) for s in F)
+                   for (i, _), u in reps.items() if i == rho.corner_index):
+            return False
+    return True
+
+
+def ref_covers_nested(F1, F2):
+    """The pairwise scan ``covers_nested`` replaced."""
+    idx = []
+    for rho in F1.states:
+        hits = [j for j, s in enumerate(F2.states) if rho.close_to(s)]
+        if len(hits) != 1:
+            return None
+        idx.append(hits[0])
+    return idx
+
+
+# --- fixtures ---------------------------------------------------------------
+
+BUILDERS = {f"m{n}": functools.partial(mndn_inclusion, n) for n in range(2, 9)}
+BUILDERS.update(m4conj=conjugated_m4,
+                m2x1=functools.partial(tensor_inclusion, 2),
+                m2x1_plus_c=mixed_rank_inclusion,
+                m2_plus_c=m2_plus_c_inclusion,
+                k4s=k4_cartan_inclusion)
+
+
+@functools.lru_cache(maxsize=None)
+def build(name):
+    inc = BUILDERS[name]()
+    return inc, cartan_envelope(inc)
+
+
+@pytest.fixture(params=sorted(BUILDERS))
+def case(request):
+    return build(request.param)
+
+
+def _close(a, b, tol=TOL):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) < tol
+
+
+# --- densities --------------------------------------------------------------
+
+def test_density_round_trip(case):
+    inc, _ = case
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal((3, inc.C.dim)) \
+        + 1j * rng.standard_normal((3, inc.C.dim))
+    W = _density(inc.C, vals)
+    assert W.shape == (3,) + (inc.C.ambient_dim,) * 2
+    assert _close(_functional(inc.C, W), vals)
+    # f(x) = sum(W * x) is the value on the basis
+    assert _close(np.sum(W[0] * inc.C.stack[1]), vals[0, 1])
+
+
+def test_transports_match_coefficient_matrix(case):
+    inc, _ = case
+    checked = 0
+    for rho in strongly_compatible(inc):
+        for u in inc.corner_slices.values():
+            if rho(u.conj().T @ u).real <= 1e-9:
+                continue
+            moved = transported_state(inc, rho, u)
+            assert _close(moved.values, ref_transported_cm(inc, rho, u))
+            phi = eigenfunctional(inc, u, rho)
+            assert _close(phi.values, ref_eigenfunctional_cm(inc, u, rho))
+            assert _close(phi.range.values, ref_range_cm(phi))
+            assert phi.range.corner_index == moved.corner_index
+            checked += 1
+    assert checked >= inc.n_corners
+
+
+def test_invariance_is_one_transport_contraction(case, monkeypatch):
+    """``_is_invariant`` moves every cover state by every transport in one
+    contraction, and its verdicts are those of the per-state loop: on the
+    cover, without its first state, and with a state moved off F."""
+    inc, _ = case
+    F = list(strongly_compatible(inc))
+    i = F[-1].corner_index
+    p = inc.min_projs[i]
+    off = mod_state_from_density(inc, i, p / np.trace(p))
+    off = dataclasses.replace(off, values=off.values * (1 + 1e-3))
+    for G in (F, F[1:], F[:-1] + [off]):
+        assert _is_invariant(inc, G) is ref_is_invariant(inc, G)
+    assert _is_invariant(inc, F)
+    assert not _is_invariant(inc, F[:-1] + [off])
+    calls = []
+    real = cartankit.inclusion._transports
+    monkeypatch.setattr(cartankit.inclusion, "_transports",
+                        lambda W, V: calls.append(V.shape) or real(W, V))
+    _is_invariant(inc, F)
+    assert calls == [(len(inc.corner_slices),) + (inc.C.ambient_dim,) * 2]
+
+
+# --- Z(C) inside D' cap C ---------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["m2c", "d2c"])
+def test_central_projections_match_center(name):
+    inc = {"m2c": m2c_inclusion, "d2c": diagonal_scalar_inclusion}.get(
+        name, lambda: build(name)[0])()
+    got, want = inc.central_projections, central_projections(inc.C)
+    assert len(got) == len(want)
+    assert all(_close(p, q, 1e-10) for p, q in zip(got, want))
+
+
+def test_envelope_forms_no_commutators_of_c(monkeypatch):
+    """``cartan_envelope`` never commutes C's basis with itself: Z(C) is a
+    null space over the m unknowns of D' cap C."""
+    inc = mndn_inclusion(4)
+    shapes = []
+    real = cartankit.matalg._commutators
+    monkeypatch.setattr(cartankit.matalg, "_commutators",
+                        lambda A, B: shapes.append((len(A), len(B)))
+                        or real(A, B))
+    assert cartan_envelope(inc).success
+    assert (16, 16) not in shapes and (16, 4) in shapes
+
+
+def test_one_dimensional_split_runs_no_eigh(monkeypatch):
+    """The centre of a factor and a scalar corner are C 1: their one
+    minimal projection is the unit, with no ``eigh``."""
+    inc = mndn_inclusion(3)
+    inc.commutant_of_D  # splits D, with eigh
+    monkeypatch.setattr(cartankit.matalg.np.linalg, "eigh", None)
+    (q,) = inc.central_projections
+    assert np.array_equal(q, inc.C.unit)
+    for A in inc.corner_algebras:
+        assert np.array_equal(cartankit.matalg.minimal_projections(A)[0],
+                              A.unit)
+
+
+# --- theta_F on generators --------------------------------------------------
+
+def test_generators(case):
+    inc, _ = case
+    S = _theta_generators(inc)
+    keys = inc.corner_slices
+    # components of the corner graph: p_i and p_j are joined by a slice
+    comp = {i: min(j for j in range(inc.n_corners) if (j, i) in keys)
+            for i in range(inc.n_corners)}
+    c = len(set(comp.values()))
+    assert len(S) == 3 * inc.n_corners - 2 * c
+    assert inc.C.contains_all(S)
+
+
+def test_generator_check_matches_all_pairs(case):
+    inc, cert = case
+    assert cert.success and cert.regular_homomorphism
+    assert _theta_homomorphism(cert.data) is ref_theta_homomorphism(
+        cert.data) is True
+
+
+def test_generator_check_counts_batches(monkeypatch):
+    """3m - 2 convolution batches: 10 on M_4, in place of dim C = 16."""
+    calls = []
+    monkeypatch.setattr(cartankit.envelope, "_convolve_values",
+                        lambda *a: calls.append(1) or _convolve_values(*a))
+    assert cartan_envelope(mndn_inclusion(4)).regular_homomorphism
+    assert len(calls) == 10
+
+
+def _tampered(data, pair, factor):
+    T = data.twist
+    sigma = dict(T.sigma)
+    sigma[pair] = sigma[pair] * factor
+    return dataclasses.replace(data, twist=CocycleTwist(T.groupoid, sigma))
+
+
+@pytest.mark.parametrize("name", ["m3", "m4", "m4conj", "m2x1_plus_c",
+                                  "k4s"])
+def test_tampered_sigma_refused(name, monkeypatch):
+    """sigma changed on one pair whose first arrow carries a forest slice:
+    both checks refuse it, the generator check on the convolution of that
+    slice even with its cocycle test passed over."""
+    inc, cert = build(name)
+    data = cert.data
+    G = data.twist.groupoid
+    s = _theta_generators(inc)[inc.n_corners]
+    a = G.arrows[int(np.argmax(np.abs(data._theta(s))))]
+    b = next(b for b in G.arrows if G.src[a] == G.rng[b]
+             and b not in G.unit_arrow.values())
+    bad = _tampered(data, (a, b), np.exp(0.3j))
+    assert not ref_theta_homomorphism(bad)
+    assert not _theta_homomorphism(bad)
+    monkeypatch.setattr(cartankit.envelope, "validate_cocycle",
+                        lambda *args: [])
+    assert not _theta_homomorphism(bad)
+
+
+def test_tampered_pair_off_the_generators_refused(monkeypatch):
+    """A pair whose first arrow no generator's image meets: the products
+    with S never read it, so the lemma's associativity is what it breaks,
+    and the cocycle test refuses it."""
+    inc, cert = build("m4")
+    data = cert.data
+    G = data.twist.groupoid
+    S = _theta_generators(inc)
+    seen = {G.arrows[k] for k in np.flatnonzero(
+        np.abs(data._theta(S)).max(axis=0) > 1e-9)}
+    pair = next((a, b) for (a, b) in G.compose_table
+                if a not in seen and b not in G.unit_arrow.values())
+    bad = _tampered(data, pair, np.exp(0.3j))
+    assert not ref_theta_homomorphism(bad)
+    assert not _theta_homomorphism(bad)
+    assert validate_cocycle(bad.twist, 1e-8)
+    monkeypatch.setattr(cartankit.envelope, "validate_cocycle",
+                        lambda *args: [])
+    assert _theta_homomorphism(bad)
+
+
+# --- nested covers by corner ------------------------------------------------
+
+def _covers():
+    inc = diagonal_scalar_inclusion()
+    s1 = mod_state_from_density(inc, 0, np.diag([1.0, 0]))
+    s2 = mod_state_from_density(inc, 0, np.diag([0, 1.0]))
+    s3 = mod_state_from_density(inc, 0, np.diag([0.5, 0.5]))
+    out = [build_cover(inc, "custom", F=F)
+           for F in ([s1], [s2], [s1, s2], [s2, s1])]
+    # hand-built: a third (incompatible) state, and a state held twice
+    out.append(dataclasses.replace(out[2], states=(s1, s2, s3)))
+    out.append(dataclasses.replace(out[2], states=(s1, s1, s2)))
+    m3 = mndn_inclusion(3)
+    out += [build_cover(m3), build_cover(m3, "custom", F=list(
+        strongly_compatible(m3))[::-1])]
+    return out
+
+
+def test_covers_nested_matches_pairwise_scan():
+    covers = _covers()
+    seen = set()
+    for F1 in covers:
+        for F2 in covers:
+            if F1.inclusion is not F2.inclusion:
+                continue
+            got = covers_nested(F1, F2)
+            assert got == ref_covers_nested(F1, F2)
+            seen.add("none" if got is None else "map")
+    assert seen == {"none", "map"}
+    assert covers_nested(covers[0], covers[5]) is None  # two matches
+    assert covers_nested(covers[3], covers[2]) == [1, 0]
+    assert covers_nested(covers[2], covers[4]) == [0, 1]
+    assert covers_nested(covers[4], covers[2]) is None  # no match

@@ -101,6 +101,28 @@ def ref_range(phi):
     return vals, _ref_corner(inc, vals)
 
 
+def ref_transported_cm(inc, rho, v):
+    """The coefficient-matrix transport the density path replaced: the
+    d x d coefficients of the stack v* S v, applied to rho's values."""
+    vh = v.conj().T
+    return inc.C.coefficient_matrix(vh @ inc.C.stack @ v) @ rho.values \
+        / rho(vh @ v).real
+
+
+def ref_eigenfunctional_cm(inc, v, f):
+    """The coefficient-matrix eigenfunctional: coefficients of v* S."""
+    root = np.sqrt(complex(f(v.conj().T @ v)).real)
+    return inc.C.coefficient_matrix(v.conj().T @ inc.C.stack) @ f.values \
+        / root
+
+
+def ref_range_cm(phi):
+    """The coefficient-matrix range state: coefficients of S v."""
+    C = phi.inclusion.C
+    return C.coefficient_matrix(C.stack @ phi.v) @ phi.values \
+        / complex(phi(phi.v))
+
+
 def ref_gram(inc, rho):
     basis = inc.C.basis
     return np.array([[rho(a.conj().T @ b) for b in basis] for a in basis])
@@ -329,6 +351,7 @@ class TestFunctionals:
                 vals, corner = ref_transported(inc, rho, v)
                 assert moved.corner_index == corner
                 assert _close(moved.values, vals)
+                assert _close(moved.values, ref_transported_cm(inc, rho, v))
                 checked += 1
         assert checked
 
@@ -340,9 +363,11 @@ class TestFunctionals:
                     continue
                 phi = eigenfunctional(inc, v, f)
                 assert _close(phi.values, ref_eigenfunctional(inc, v, f))
+                assert _close(phi.values, ref_eigenfunctional_cm(inc, v, f))
                 vals, corner = ref_range(phi)
                 assert phi.range.corner_index == corner
                 assert _close(phi.range.values, vals)
+                assert _close(phi.range.values, ref_range_cm(phi))
                 checked += 1
         assert checked
 
@@ -702,15 +727,21 @@ STACKED = {
                   "check_star_algebra", "relative_commutant",
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
-                  "_commutators", "span_residuals"],
+                  "_commutators", "span_residuals", "commutant_in"],
     "inclusion.py": ["is_normalizer", "_normalizer_verdicts",
                      "mod_state_from_density",
                      "check_mod_state", "corner_algebra", "transported_state",
                      "_left_kernel_subspace", "radical_ideal",
                      "strongly_compatible", "fixed_point_ideal",
                      "fixed_set_check", "_gram", "_located_state",
-                     "corner_algebras", "scalar_corners", "mod_states"],
-    "envelope.py": ["eigenfunctional", "range", "essential_inclusion"],
+                     "corner_algebras", "scalar_corners", "mod_states",
+                     "_density", "_functional", "_transports", "density",
+                     "_projection_rows", "central_projections",
+                     "_ideal_of_C", "_is_invariant", "is_compatible_state"],
+    "envelope.py": ["eigenfunctional", "range", "essential_inclusion",
+                    "_theta_map", "_basis_images", "_theta",
+                    "_theta_generators", "_theta_homomorphism",
+                    "theta_F", "theta_kernel_rows", "covers_nested"],
     "reduced.py": ["delta_norms", "_normalizes"],
 }
 
