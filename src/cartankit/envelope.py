@@ -394,7 +394,7 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     pe = pseudo_expectations(inc)
     dc = inc.commutant_of_D
     dc_abelian = dc.is_abelian(1e-8)
-    dc_ess = essential_inclusion(dc, inc.D)
+    dc_ess = essential_inclusion(dc, inc.D, inc.commutant_blocks)
     c_ess = essential_inclusion(inc.C, dc, inc.central_projections)
     if not pe.unique:
         reason = ("no unique pseudo-expectation; the relative commutant "

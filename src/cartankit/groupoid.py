@@ -9,9 +9,11 @@ Hausdorff, so no topology is carried.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .errors import (
 
 #: Triples (a, b, c) held in memory at once by the identity checks.
 _CHUNK = 1 << 13
+#: Tables with at most this many triples go straight to the full pass:
+#: its one chunk costs less than finding a generating set.
+_FULL_PASS_MAX = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,12 @@ class FiniteGroupoid:
     @cached_property
     def arrays(self) -> "GroupoidArrays":
         return GroupoidArrays(self)
+
+    @cached_property
+    def axiom_violations(self) -> list:
+        """The violations of every axiom but associativity
+        (``_axiom_lines``), found once."""
+        return _axiom_lines(self)
 
     def arrows_with_source(self, x):
         return self._arrows_at(x, self.arrays.src)
@@ -99,12 +110,12 @@ class GroupoidArrays:
         # Names are numbered in this order, so an unlisted name gets the
         # same number whichever lookups miss: each arrow's ends and
         # inverse, each pair's a, b and ab, the unit arrows.
-        ends = _numbers([e.get(a) for a in G.arrows for e in (G.src, G.rng)],
-                        units).reshape(-1, 2)
-        inv = _numbers(list(map(G.inv.get, G.arrows)), codes)
+        ends = _numbers((list(map(G.src.get, G.arrows)),
+                         list(map(G.rng.get, G.arrows))), units)
+        inv = _numbers((list(map(G.inv.get, G.arrows)),), codes)[:, 0]
         self.a, self.b, self.ab = _numbers(
-            list(chain.from_iterable(zip(*zip(*table), table.values()))),
-            codes).reshape(-1, 3).T
+            (list(map(itemgetter(0), table)), list(map(itemgetter(1), table)),
+             list(table.values())), codes).T
         self.unit_arrow = np.array(
             [codes.setdefault(G.unit_arrow[x], len(codes))
              if x in G.unit_arrow else -1 for x in units], dtype=np.intp)
@@ -123,19 +134,30 @@ class GroupoidArrays:
         """Arrow number of each x y, -1 where not composable."""
         return self._ab[self.pair_at[x, y]]
 
-    def triples(self, p):
-        """Chunks of the triples (a, b, c): each pair position q of p with
-        every listed arrow c with r(c) = s(b), c ascending.  Yields q, c and
-        the pair positions of (b, c), (ab, c) and (a, bc), -1 if none.
-
-        The listed arrows are grouped by range (``by_range[start[u]:]``
-        holds the cnt[u] arrows of range u), and chunks end at the first
-        pair that brings the triple count past a multiple of _CHUNK."""
+    @cached_property
+    def product_runs(self) -> tuple:
+        """(q, a[q], b[q], starts, hit): the positions q of the pairs with
+        a listed product, ordered stably by product, so that the pairs of
+        each arrow form a run of q; starts are the runs' first indices,
+        for the arrows that have one (the mask hit)."""
         n = len(self.index)
-        by_range = np.argsort(self.rng[:n], kind="stable")
-        # a trailing empty group, reached by the end -1 of unlisted arrows
-        cnt = np.bincount(self.rng[:n], minlength=len(self.unit_index) + 1)
-        start = np.cumsum(cnt) - cnt
+        q = np.argsort(self.ab, kind="stable")
+        q = q[self.ab[q] < n]
+        cnt = np.bincount(self.ab[q], minlength=n)
+        hit = cnt > 0
+        return q, self.a[q], self.b[q], (np.cumsum(cnt) - cnt)[hit], hit
+
+    def triples(self, p, third=None):
+        """Chunks of the triples (a, b, c): each pair position q of p with
+        every arrow c of ``third`` (listed arrows, ascending; all of them
+        by default) with r(c) = s(b), c ascending.  Yields q, c and the
+        pair positions of (b, c), (ab, c) and (a, bc), -1 if none.
+
+        Chunks end at the first pair that brings the triple count past a
+        multiple of _CHUNK."""
+        if third is None:
+            third = np.arange(len(self.index))
+        by_range, cnt, start = self._by_range(third)
         s_b = self.src[self.b[p]]
         end = np.cumsum(cnt[s_b])  # pair i's triples are first[i]:end[i]
         first = end - cnt[s_b]
@@ -157,18 +179,82 @@ class GroupoidArrays:
             b_c = flat[bw + c]
             yield q, c, b_c, flat[abw + c], flat[aw + self._ab[b_c]]
 
+    def _by_range(self, c) -> tuple:
+        """The listed arrows c grouped by range: c sorted stably by range,
+        whose group u is ``[start[u]:][:cnt[u]]``.  cnt ends in an empty
+        group, read by the end -1 of unlisted arrows."""
+        r = self.rng[c]
+        cnt = np.bincount(r, minlength=len(self.unit_index) + 1)
+        return c[np.argsort(r, kind="stable")], cnt, np.cumsum(cnt) - cnt
+
+    def _right_factors(self, x, grouped) -> tuple:
+        """(x', c): each arrow of x with each arrow c of a ``_by_range``
+        group with r(c) = s(x), so that x' c is defined."""
+        by_range, cnt, start = grouped
+        s_x = self.src[x]
+        reps = cnt[s_x]
+        end = np.cumsum(reps)
+        at = np.repeat(start[s_x] - end + reps, reps)
+        return np.repeat(x, reps), by_range[at + np.arange(len(at))]
+
+    @cached_property
+    def generators(self) -> tuple:
+        """(S, L) on tables that pass every axiom but associativity: every
+        listed arrow is a left-nested word (..(s_1 s_2)..) s_k of k <= L
+        arrows of S (ascending), and some arrow needs L.
+
+        S starts from a star, for each unit x off its orbit's smallest unit
+        r one arrow r -> x and its inverse; then, while the closure misses
+        an arrow, the first missing arrow is added (in every orbit at once:
+        products never leave an orbit, so this adds what adding them one
+        at a time would).  The closure is a breadth-first search over right
+        products w s, read from ``pair_at``, so an arrow first reached at
+        level k has a shortest word of k arrows.  When an orbit gains an
+        arrow of S, its search restarts; the other orbits are complete."""
+        n = len(self.index)
+        src, rng = self.src[:n], self.rng[:n]
+        orbit = np.arange(len(self.unit_index))
+        np.minimum.at(orbit, src, rng)
+        orbit = orbit[rng]  # each arrow's orbit, by its smallest unit
+        star = np.flatnonzero((src == orbit) & (rng != src))
+        star = star[np.unique(rng[star], return_index=True)[1]]
+        in_S = np.zeros(n, dtype=bool)
+        in_S[star] = in_S[self.inv[star]] = True
+        depth = np.zeros(n, dtype=np.intp)  # 0: not reached
+        restart = np.ones(n, dtype=bool)
+        while True:
+            S = np.flatnonzero(in_S)
+            grouped = self._by_range(S)
+            depth[restart] = 0
+            x, k = S[restart[S]], 1
+            while len(x):
+                depth[x] = k
+                xc = self._ab[self.pair_at[self._right_factors(x, grouped)]]
+                # (np.unique without return_index imports numpy.ma, 15 ms)
+                x = np.unique(xc[depth[xc] == 0], return_index=True)[0]
+                k += 1
+            missing = np.flatnonzero(depth == 0)
+            if not len(missing):
+                return S, int(depth.max(initial=0))
+            new = missing[np.unique(orbit[missing], return_index=True)[1]]
+            in_S[new] = True
+            restart = np.isin(orbit, orbit[new])
+
 
 def _lookup(names, codes: dict, count: int) -> np.ndarray:
     """codes[x] for each of the count names, -1 where codes lacks it."""
     return np.fromiter(map(codes.get, names, repeat(-1)), np.intp, count)
 
 
-def _numbers(names: list, codes: dict) -> np.ndarray:
-    """codes[x] for each name; a name codes lacks is numbered next, in
-    order of first appearance."""
-    out = _lookup(names, codes, len(names))
+def _numbers(columns: tuple, codes: dict) -> np.ndarray:
+    """codes[x] for each name of the equal-length columns, as rows of
+    the array (one row per position, one column per column); a name
+    codes lacks is numbered next, in row-major order of first
+    appearance."""
+    out = np.stack([_lookup(c, codes, len(c)) for c in columns], axis=1)
     for k in np.flatnonzero(out < 0):
-        out[k] = codes.setdefault(names[k], len(codes))
+        w, i = divmod(int(k), len(columns))
+        out[w, i] = codes.setdefault(columns[i][w], len(codes))
     return out
 
 
@@ -214,7 +300,8 @@ def build_groupoid(units, arrow_specs, compose_pairs=None,
 
 def validate(G: FiniteGroupoid) -> list:
     """Check all groupoid axioms; returns a list of violation strings."""
-    return _axiom_lines(G) + _triple_checks(G.arrays)[0]
+    bad = G.axiom_violations
+    return bad + _triple_checks(G.arrays, tables_hold=not bad)[0]
 
 
 def _axiom_lines(G: FiniteGroupoid) -> list:
@@ -270,7 +357,8 @@ def _axiom_lines(G: FiniteGroupoid) -> list:
     return bad
 
 
-def _triple_checks(t: GroupoidArrays, s=None, tol=0.0) -> tuple:
+def _triple_checks(t: GroupoidArrays, s=None, tol=0.0,
+                   tables_hold=False) -> tuple:
     """(associativity lines, cocycle lines) from one pass over the triples
     of every pair, in table order.
 
@@ -278,7 +366,16 @@ def _triple_checks(t: GroupoidArrays, s=None, tol=0.0) -> tuple:
     failures are sorted by (a, b) and then c.  Given phases s over the
     pairs, the cocycle identity s(a,b) s(ab,c) = s(b,c) s(a,bc) is checked
     to within tol, and a triple whose identity names a pair outside the
-    table is reported as undefined, each chunk's lines in pass order."""
+    table is reported as undefined, each chunk's lines in pass order.
+
+    tables_hold says that the tables pass every other check (no
+    ``_axiom_lines``, and no ``_sigma_lines`` when s is given).  Then the
+    triples whose c lies in a generating set are checked first
+    (``_generator_pass``), and when they prove that this pass would
+    report nothing, it is not run; so it runs only to list violations,
+    or when the generating set cannot decide."""
+    if tables_hold and _generator_pass(t, s, tol):
+        return [], []
     n = len(t.index)
     unlisted = (t.a >= n) | (t.b >= n)
     names = lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]]}
@@ -313,6 +410,66 @@ def _triple_checks(t: GroupoidArrays, s=None, tol=0.0) -> tuple:
                               np.arange(len(q)))],
                             lambda i: {**names(q[i]), "c": t.names[c[i]]})
     return assoc, cocycle
+
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+
+def _generator_pass(t: GroupoidArrays, s, tol: float) -> bool:
+    """Whether the triples (a, b, c) with c in S (``t.generators``) prove
+    that the full triple pass reports no line, on tables that pass every
+    other check.  Associativity is decided exactly; the cocycle identity
+    with the cut e = tol / (4L).
+
+    Light's test.  Let A be the arrows c with (ab)c = a(bc) for all
+    composable a, b.  The other axioms make every product below defined,
+    and for s, u in A with su defined,
+    (ab)(su) = ((ab)s)u = (a(bs))u = a((bs)u) = a(b(su)).  So A is closed
+    under products; if S lies in A, so does every left-nested word of S,
+    and those give every arrow.
+
+    The cocycle analogue.  Let D(a, b, c) = |s(a,b) s(ab,c) - s(b,c) s(a,bc)|
+    and |s| <= 1 + tau.  With associativity, for c = wu,
+      s(w,u) [s(a,b) s(ab,wu) - s(b,wu) s(a,bwu)]
+    telescopes through s(a,b) s(ab,w) s(abw,u), s(b,w) s(a,bw) s(abw,u)
+    and s(b,w) s(bw,u) s(a,bwu): each step is one of D(ab,w,u), D(a,b,w),
+    D(a,bw,u), D(b,w,u) times a phase.  So
+      D(a,b,wu) <= f [D(a,b,w) + D(ab,w,u) + D(a,bw,u) + D(b,w,u)],
+    f = (1 + tau) / (1 - tau), and if every D(., ., u) <= d for u in S, a
+    word of k arrows of S has D <= (3k - 2) d f^(k-1), by induction on k.
+
+    Rounding.  A computed defect (two complex products, 2 sqrt(2) u each
+    relative to |x||y|, a difference and a modulus) is within
+    eta = 10 u (1 + tau)^2 of the exact one, u the unit roundoff; and the
+    ``_sigma_lines`` modulus check gives tau = tol + 2u.  Generator
+    defects computed <= e so bound every exact one by
+    B = (3L - 2)(e + eta) f^(L-1), and every computed one by B + eta.
+    When B + eta <= tol (at tol 1e-12, up to L = 77), no computed defect
+    passes tol; otherwise the generating set cannot decide, and this
+    returns False, as it does on tables of at most _FULL_PASS_MAX
+    triples (counted as |pairs| |arrows| / |units|, which is exact when
+    every unit is the range of equally many arrows)."""
+    if len(t.pairs) * len(t.index) <= _FULL_PASS_MAX * len(t.unit_index):
+        return False
+    S, L = t.generators
+    L = max(L, 1)
+    eps = tol / (4 * L)
+    if s is not None:
+        tau = tol + 2 * _U
+        growth = ((L - 1) * math.log1p(2 * tau / (1 - tau)) if tau < 1
+                  else math.inf)
+        eta = 10 * _U * (1 + tau) ** 2
+        if not (growth <= 1 and (3 * L - 2) * (eps + eta) * math.exp(growth)
+                + eta <= tol):
+            return False
+    # the other axioms make every pair of these triples defined
+    p = np.arange(len(t.pairs))
+    for q, c, b_c, ab_c, a_bc in t.triples(p, S):
+        if (t._ab[ab_c] != t._ab[a_bc]).any() or s is not None and not (
+                np.abs(s[q] * s[ab_c] - s[b_c] * s[a_bc]) <= eps).all():
+            return False
+    return True
 
 
 def isotropy(G: FiniteGroupoid, x) -> tuple:

@@ -64,6 +64,7 @@ from .matalg import (
     _algebra_from_rows,
     _as_matrix,
     _vec,
+    central_projections,
     commutant_in,
     generate_star_algebra,
     hs_norm,
@@ -233,6 +234,17 @@ class Inclusion:
         rows = np.concatenate([A.basis_rows for A in self.corner_algebras])
         return _algebra_from_rows(self.C.ambient_dim, rows, self.C.unit,
                                   self.C.unit_is_ambient)
+
+    @cached_property
+    def commutant_blocks(self) -> tuple:
+        """The minimal central projections of D' cap C.  It is the direct
+        sum of the corners (``commutant_of_D``), so its centre is the sum
+        of theirs: these are the corners' minimal central projections,
+        p_i itself for a corner C p_i."""
+        if self.scalar_corners:
+            return self.min_projs
+        return tuple(q for A in self.corner_algebras
+                     for q in central_projections(A))
 
     @cached_property
     def is_masa(self) -> bool:

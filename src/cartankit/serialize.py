@@ -123,7 +123,9 @@ def twist_from_json(data) -> CocycleTwist:
         # pair_at reads -1 for a name outside the tables
         pos = t.pair_at[_lookup(a, t.code, len(a)),
                         _lookup(b, t.code, len(b))]
-        bad = (pos < 0) | ~(_is_number(re) & _is_number(im))
+        bad = pos < 0
+        if not set(map(type, re)) | set(map(type, im)) <= _NUMBER:
+            bad |= ~(_is_number(re) & _is_number(im))  # find the first
         if bad.any():
             k = np.flatnonzero(bad)[0]
             if pos[k] < 0:

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .groupoid import (
     FiniteGroupoid,
-    _axiom_lines,
     _triple_checks,
     _violations,
     restrict_groupoid,
@@ -93,15 +92,20 @@ def validate_cocycle(T: CocycleTwist, tol: float = COCYCLE_TOL) -> list:
     head, s = _sigma_lines(T, tol)
     if s is None:
         return head
-    return head + _triple_checks(T.groupoid.arrays, s, tol)[1]
+    return head + _triple_checks(
+        T.groupoid.arrays, s, tol,
+        tables_hold=not (head or T.groupoid.axiom_violations))[1]
 
 
 def validate_twist(T: CocycleTwist) -> list:
     """``validate(T.groupoid) + validate_cocycle(T)``, from one pass over
-    the triples."""
+    the triples (those of a generating set, when they decide:
+    ``groupoid._triple_checks``)."""
+    axioms = T.groupoid.axiom_violations
     head, s = _sigma_lines(T, COCYCLE_TOL)
-    assoc, cocycle = _triple_checks(T.groupoid.arrays, s, COCYCLE_TOL)
-    return _axiom_lines(T.groupoid) + assoc + head + cocycle
+    assoc, cocycle = _triple_checks(T.groupoid.arrays, s, COCYCLE_TOL,
+                                    tables_hold=not (axioms or head))
+    return axioms + assoc + head + cocycle
 
 
 def _sigma_lines(T: CocycleTwist, tol: float) -> tuple:
@@ -195,15 +199,17 @@ def unit_function(T: CocycleTwist, degree: int) -> EquivariantFunction:
 
 def _convolve_values(T: CocycleTwist, degree: int, f, g) -> np.ndarray:
     """(f * g)(c) = sum_{ab = c} c_k(a, b) f(a) g(b) on value arrays
-    (..., n), broadcast over their leading axes: one bincount scatter of
-    the pair terms per real part."""
+    (..., n), broadcast over their leading axes: the pair terms, in
+    product order (``product_runs``), summed run by run."""
     t, n = T.groupoid.arrays, len(T.groupoid.arrows)
-    w = T.phases(degree) * f[..., t.a] * g[..., t.b]
-    *lead, _ = w.shape
-    rows = int(np.prod(lead))
-    bins = (np.arange(rows)[:, None] * n + t.ab).ravel()
-    part = lambda x: np.bincount(bins, x.ravel(), rows * n)
-    return (part(w.real) + 1j * part(w.imag)).reshape(*lead, n)
+    q, a, b, starts, hit = t.product_runs
+    w = T.phases(degree)[q] * f[..., a] * g[..., b]
+    if len(starts) == n:
+        return np.add.reduceat(w, starts, axis=-1)
+    out = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+    if len(starts):
+        out[..., hit] = np.add.reduceat(w, starts, axis=-1)
+    return out
 
 
 def _involution_values(T: CocycleTwist, degree: int, f) -> np.ndarray:

@@ -20,6 +20,7 @@ from cartankit.envelope import (
     cartan_envelope,
     covers_nested,
     eigenfunctional,
+    essential_inclusion,
 )
 from cartankit.inclusion import (
     _density,
@@ -187,6 +188,38 @@ def test_central_projections_match_center(name):
     got, want = inc.central_projections, central_projections(inc.C)
     assert len(got) == len(want)
     assert all(_close(p, q, 1e-10) for p, q in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["m2c", "d2c"])
+def test_commutant_blocks_match_center(name):
+    """D' cap C splits into the corners' central projections as
+    ``matalg.center`` splits it, and D's essentiality reads the same on
+    both."""
+    inc = {"m2c": m2c_inclusion, "d2c": diagonal_scalar_inclusion}.get(
+        name, lambda: BUILDERS[name]())()
+    dc = inc.commutant_of_D
+    got, want = inc.commutant_blocks, central_projections(dc)
+    assert len(got) == len(want)
+    assert all(sum(_close(p, q, 1e-10) for q in want) == 1 for p in got)
+    assert essential_inclusion(dc, inc.D, got) == \
+        essential_inclusion(dc, inc.D)
+
+
+@pytest.mark.parametrize("builder,centres", [
+    (functools.partial(mndn_inclusion, 4), []), (m2c_inclusion, [5])])
+def test_envelope_splits_only_non_scalar_corners(builder, centres,
+                                                 monkeypatch):
+    """``cartan_envelope`` takes no centre of D' cap C: scalar corners
+    are their p_i, and a non-scalar corner's centre is the corner's
+    own."""
+    split = []
+    real = cartankit.matalg.center
+    monkeypatch.setattr(cartankit.matalg, "center",
+                        lambda A, *args: split.append(A) or real(A, *args))
+    inc = builder()
+    cartan_envelope(inc)
+    assert [A.dim for A in split] == centres
+    assert all(A is not inc.commutant_of_D for A in split)
 
 
 def test_envelope_forms_no_commutators_of_c(monkeypatch):

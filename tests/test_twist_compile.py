@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cartankit.groupoid
+import cartankit.serialize
 from cartankit import cli
 from cartankit.errors import ParseError
 from cartankit.groupoid import (
@@ -226,6 +227,23 @@ def test_first_refused_entry_in_file_order(entries):
     assert str(err.value) == ref_cocycle_error(G, entries)
 
 
+def test_parts_checked_one_by_one_only_past_a_non_number(monkeypatch):
+    """A file whose parts are all JSON numbers is read with one type-set
+    test; the per-entry check runs only to find the first bad entry."""
+    calls = []
+    real = cartankit.serialize._is_number
+    monkeypatch.setattr(cartankit.serialize, "_is_number",
+                        lambda parts: calls.append(len(parts)) or real(parts))
+    T = random_coboundary(pair_groupoid(3), np.random.default_rng(2))
+    data = twist_to_json(T)
+    assert twist_from_json(data).sigma == T.sigma
+    assert calls == []
+    data["cocycle"][4][1] = [0.5, "0.5"]
+    with pytest.raises(ParseError):
+        twist_from_json(data)
+    assert calls == [len(data["cocycle"])] * 2
+
+
 def test_phase_parts_any_json_number():
     """Integers too large for an int64, booleans and floats are read as
     complex() reads them; an integer past the float range is refused."""
@@ -381,9 +399,9 @@ def test_both_validators_use_the_one_pass(monkeypatch):
     calls = []
     real = cartankit.groupoid._triple_checks
 
-    def counted(t, *args):
+    def counted(t, *args, **kwargs):
         calls.append(len(args))
-        return real(t, *args)
+        return real(t, *args, **kwargs)
 
     monkeypatch.setattr(cartankit.groupoid, "_triple_checks", counted)
     monkeypatch.setattr(cartankit.twist, "_triple_checks", counted)
@@ -397,12 +415,13 @@ def test_both_validators_use_the_one_pass(monkeypatch):
 
 @pytest.fixture
 def triples_calls(monkeypatch):
+    """(pairs, third factors) of each ``triples`` call."""
     calls = []
     real = GroupoidArrays.triples
 
-    def counted(self, p):
-        calls.append(len(p))
-        return real(self, p)
+    def counted(self, p, third=None):
+        calls.append((len(p), len(self.index if third is None else third)))
+        return real(self, p, third)
 
     monkeypatch.setattr(GroupoidArrays, "triples", counted)
     return calls
@@ -416,19 +435,37 @@ def _write(tmp_path, name, obj):
 
 @pytest.mark.parametrize("cmd", ["validate", "cstar"])
 def test_one_triples_call_per_command(tmp_path, capsys, triples_calls, cmd):
+    """Every pair once, with every arrow as c: pair(4) is small enough
+    for the full pass alone."""
     T = random_coboundary(pair_groupoid(4), np.random.default_rng(0))
     path = _write(tmp_path, "t.json", twist_to_json(T))
     assert cli.main([cmd, path]) == 0
-    assert triples_calls == [len(T.sigma)]
+    assert triples_calls == [(len(T.sigma), 16)]
+
+
+@pytest.mark.parametrize("cmd", ["validate", "cstar"])
+def test_one_generator_triples_call_per_command(tmp_path, capsys,
+                                                triples_calls, cmd):
+    """Every pair once, with the 38 arrows of pair(20)'s generating set
+    as c."""
+    T = random_coboundary(pair_groupoid(20), np.random.default_rng(0))
+    path = _write(tmp_path, "t.json", twist_to_json(T))
+    assert cli.main([cmd, path]) == 0
+    assert triples_calls == [(len(T.sigma), 38)]
 
 
 def test_one_triples_call_per_compared_twist(tmp_path, capsys,
-                                             triples_calls):
+                                             triples_calls, monkeypatch):
     a = _write(tmp_path, "a.json", twist_to_json(trivial_twist(
         pair_groupoid(2))))
     b = _write(tmp_path, "b.json", groupoid_to_json(pair_groupoid(3)))
     assert cli.main(["compare", a, b]) == 1
-    assert triples_calls == [8, 27]
+    assert triples_calls == [(8, 4), (27, 9)]
+    # the generating sets of pair(2) and pair(3) in place of every arrow
+    monkeypatch.setattr(cartankit.groupoid, "_FULL_PASS_MAX", -1)
+    triples_calls.clear()
+    assert cli.main(["compare", a, b]) == 1
+    assert triples_calls == [(8, 2), (27, 4)]
 
 
 def test_cocycle_tolerance_threshold():
