@@ -9,10 +9,10 @@ automatically satisfy phi(v) = f(v*v)^{1/2} > 0.  Twist arrows are
 circle classes of eigenfunctionals, pinned by rotating the first
 significant value-vector entry to the positive reals; because the unit
 direction is the first basis vector of C, cover states are already
-canonical.  The twist is
-built by index, as the Weyl twist is: one class per (cover state,
-reachable corner) pair, and the cocycle from one batched contraction
-(``weyl._class_twist``).
+canonical.  The twist is built by index, as the Weyl twist is: one class
+per (cover state, reachable corner) pair, and the cocycle from one
+batched contraction (``weyl._class_twist``).  On the class
+representatives theta_F is the identity matrix (``_theta_on_classes``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .inclusion import (
     ModState,
     is_compatible_state,
     pseudo_expectations,
-    radical_ideal,
     strongly_compatible,
     _density,
     _functional,
@@ -51,20 +50,11 @@ from .matalg import (
     _as_matrix,
     _vec,
     central_projections,
-    generate_star_algebra,
     hs_norm,
-    null_space,
     rank,
-    span_residuals,
 )
-from .reduced import ReducedAlgebra, _normalizes, is_cartan_pair, realize
-from .twist import (
-    CocycleTwist,
-    EquivariantFunction,
-    _convolve_values,
-    _involution_values,
-    validate_cocycle,
-)
+from .reduced import ReducedAlgebra, is_cartan_pair, realize
+from .twist import CocycleTwist, EquivariantFunction, _involution_values
 from .weyl import _class_twist
 
 _EIG_TOL = 1e-7
@@ -218,6 +208,7 @@ class EigenTwistData:
     twist: CocycleTwist
     arrow_eigs: dict   # arrow id -> canonical Eigenfunctional
     unit_of_state: dict  # cover-state index -> unit id
+    ratios: dict  # composable (a, b) -> mu with v_a v_b = mu v_ab
 
     @cached_property
     def _theta_map(self) -> np.ndarray:
@@ -228,11 +219,6 @@ class EigenTwistData:
         eigs = np.reshape([self.arrow_eigs[a].values
                            for a in self.twist.groupoid.arrows], (-1, C.dim))
         return C.basis_rows.conj().T @ eigs.T
-
-    @cached_property
-    def _basis_images(self) -> np.ndarray:
-        """theta_F on C's basis, (dim C, |arrows|)."""
-        return self._theta(self.inclusion.C.stack)
 
     def _theta(self, mats: np.ndarray) -> np.ndarray:
         """theta_F on a stack (..., n, n) of elements of C."""
@@ -269,14 +255,19 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     eigs = [classes[key] for key in keys]
     units = [f"f{j}" for j in range(len(F))]
     arrows = [f"a{k}" for k in range(len(keys))]
-    P = np.array(inc.min_projs)
-    X = np.reshape([phi.v @ P[phi.source.corner_index] for phi in eigs],
-                   (-1,) + P.shape[1:])
-    T = _class_twist(keys, X, units, arrows, CoverNotCertified(
-        "eigenfunctional classes not closed under products"))
+    T, ratios = _class_twist(keys, _representatives(inc, eigs), units, arrows,
+                             CoverNotCertified("eigenfunctional classes not "
+                                               "closed under products"))
     return EigenTwistData(inclusion=inc, cover=cover, twist=T,
                           arrow_eigs=dict(zip(arrows, eigs)),
-                          unit_of_state=dict(enumerate(units)))
+                          unit_of_state=dict(enumerate(units)), ratios=ratios)
+
+
+def _representatives(inc: Inclusion, eigs) -> np.ndarray:
+    """The stack of class representatives v p_i of [v, f], f at corner i."""
+    P = np.array(inc.min_projs)
+    return np.reshape([phi.v @ P[phi.source.corner_index] for phi in eigs],
+                      (-1,) + P.shape[1:])
 
 
 def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
@@ -285,63 +276,36 @@ def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
         _as_matrix(a, data.inclusion.C.ambient_dim)))
 
 
-def theta_kernel_rows(data: EigenTwistData) -> np.ndarray:
-    """Orthonormal rows spanning ker theta_F inside C."""
-    return null_space(data._basis_images.T) @ data.inclusion.C.basis_rows
-
-
-def _theta_generators(inc: Inclusion) -> np.ndarray:
-    """The stack S of ``_theta_homomorphism``: D's minimal projections,
-    the slices u of a spanning forest of the corner graph (i ~ j when
-    p_j C p_i != 0; scalar corners) and their adjoints, 3m - 2 of them
-    when the graph is connected."""
-    root = list(range(inc.n_corners))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-    forest = []
-    for (i, j), u in inc.corner_slices.items():
-        a, b = find(i), find(j)
-        if a != b:
-            root[a] = b
-            forest.append(u)
-    return np.array(list(inc.min_projs) + forest
-                    + [u.conj().T for u in forest])
-
-
-def _theta_homomorphism(data: EigenTwistData) -> bool:
-    """theta_F is a *-homomorphism: theta(x*) = theta(x)* for x in C's
-    basis, sigma is a 2-cocycle, and theta(s x) = theta(s) theta(x) for s
-    in the stack S of ``_theta_generators`` and x in C's basis, one
-    convolution batch per s.
-
-    That suffices.  theta is linear, and the twisted convolution is
-    associative, as sigma is a 2-cocycle: ``weyl._class_twist`` reads it
-    off products of partial isometries, v_a v_b = mu v_c, so it holds up
-    to rounding, and it is checked on every composable triple
-    (``validate_cocycle``, at the 1e-8 of the *-check).  Sum p_i = 1
-    with every p_i in S, so theta(1) theta(x) = sum theta(p_i x) =
-    theta(x).  For a word w = s_1 ... s_k in S, induction on k gives
-    theta(w x) = theta(s_1) theta(s_2 ... s_k x) = theta(s_1) ...
-    theta(s_k) theta(x); with x = 1, theta(w) = theta(s_1) ...
-    theta(s_k) theta(1), so theta(w x) = theta(w) theta(x).  The words
-    span C: each nonzero slice p_j C p_i is one-dimensional, p_i spans it
-    when i = j, and otherwise i and j are joined in the forest, where the
-    product of forest slices and adjoints along the path maps p_i onto
-    p_j: a nonzero element of the slice.  So |S| batches stand in for the
-    dim C of the all-pairs check."""
-    inc, T = data.inclusion, data.twist
-    basis, imgs = inc.C.stack, data._basis_images
-    star = data._theta(basis.conj().transpose(0, 2, 1))
-    if np.any(np.linalg.norm(star - _involution_values(T, 1, imgs),
-                             axis=-1) > 1e-8) or validate_cocycle(T, 1e-8):
-        return False
-    S = _theta_generators(inc)
-    return not any(np.any(np.linalg.norm(
-        data._theta(s @ basis) - _convolve_values(T, 1, g, imgs),
-        axis=-1) > 1e-7) for s, g in zip(S, data._theta(S)))
+def _theta_on_classes(data: EigenTwistData) -> bool:
+    """theta_F is a *-isomorphism of C onto C_r(Sigma) carrying span{p_i}
+    onto C(G^0).  With V the class representatives (``_representatives``)
+    and Theta = theta_F(V), checked to ``_EIG_TOL`` per entry: (i)
+    |arrows| = dim C and Theta = I; (ii) p_r(a) v_a p_s(a) = v_a; (iii)
+    sigma(a, b) = mu(a, b), the twist's stored sigma against the ratio
+    v_a v_b = mu v_ab that ``_class_twist`` measured with |mu| = 1; (iv)
+    theta(V*) is the twist's involution of Theta.
+    By (i) theta(v_a) = delta_a and ||Theta - I|| < 1, so V is a basis of
+    C and theta a linear bijection.  Units sit at distinct corners (a built
+    cover meets each scalar corner in its one state), so for s(a) != r(b),
+    (ii) gives v_a v_b = v_a p_s(a) p_r(b) v_b = 0 = delta_a * delta_b;
+    for composable pairs (iii) gives theta(v_a v_b) = sigma(a, b) delta_ab
+    = delta_a * delta_b.  So theta is multiplicative, with no associativity
+    needed, and by (iv) *-preserving.  (ii) puts the unit class's v_e in
+    p C p = C p, so theta(p) is a multiple of delta_e."""
+    T, inc = data.twist, data.inclusion
+    G, t = T.groupoid, T.groupoid.arrays
+    n = len(G.arrows)
+    V = _representatives(inc, [data.arrow_eigs[a] for a in G.arrows])
+    theta = data._theta(V)
+    P = np.array(inc.min_projs)[[data.arrow_eigs[G.unit_arrow[x]].source
+                                 .corner_index for x in G.units]]
+    mu = np.fromiter(map(data.ratios.__getitem__, t.pairs), complex,
+                     len(t.pairs))
+    return n == inc.C.dim and all(
+        np.abs(err).max(initial=0.0) <= _EIG_TOL for err in (
+            theta - np.eye(n), P[t.rng[:n]] @ V @ P[t.src[:n]] - V,
+            T.sigma_vector - mu, data._theta(V.conj().transpose(0, 2, 1))
+            - _involution_values(T, 1, theta)))
 
 
 # --- envelope pipeline ---------------------------------------------------
@@ -389,6 +353,13 @@ class EnvelopeCertificate:
 
 
 def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
+    """Past the unique pseudo-expectation (scalar corners) every field but
+    ``essential_extension`` and ``cartan`` follows from ``_theta_on_classes``:
+    a *-isomorphism carrying D onto C(G^0) maps normalizers to normalizers,
+    is onto (generation, pointwise density), has E(theta(p_i)) spanning
+    C(G^0) (D1 generation), and ker theta = 0 = K_F, as the cover states
+    give rho_i(x*x) = ||x p_i||_HS^2 / tr p_i, which vanish for all i only
+    at x = x sum p_i = 0."""
     if not inc.regular:
         raise NotRegular("Cartan envelope requires a regular inclusion")
     pe = pseudo_expectations(inc)
@@ -407,52 +378,18 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     cover = build_cover(inc, "strongly_compatible")
     data = eigen_twist(inc, cover)
     R = realize(data.twist, 1)
-
-    T = data.twist
-    imgs = data._basis_images
-    hom = _theta_homomorphism(data)
-    theta_imgs = [EquivariantFunction(T, 1, v) for v in imgs]
-    # regularity of theta: generator images normalize the diagonal
-    N = R.total_dim
-    hom = _normalizes(R.diagonal, np.array(
-        [R.represent(theta_F(data, v)) for v in inc.normalizer_gens]
-    ).reshape(-1, N, N)) and hom
-
-    # ker theta_F = K_F
-    ker_rows = theta_kernel_rows(data)
-    KF = radical_ideal(inc, cover.states, check_invariance=False)
-    ker_eq = ker_rows.shape[0] == KF.dim and (KF.dim == 0 or bool(np.all(
-        span_residuals(ker_rows, KF.basis_rows) < 1e-7)))
-
-    # generation checks
-    img_mats = [R.represent(f) for f in theta_imgs]
-    gen_alg = generate_star_algebra(R.total_dim,
-                                    img_mats + list(R.diagonal.basis))
-    generation = gen_alg.subspace_equals(R.algebra, 1e-7)
-    e_imgs = [R.represent(R.expectation(f)) for f in theta_imgs]
-    d1 = generate_star_algebra(R.total_dim, e_imgs)
-    d1_generation = d1.subspace_equals(R.diagonal, 1e-7)
-
+    iso = _theta_on_classes(data)
     # essential extension: cover <-> Gelfand space of D bijectively (a
     # built cover meets every corner)
     essential = len(cover.states) == inc.n_corners
-
-    # pointwise density: theta(C) * C(F) spans every arrow coordinate
-    n = len(data.twist.groupoid.arrows)
-    t = data.twist.groupoid.arrays
-    at = t.src[:n] == np.arange(len(data.twist.groupoid.units))[:, None]
-    density = rank((imgs[:, None, :] * at).reshape(-1, n)) == n
-
-    cert = is_cartan_pair(R)
-    theta_iso = (KF.dim == 0 and inc.C.dim == R.algebra.dim)
     return EnvelopeCertificate(
         inclusion=inc, has_unique_pseudo_expectation=True,
         dc_abelian=dc_abelian, dc_essential_over_d=dc_ess,
         c_essential_over_dc=c_ess, data=data, realization=R,
-        regular_homomorphism=hom, kernel_equals_KF=ker_eq,
-        generation=generation, d1_generation=d1_generation,
-        essential_extension=essential, pointwise_density=density,
-        cartan=cert.is_cartan, theta_isomorphism=theta_iso)
+        regular_homomorphism=iso, kernel_equals_KF=iso, generation=iso,
+        d1_generation=iso, pointwise_density=iso, theta_isomorphism=iso,
+        essential_extension=essential,
+        cartan=is_cartan_pair(R).is_cartan)
 
 
 # --- cover comparison ----------------------------------------------------
@@ -504,12 +441,12 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
                         "between the covers")
     # intertwining: q(theta_2(b)) = theta_1(b)
     cols = [G2.arrays.index[arrow_map[a]] for a in G1.arrows]
-    resid = float(np.max(np.abs(d2._basis_images[:, cols]
-                                - d1._basis_images), initial=0.0))
-    R1 = realize(d1.twist, 1)
-    R2 = realize(d2.twist, 1)
+    B = inc.C.stack
+    resid = float(np.max(np.abs(d2._theta(B)[:, cols] - d1._theta(B)),
+                         initial=0.0))
+    # the realizations' delta images have disjoint supports: dim = |arrows|
     return CoverComparison(data_big=d2, data_small=d1, arrow_map=arrow_map,
-                           dim_big=R2.algebra.dim, dim_small=R1.algebra.dim,
+                           dim_big=len(G2.arrows), dim_small=len(G1.arrows),
                            intertwining_residual=resid)
 
 

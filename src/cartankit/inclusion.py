@@ -657,13 +657,16 @@ class PseudoExpectationSet:
 
 
 def pseudo_expectations(inc: Inclusion) -> PseudoExpectationSet:
+    """The set, and on scalar corners its one element, the canonical E.
+    E is faithful on every inclusion, so L(C, D) = {0} with no null
+    space: E(x*x) = sum_i (||x p_i||_HS^2 / tr p_i) p_i vanishes only when
+    x p_i = 0 for every i, and then x = x sum_i p_i = 0."""
     corners = mod_states(inc)
     unique = inc.scalar_corners
     E = L = faithful = None
     if unique:
         E = canonical_expectation(inc)
-        L = left_kernel(inc, E) if inc.regular else _left_kernel_subspace(inc, E)
-        faithful = (L.dim == 0)
+        L, faithful = _ideal_of_C(inc, inc.C.basis_rows[:0]), True
     return PseudoExpectationSet(inclusion=inc, corners=corners,
                                 unique=unique, expectation=E,
                                 faithful=faithful, left_kernel=L)

@@ -252,14 +252,6 @@ class CartanCertificate:
 NORMALIZER_TOL = 1e-7
 
 
-def _normalizes(D: FdStarAlgebra, V: np.ndarray) -> bool:
-    """v d v* and v* d v lie in D, as ``D.contains(m, NORMALIZER_TOL)``
-    decides, for every v of the stack V and every basis element d of D."""
-    Vh = V.conj().transpose(0, 2, 1)
-    return all(D.contains_all(V @ d @ Vh, NORMALIZER_TOL) and
-               D.contains_all(Vh @ d @ V, NORMALIZER_TOL) for d in D.stack)
-
-
 def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     """Certify (or refute) that the diagonal is Cartan in the realization,
     from the tables and the realization's entries, with no matrix built.

@@ -123,13 +123,13 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
     U, X = U * phase, X * phase
     units = [f"x{i}" for i in range(inc.n_corners)]
     ids = [f"g{i}.{j}" for i, j in keys]
-    T = _class_twist(keys, X, units, ids, NoConditionalExpectation(
+    T, _ = _class_twist(keys, X, units, ids, NoConditionalExpectation(
         "germ product is not a germ: inclusion is not MASA"))
     return WeylTwistResult(twist=T, representatives=dict(zip(ids, U)),
                            corner_of_unit={x: i for i, x in enumerate(units)})
 
 
-def _class_twist(keys, X, units, arrows, refusal) -> CocycleTwist:
+def _class_twist(keys, X, units, arrows, refusal) -> tuple:
     """The twist of normalizer classes over scalar corners, shared by the
     Weyl and eigenfunctional twists: arrows[k] runs from units[s] to
     units[r], (s, r) = keys[k], and X[k] is a partial isometry from the
@@ -140,7 +140,8 @@ def _class_twist(keys, X, units, arrows, refusal) -> CocycleTwist:
     s(a) = r(b), X[a] X[b] lies in the slice of (s(b), r(a)): it is
     mu X[c] for the class c of that key, and sigma(a, b) = mu/|mu|, from
     one batched contraction over the pairs.  ``refusal`` is raised when a
-    product's class is missing or the product is not a multiple of it."""
+    product's class is missing, the product is not a multiple of it or
+    |mu| != 1.  Returns the twist and {(a, b): mu}."""
     src, rng = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     where = np.full((len(units),) * 2, -1)
     where[src, rng] = np.arange(len(keys))
@@ -151,14 +152,15 @@ def _class_twist(keys, X, units, arrows, refusal) -> CocycleTwist:
         np.einsum("kij,kij->k", target.conj(), target).real
     resid = np.linalg.norm(prod - lam[:, None, None] * target, axis=(1, 2))
     scale = np.maximum(1.0, np.linalg.norm(prod, axis=(1, 2)))
-    if np.any(t < 0) or np.any(resid > _GERM_TOL * scale):
+    if np.any(t < 0) or np.any(resid > _GERM_TOL * scale) or \
+            np.any(np.abs(np.abs(lam) - 1.0) > _GERM_TOL):
         raise refusal
     pairs = [(arrows[x], arrows[y], arrows[z]) for x, y, z in zip(a, b, t)]
-    sigma = dict(zip(((x, y) for x, y, _ in pairs),
-                     (lam / np.abs(lam)).tolist()))
+    ab = [(x, y) for x, y, _ in pairs]
+    sigma = dict(zip(ab, (lam / np.abs(lam)).tolist()))
     specs = [(arrows[k], units[s], units[r], arrows[where[r, s]])
              for k, (s, r) in enumerate(zip(src, rng))]
     unit_arrows = {units[s]: arrows[k]
                    for k, (s, r) in enumerate(zip(src, rng)) if s == r}
     G = build_groupoid(units, specs, pairs, unit_arrows)
-    return CocycleTwist(groupoid=G, sigma=sigma)
+    return CocycleTwist(groupoid=G, sigma=sigma), dict(zip(ab, lam.tolist()))

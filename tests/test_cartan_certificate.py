@@ -32,8 +32,8 @@ from cartankit.matalg import (
     rank,
 )
 from cartankit.reduced import (
+    NORMALIZER_TOL,
     CartanCertificate,
-    _normalizes,
     is_cartan_pair,
     realize,
 )
@@ -61,6 +61,14 @@ def ref_faithful(R, eps=EPS):
     Q[t.a[on_unit], t.b[on_unit]] = R.twist.phases(R.degree)[on_unit]
     gram = _involution_values(R.twist, R.degree, np.eye(n)) @ Q
     return bool(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > eps)
+
+
+def _normalizes(D, V):
+    """v d v* and v* d v lie in D, as ``D.contains(m, NORMALIZER_TOL)``
+    decides, for every v of the stack V and every basis element d of D."""
+    Vh = V.conj().transpose(0, 2, 1)
+    return all(D.contains_all(V @ d @ Vh, NORMALIZER_TOL) and
+               D.contains_all(Vh @ d @ V, NORMALIZER_TOL) for d in D.stack)
 
 
 def ref_cartan_certificate(R, eps=EPS):

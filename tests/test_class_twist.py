@@ -104,7 +104,8 @@ def ref_eigen_twist(inc, cover):
                        unit_arrows)
     return EigenTwistData(inclusion=inc, cover=cover,
                           twist=CocycleTwist(groupoid=G, sigma=sigma),
-                          arrow_eigs=arrow_eigs, unit_of_state=unit_of_state)
+                          arrow_eigs=arrow_eigs, unit_of_state=unit_of_state,
+                          ratios=dict(sigma))
 
 
 def conjugated_m4():

@@ -1,8 +1,8 @@
 """Functionals on C evaluated through their densities, C's centre read
-inside D' cap C, and theta_F checked on 3m - 2 generators: each matched
-with the slow path it replaced (kept here, or in
-``tests/test_stacked_kernel.py``, as references), and the counts that
-show the slow paths are gone."""
+inside D' cap C, and theta_F certified on the class basis (Theta =
+theta_F(V) = I): each matched with the slow paths it replaced (kept here,
+or in ``tests/test_stacked_kernel.py``, as references), and the counts
+that show the slow paths are gone."""
 
 import dataclasses
 import functools
@@ -11,34 +11,51 @@ import numpy as np
 import pytest
 
 import cartankit.envelope
+import cartankit.groupoid
 import cartankit.inclusion
 import cartankit.matalg
+import cartankit.reduced
+import cartankit.twist
 from cartankit.envelope import (
-    _theta_generators,
-    _theta_homomorphism,
+    _theta_on_classes,
     build_cover,
     cartan_envelope,
     covers_nested,
     eigenfunctional,
     essential_inclusion,
 )
+from cartankit.errors import NoConditionalExpectation
+from cartankit.groupoid import restrict_groupoid
 from cartankit.inclusion import (
     _density,
     _functional,
     _is_invariant,
+    _left_kernel_subspace,
+    canonical_expectation,
     mod_state_from_density,
+    radical_ideal,
     strongly_compatible,
     transported_state,
 )
-from cartankit.matalg import central_projections
+from cartankit.matalg import (
+    central_projections,
+    generate_star_algebra,
+    null_space,
+    rank,
+    span_residuals,
+)
+from cartankit.reduced import realize
 from cartankit.twist import (
     CocycleTwist,
+    EquivariantFunction,
     _convolve_values,
     _involution_values,
     validate_cocycle,
 )
+from cartankit.weyl import _class_twist
 from conftest import m2c_inclusion, mndn_inclusion
-from test_class_twist import conjugated_m4
+from test_cartan_certificate import _normalizes
+from test_class_twist import abelian_self_inclusion, conjugated_m4
 from test_corner_slices import mixed_rank_inclusion, tensor_inclusion
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 from test_inclusion import m2_plus_c_inclusion
@@ -72,6 +89,84 @@ def ref_theta_homomorphism(data):
         np.any(np.linalg.norm(theta(a @ basis) - _convolve_values(
             T, 1, imgs[i], imgs), axis=-1) > 1e-7)
         for i, a in enumerate(basis)))
+
+
+def ref_theta_generators(inc):
+    """The stack S of ``ref_theta_generator_check``: D's minimal
+    projections, the slices u of a spanning forest of the corner graph
+    (i ~ j when p_j C p_i != 0; scalar corners) and their adjoints, 3m - 2
+    of them when the graph is connected."""
+    root = list(range(inc.n_corners))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+    forest = []
+    for (i, j), u in inc.corner_slices.items():
+        a, b = find(i), find(j)
+        if a != b:
+            root[a] = b
+            forest.append(u)
+    return np.array(list(inc.min_projs) + forest
+                    + [u.conj().T for u in forest])
+
+
+def ref_theta_generator_check(data, cocycle=True):
+    """The generator check the class-basis certificate replaced:
+    theta(x*) = theta(x)* on C's basis, sigma a 2-cocycle (skipped with
+    ``cocycle=False``), and theta(s x) = theta(s) theta(x) for s in
+    ``ref_theta_generators`` and x in C's basis, one convolution batch per
+    s.  By induction on words in S, with the associativity the cocycle
+    identity gives, that makes theta multiplicative on all of C."""
+    inc, T = data.inclusion, data.twist
+    basis = inc.C.stack
+    imgs = data._theta(basis)
+    star = data._theta(basis.conj().transpose(0, 2, 1))
+    if np.any(np.linalg.norm(star - _involution_values(T, 1, imgs),
+                             axis=-1) > 1e-8) or \
+            (cocycle and validate_cocycle(T, 1e-8)):
+        return False
+    S = ref_theta_generators(inc)
+    return not any(np.any(np.linalg.norm(
+        data._theta(s @ basis) - _convolve_values(T, 1, g, imgs),
+        axis=-1) > 1e-7) for s, g in zip(S, data._theta(S)))
+
+
+def ref_envelope_fields(inc, data):
+    """The certificate fields as the dense path decided them: the
+    generator check plus the normalizers' images normalizing the realized
+    diagonal, ker theta (a null space) against K_F (``radical_ideal``),
+    the two closures on the realization, the rank of theta(C) C(F), and
+    the left kernel of the canonical expectation (a null space)."""
+    T, imgs = data.twist, data._theta(inc.C.stack)
+    R = realize(T, 1)
+    N = R.total_dim
+    hom = ref_theta_generator_check(data) and _normalizes(R.diagonal, np.array(
+        [R.represent(cartankit.envelope.theta_F(data, v))
+         for v in inc.normalizer_gens]).reshape(-1, N, N))
+    ker_rows = null_space(imgs.T) @ inc.C.basis_rows
+    KF = radical_ideal(inc, data.cover.states, check_invariance=False)
+    theta_imgs = [EquivariantFunction(T, 1, v) for v in imgs]
+    gen = generate_star_algebra(N, [R.represent(f) for f in theta_imgs]
+                                + list(R.diagonal.basis))
+    d1 = generate_star_algebra(N, [R.represent(R.expectation(f))
+                                   for f in theta_imgs])
+    n, t = len(T.groupoid.arrows), T.groupoid.arrays
+    at = t.src[:n] == np.arange(len(T.groupoid.units))[:, None]
+    return {
+        "regular_homomorphism": hom,
+        "kernel_equals_KF": ker_rows.shape[0] == KF.dim and (
+            KF.dim == 0 or bool(np.all(span_residuals(
+                ker_rows, KF.basis_rows) < 1e-7))),
+        "generation": gen.subspace_equals(R.algebra, 1e-7),
+        "d1_generation": d1.subspace_equals(R.diagonal, 1e-7),
+        "pointwise_density": rank((imgs[:, None, :] * at).reshape(-1, n)) == n,
+        "theta_isomorphism": KF.dim == 0 and inc.C.dim == R.algebra.dim,
+        "left_kernel_dim": _left_kernel_subspace(
+            inc, canonical_expectation(inc)).dim,
+        "realized_dim": R.algebra.dim,
+    }
 
 
 def ref_is_invariant(inc, F):
@@ -109,11 +204,13 @@ BUILDERS.update(m4conj=conjugated_m4,
                 m2x1_plus_c=mixed_rank_inclusion,
                 m2_plus_c=m2_plus_c_inclusion,
                 k4s=k4_cartan_inclusion)
+#: Further inclusions the certificate is cross-checked on.
+CERTIFIED = sorted(BUILDERS) + ["abelian"]
 
 
 @functools.lru_cache(maxsize=None)
 def build(name):
-    inc = BUILDERS[name]()
+    inc = BUILDERS.get(name, abelian_self_inclusion)()
     return inc, cartan_envelope(inc)
 
 
@@ -248,11 +345,11 @@ def test_one_dimensional_split_runs_no_eigh(monkeypatch):
                               A.unit)
 
 
-# --- theta_F on generators --------------------------------------------------
+# --- theta_F on the class basis ---------------------------------------------
 
 def test_generators(case):
     inc, _ = case
-    S = _theta_generators(inc)
+    S = ref_theta_generators(inc)
     keys = inc.corner_slices
     # components of the corner graph: p_i and p_j are joined by a slice
     comp = {i: min(j for j in range(inc.n_corners) if (j, i) in keys)
@@ -265,17 +362,74 @@ def test_generators(case):
 def test_generator_check_matches_all_pairs(case):
     inc, cert = case
     assert cert.success and cert.regular_homomorphism
-    assert _theta_homomorphism(cert.data) is ref_theta_homomorphism(
-        cert.data) is True
+    assert _theta_on_classes(cert.data) is ref_theta_generator_check(
+        cert.data) is ref_theta_homomorphism(cert.data) is True
 
 
-def test_generator_check_counts_batches(monkeypatch):
-    """3m - 2 convolution batches: 10 on M_4, in place of dim C = 16."""
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certificate_matches_dense_fields(name):
+    """Every field the certificate reads off Theta = I is the one the
+    generator check, the null spaces and the closures on the realization
+    decided; the canonical expectation's left kernel is 0; and the
+    realization has dimension |arrows|, as ``cover_comparison`` reads it."""
+    inc, cert = build(name)
+    want = ref_envelope_fields(inc, cert.data)
+    assert want.pop("left_kernel_dim") == 0
+    assert want.pop("realized_dim") == len(cert.data.twist.groupoid.arrows)
+    assert {k: getattr(cert, k) for k in want} == want
+    assert all(want.values())
+    eigs = [cert.data.arrow_eigs[a] for a in cert.data.twist.groupoid.arrows]
+    theta = cert.data._theta(cartankit.envelope._representatives(inc, eigs))
+    assert np.abs(theta - np.eye(len(theta))).max() < 1e-13
+    pe = cartankit.inclusion.pseudo_expectations(inc)
+    assert pe.faithful is True and pe.left_kernel.dim == 0
+
+
+def test_certificate_skips_the_removed_stages(monkeypatch):
+    """On M_4 and the conjugated M_4 ``cartan_envelope`` runs no null
+    space, closure, convolution or triple pass, and builds no algebra on
+    the realization.  The inclusion's own cached facts, its regularity (a
+    closure of C's generators) and Z(C) (a null space over the m unknowns
+    of D' cap C), are computed first: ``analyze`` shares them, and they
+    are not part of the certificate."""
     calls = []
-    monkeypatch.setattr(cartankit.envelope, "_convolve_values",
-                        lambda *a: calls.append(1) or _convolve_values(*a))
-    assert cartan_envelope(mndn_inclusion(4)).regular_homomorphism
-    assert len(calls) == 10
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(
+            (module.__name__, name)) or real(*a, **k))
+    for inc in (mndn_inclusion(4), conjugated_m4()):
+        inc.regular, inc.central_projections
+        for module in (cartankit.matalg, cartankit.groupoid, cartankit.twist,
+                       cartankit.inclusion, cartankit.reduced,
+                       cartankit.envelope):
+            for name in ("null_space", "generate_star_algebra",
+                         "_convolve_values", "validate_cocycle",
+                         "_triple_checks"):
+                if hasattr(module, name):
+                    count(module, name)
+        cert = cartan_envelope(inc)
+        monkeypatch.undo()
+        assert cert.success and calls == []
+        R = cert.realization
+        assert "algebra" not in R.__dict__ and "diagonal" not in R.__dict__
+
+
+def test_class_twist_refuses_a_scaled_representative():
+    """A representative scaled by 2 keeps every product proportional to
+    its class, so only |mu| = 1 refuses it."""
+    inc = mndn_inclusion(3)
+    keys, X = inc._slice_blocks
+    units = [f"x{i}" for i in range(inc.n_corners)]
+    ids = [f"g{i}.{j}" for i, j in keys]
+    refusal = NoConditionalExpectation("scaled")
+    T, mu = _class_twist(keys, X, units, ids, refusal)
+    assert np.allclose(np.abs(list(mu.values())), 1.0)
+    k = next(k for k, (i, j) in enumerate(keys) if i != j)
+    scaled = X.copy()
+    scaled[k] *= 2
+    with pytest.raises(NoConditionalExpectation):
+        _class_twist(keys, scaled, units, ids, refusal)
 
 
 def _tampered(data, pair, factor):
@@ -285,46 +439,120 @@ def _tampered(data, pair, factor):
     return dataclasses.replace(data, twist=CocycleTwist(T.groupoid, sigma))
 
 
+def _no_triple_pass(monkeypatch):
+    """Make any associativity or cocycle pass fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triple pass ran")
+    monkeypatch.setattr(cartankit.groupoid, "_triple_checks", refuse)
+
+
 @pytest.mark.parametrize("name", ["m3", "m4", "m4conj", "m2x1_plus_c",
                                   "k4s"])
 def test_tampered_sigma_refused(name, monkeypatch):
     """sigma changed on one pair whose first arrow carries a forest slice:
-    both checks refuse it, the generator check on the convolution of that
-    slice even with its cocycle test passed over."""
+    the references refuse it, the generator check on the convolution of
+    that slice even with its cocycle test passed over, and the class-basis
+    certificate refuses it with no cocycle pass."""
     inc, cert = build(name)
     data = cert.data
     G = data.twist.groupoid
-    s = _theta_generators(inc)[inc.n_corners]
+    s = ref_theta_generators(inc)[inc.n_corners]
     a = G.arrows[int(np.argmax(np.abs(data._theta(s))))]
     b = next(b for b in G.arrows if G.src[a] == G.rng[b]
              and b not in G.unit_arrow.values())
     bad = _tampered(data, (a, b), np.exp(0.3j))
     assert not ref_theta_homomorphism(bad)
-    assert not _theta_homomorphism(bad)
-    monkeypatch.setattr(cartankit.envelope, "validate_cocycle",
-                        lambda *args: [])
-    assert not _theta_homomorphism(bad)
+    assert not ref_theta_generator_check(bad)
+    assert not ref_theta_generator_check(bad, cocycle=False)
+    _no_triple_pass(monkeypatch)
+    assert not _theta_on_classes(bad)
+    assert _theta_on_classes(data)
 
 
 def test_tampered_pair_off_the_generators_refused(monkeypatch):
     """A pair whose first arrow no generator's image meets: the products
-    with S never read it, so the lemma's associativity is what it breaks,
-    and the cocycle test refuses it."""
+    with S never read it, so the generator check needs its cocycle test
+    to refuse it, while the class-basis certificate compares sigma with
+    the measured ratio at every pair and needs no cocycle pass."""
     inc, cert = build("m4")
     data = cert.data
     G = data.twist.groupoid
-    S = _theta_generators(inc)
+    S = ref_theta_generators(inc)
     seen = {G.arrows[k] for k in np.flatnonzero(
         np.abs(data._theta(S)).max(axis=0) > 1e-9)}
     pair = next((a, b) for (a, b) in G.compose_table
                 if a not in seen and b not in G.unit_arrow.values())
     bad = _tampered(data, pair, np.exp(0.3j))
     assert not ref_theta_homomorphism(bad)
-    assert not _theta_homomorphism(bad)
+    assert not ref_theta_generator_check(bad)
     assert validate_cocycle(bad.twist, 1e-8)
-    monkeypatch.setattr(cartankit.envelope, "validate_cocycle",
-                        lambda *args: [])
-    assert _theta_homomorphism(bad)
+    assert ref_theta_generator_check(bad, cocycle=False)
+    _no_triple_pass(monkeypatch)
+    assert not _theta_on_classes(bad)
+
+
+@pytest.mark.parametrize("name", ["m3", "m4conj"])
+def test_swapped_classes_refused(name):
+    """The eigenfunctionals of a and a^-1 swapped: Theta is still I and
+    sigma still the measured ratio, but a's representative no longer
+    runs from s(a) to r(a), so the slice check refuses it."""
+    _, cert = build(name)
+    data = cert.data
+    G = data.twist.groupoid
+    a = next(a for a in G.arrows if a not in G.unit_arrow.values())
+    eigs = dict(data.arrow_eigs)
+    eigs[a], eigs[G.inv[a]] = eigs[G.inv[a]], eigs[a]
+    bad = dataclasses.replace(data, arrow_eigs=eigs)
+    assert not _theta_on_classes(bad)
+    assert not ref_theta_homomorphism(bad)
+
+
+@pytest.mark.parametrize("name", ["m3", "m4conj"])
+def test_rotated_class_refused(name):
+    """One class's eigenfunctional and representative rotated together
+    ([z v, f] = conj(z) [v, f]): Theta is still I, the slices and the
+    stored ratios still agree, and only theta(V*) against the involution
+    refuses it."""
+    _, cert = build(name)
+    data = cert.data
+    G = data.twist.groupoid
+    a = next(a for a in G.arrows if a not in G.unit_arrow.values())
+    phi, z = data.arrow_eigs[a], np.exp(0.3j)
+    bad = dataclasses.replace(data, arrow_eigs={
+        **data.arrow_eigs, a: dataclasses.replace(
+            phi, v=phi.v * z, values=phi.values / z)})
+    assert not _theta_on_classes(bad)
+    assert not ref_theta_homomorphism(bad)
+
+
+@pytest.mark.parametrize("name", ["m3", "m4conj"])
+def test_scaled_unit_class_refused(name):
+    """A unit class's eigenfunctional doubled: theta(V*) still matches the
+    involution and the slices and ratios are untouched, and only Theta = I
+    refuses it."""
+    _, cert = build(name)
+    data = cert.data
+    e = next(iter(data.twist.groupoid.unit_arrow.values()))
+    phi = data.arrow_eigs[e]
+    bad = dataclasses.replace(data, arrow_eigs={
+        **data.arrow_eigs, e: dataclasses.replace(phi, values=2 * phi.values)})
+    assert not _theta_on_classes(bad)
+    assert not ref_theta_homomorphism(bad)
+
+
+def test_classes_short_of_dim_c_refused():
+    """The twist cut down to the classes between two of M_3's three
+    corners: every entry check holds on those arrows, and only |arrows| =
+    dim C refuses them, as they span a proper part of C."""
+    _, cert = build("m3")
+    data = cert.data
+    G, T = data.twist.groupoid, data.twist
+    keep = {f for f in G.units if f != G.units[-1]}
+    H = restrict_groupoid(G, [a for a in G.arrows
+                              if G.src[a] in keep and G.rng[a] in keep])
+    small = CocycleTwist(H, {p: T.sigma[p] for p in H.compose_table})
+    assert len(H.arrows) == 4 < data.inclusion.C.dim
+    assert not _theta_on_classes(dataclasses.replace(data, twist=small))
 
 
 # --- nested covers by corner ------------------------------------------------

@@ -221,6 +221,52 @@ def test_every_single_compose_corruption(G, always):
         assert validate_twist(T) == full_pass(T)
 
 
+def ref_missing_pairs(t, n):
+    """The |arrows| x |arrows| mask ``groupoid._missing_pairs`` replaced:
+    a n + b for the pairs of listed arrows with r(b) = s(a) that the
+    table lacks."""
+    src, rng = t.src[:n], t.rng[:n]
+    should = src[:, None] == rng[None, :]
+    listed = (t.a < n) & (t.b < n)
+    should[t.a[listed], t.b[listed]] = False
+    return np.flatnonzero(should)
+
+
+def _missing_pair_cases(G):
+    """Every single compose corruption, every single deleted entry, and
+    every arrow's source moved to another unit or to an unknown one."""
+    yield from _single_entry_corruptions(G)
+    for key in G.compose_table:
+        yield dataclasses.replace(G, compose_table={
+            k: v for k, v in G.compose_table.items() if k != key})
+    for a in G.arrows:
+        for x in G.units + ("unknown",):
+            if x != G.src[a]:
+                yield dataclasses.replace(G, src={**G.src, a: x})
+
+
+@pytest.mark.parametrize("G", [pair_groupoid(3), cyclic_groupoid(5),
+                               klein_four_groupoid(prefix="k"),
+                               disjoint_union(cyclic_groupoid(3),
+                                              pair_groupoid(2))],
+                         ids=lambda G: str(len(G.arrows)))
+def test_missing_pairs_match_the_mask(G, monkeypatch):
+    """The composable pairs listed by range give the mask's positions,
+    and with the mask in their place every axiom line, in order, is the
+    same."""
+    cases = list(_missing_pair_cases(G))
+    lines = [cartankit.groupoid._axiom_lines(H) for H in cases]
+    for H in cases:
+        t, n = H.arrays, len(H.arrows)
+        assert np.array_equal(cartankit.groupoid._missing_pairs(t, n),
+                              ref_missing_pairs(t, n))
+    assert sum("compose missing" in x for got in lines for x in got) \
+        >= len(G.compose_table)
+    monkeypatch.setattr(cartankit.groupoid, "_missing_pairs",
+                        ref_missing_pairs)
+    assert [cartankit.groupoid._axiom_lines(H) for H in cases] == lines
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("factor", [1j, -1.0, np.exp(1e-9j), np.exp(1e-13j)])
 def test_every_single_phase_corruption(seed, factor, always):

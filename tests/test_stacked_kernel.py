@@ -739,10 +739,10 @@ STACKED = {
                      "_projection_rows", "central_projections",
                      "_ideal_of_C", "_is_invariant", "is_compatible_state"],
     "envelope.py": ["eigenfunctional", "range", "essential_inclusion",
-                    "_theta_map", "_basis_images", "_theta",
-                    "_theta_generators", "_theta_homomorphism",
-                    "theta_F", "theta_kernel_rows", "covers_nested"],
-    "reduced.py": ["delta_norms", "_normalizes"],
+                    "_theta_map", "_theta",
+                    "_theta_on_classes", "_representatives",
+                    "theta_F", "covers_nested"],
+    "reduced.py": ["delta_norms"],
 }
 
 
@@ -754,8 +754,6 @@ PER_ELEMENT = {
         "commutators of one basis element with the later ones per step",
     ("matalg.py", "check_star_algebra"):
         "products of one basis element with the whole basis per step",
-    ("reduced.py", "_normalizes"):
-        "v d v* over every delta v for one diagonal basis element d",
 }
 
 #: Attributes that hold an algebra's basis (or its rows).
