@@ -208,7 +208,7 @@ class EigenTwistData:
     twist: CocycleTwist
     arrow_eigs: dict   # arrow id -> canonical Eigenfunctional
     unit_of_state: dict  # cover-state index -> unit id
-    ratios: dict  # composable (a, b) -> mu with v_a v_b = mu v_ab
+    ratios: np.ndarray  # per pair (a, b), mu with v_a v_b = mu v_ab
 
     @cached_property
     def _theta_map(self) -> np.ndarray:
@@ -299,12 +299,11 @@ def _theta_on_classes(data: EigenTwistData) -> bool:
     theta = data._theta(V)
     P = np.array(inc.min_projs)[[data.arrow_eigs[G.unit_arrow[x]].source
                                  .corner_index for x in G.units]]
-    mu = np.fromiter(map(data.ratios.__getitem__, t.pairs), complex,
-                     len(t.pairs))
     return n == inc.C.dim and all(
         np.abs(err).max(initial=0.0) <= _EIG_TOL for err in (
             theta - np.eye(n), P[t.rng[:n]] @ V @ P[t.src[:n]] - V,
-            T.sigma_vector - mu, data._theta(V.conj().transpose(0, 2, 1))
+            T.sigma_vector - data.ratios,
+            data._theta(V.conj().transpose(0, 2, 1))
             - _involution_values(T, 1, theta)))
 
 

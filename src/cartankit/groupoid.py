@@ -10,10 +10,10 @@ Hausdorff, so no topology is carried.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class FiniteGroupoid:
     src: dict
     rng: dict
     inv: dict
-    compose_table: dict  # (a, b) -> ab
+    compose_table: Mapping  # (a, b) -> ab
     unit_arrow: dict     # unit -> its identity arrow
 
     def compose(self, a, b):
@@ -94,39 +94,51 @@ class GroupoidArrays:
     ``code`` maps each name to its number.  Units are numbered alike in
     ``unit_index``.  ``src``/``rng`` (unit numbers), ``inv`` and the
     ``unit``-arrow mask are indexed by arrow number, with ends and inverse
-    -1 for an unlisted arrow.  Pair p
-    composes ``a[p]`` after ``b[p]`` into ``ab[p]``, in ``compose_table``
-    order (keys ``pairs``); a cocycle is a vector over p.  ``pair_at[x, y]``
-    is the pair (x, y), -1 if there is none or x or y is -1.
+    -1 for an unlisted arrow.  Pair p composes ``a[p]`` after ``b[p]``
+    into ``ab[p]``, in the order of the entries [a, b, ab] of ``compose``
+    (``G.compose_table``'s by default) kept as a dict keeps them, viewed
+    as one in ``table`` (keys ``pairs``); a cocycle is a vector over p.
+    ``pair_at[x, y]`` is the pair (x, y), -1 if there is none or x or y
+    is -1.
     """
 
-    def __init__(self, G: FiniteGroupoid):
-        self.index = {a: k for k, a in enumerate(G.arrows)}
+    def __init__(self, G: FiniteGroupoid, compose=None):
+        if compose is None:
+            compose = [(a, b, ab) for (a, b), ab in G.compose_table.items()]
+        # (a repeated arrow id, which files refuse after this, counts once)
+        self.index = {a: k for k, a in enumerate(dict.fromkeys(G.arrows))}
         self.unit_index = units = {x: k for k, x in enumerate(
             dict.fromkeys(G.units + tuple(G.unit_arrow)))}
         self.code = codes = dict(self.index)
-        n, table = len(G.arrows), G.compose_table
-        self.pairs = tuple(table)
+        arrows, n = list(self.index), len(self.index)
         # Names are numbered in this order, so an unlisted name gets the
         # same number whichever lookups miss: each arrow's ends and
         # inverse, each pair's a, b and ab, the unit arrows.
-        ends = _numbers((list(map(G.src.get, G.arrows)),
-                         list(map(G.rng.get, G.arrows))), units)
-        inv = _numbers((list(map(G.inv.get, G.arrows)),), codes)[:, 0]
-        self.a, self.b, self.ab = _numbers(
-            (list(map(itemgetter(0), table)), list(map(itemgetter(1), table)),
-             list(table.values())), codes).T
+        ends = _numbers([x for a in arrows for x in (G.src.get(a),
+                                                     G.rng.get(a))], units, 2)
+        inv = _numbers(list(map(G.inv.get, arrows)), codes, 1)[:, 0]
+        for _, _, _ in compose:  # an entry of other than three items raises
+            pass
+        self.a, self.b, self.ab = _numbers(list(chain.from_iterable(compose)),
+                                           codes, 3).T
         self.unit_arrow = np.array(
             [codes.setdefault(G.unit_arrow[x], len(codes))
              if x in G.unit_arrow else -1 for x in units], dtype=np.intp)
         m = len(codes)
+        self.pair_at = np.full((m + 1, m + 1), -1, dtype=np.int32)
+        p = np.arange(len(self.a))
+        self.pair_at[self.a, self.b] = p
+        if (self.pair_at[self.a, self.b] != p).any():  # a repeated pair
+            table = {(a, b): ab for a, b, ab in compose}
+            self.__init__(G, [(a, b, ab) for (a, b), ab in table.items()])
+            return
         self.src, self.rng, self.inv = np.full((3, m), -1, dtype=np.intp)
         self.src[:n], self.rng[:n], self.inv[:n] = ends[:, 0], ends[:, 1], inv
         self.unit = np.zeros(m, dtype=bool)
         self.unit[self.unit_arrow[self.unit_arrow >= 0]] = True
         self.names = np.array(list(codes) + [None], dtype=object)
-        self.pair_at = np.full((m + 1, m + 1), -1, dtype=np.int32)
-        self.pair_at[self.a, self.b] = np.arange(len(self.pairs))
+        self.table = _PairTable(self)
+        self.pairs = self.table.keys()
         self.inv_pair = self.pair_at[np.arange(n), self.inv[:n]]
         self._ab = np.append(self.ab, -1)
 
@@ -246,16 +258,46 @@ def _lookup(names, codes: dict, count: int) -> np.ndarray:
     return np.fromiter(map(codes.get, names, repeat(-1)), np.intp, count)
 
 
-def _numbers(columns: tuple, codes: dict) -> np.ndarray:
-    """codes[x] for each name of the equal-length columns, as rows of
-    the array (one row per position, one column per column); a name
-    codes lacks is numbered next, in row-major order of first
+def _numbers(names: list, codes: dict, width: int) -> np.ndarray:
+    """codes[x] for each of the names, as rows of ``width`` in row-major
+    order; a name codes lacks is numbered next, in order of first
     appearance."""
-    out = np.stack([_lookup(c, codes, len(c)) for c in columns], axis=1)
+    out = _lookup(names, codes, len(names))
     for k in np.flatnonzero(out < 0):
-        w, i = divmod(int(k), len(columns))
-        out[w, i] = codes.setdefault(columns[i][w], len(codes))
-    return out
+        out[k] = codes.setdefault(names[k], len(codes))
+    return out.reshape(-1, width)
+
+
+class _PairTable(Mapping):
+    """The read-only {(a, b): value} over the pairs of arrays t: pair p is
+    keyed by the names of ``t.a[p]`` and ``t.b[p]``, and its value is
+    values[p], or the name of ``t.ab[p]`` when values is None.  The dict
+    is built on first keyed use.  The view holds t's arrays, not t, so
+    that t can keep one with no cycle."""
+
+    def __init__(self, t: GroupoidArrays, values=None):
+        self._arrays, self._values = (t.names, t.a, t.b, t.ab), values
+
+    @cached_property
+    def _table(self) -> dict:
+        names, a, b, ab = self._arrays
+        values = names[ab] if self._values is None else self._values
+        return dict(zip(zip(names[a].tolist(), names[b].tolist()),
+                        values.tolist()))
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._arrays[1])
+
+
+def _is_view(table, t: GroupoidArrays) -> bool:
+    """Whether table is a ``_PairTable`` keyed by the pairs of t."""
+    return isinstance(table, _PairTable) and table._arrays[1] is t.a
 
 
 def _violations(found, fields) -> list:
@@ -276,26 +318,29 @@ def build_groupoid(units, arrow_specs, compose_pairs=None,
                    unit_arrows=None) -> FiniteGroupoid:
     """Assemble a FiniteGroupoid from raw tables.
 
-    arrow_specs: iterable of (id, src, rng, inv).  compose_pairs may be
-    omitted when it should be inferred (only possible for explicitly listed
-    triples); unit arrows are inferred as arrows with src == rng that are
-    fixed by inversion and marked in unit_arrows, or given explicitly.
+    arrow_specs: iterable of (id, src, rng, inv).  compose_pairs, the
+    entries [a, b, ab], are numbered straight into the arrays
+    (``GroupoidArrays``), and ``compose_table`` is their read-only view;
+    unit arrows are inferred as the arrows e with src == rng and e e = e,
+    or given explicitly.
     """
     units = tuple(sorted(units))
     arrows = tuple(sorted(s[0] for s in arrow_specs))
     src = {a: s for a, s, _, _ in arrow_specs}
     rng = {a: r for a, _, r, _ in arrow_specs}
     inv = {a: i for a, _, _, i in arrow_specs}
-    compose_table = {(a, b): c for a, b, c in (compose_pairs or [])}
+    compose_pairs = compose_pairs or ()
     if unit_arrows is None:
         # infer: the unit arrow of x is the arrow e at x with e*e = e
-        unit_arrows = {}
-        for a in arrows:
-            if src[a] == rng[a] and compose_table.get((a, a)) == a:
-                unit_arrows[src[a]] = a
-    return FiniteGroupoid(units=units, arrows=arrows, src=src, rng=rng,
-                          inv=inv, compose_table=compose_table,
-                          unit_arrow=dict(unit_arrows))
+        square = {a: ab for a, b, ab in compose_pairs if a == b}
+        unit_arrows = {src[a]: a for a in arrows
+                       if src[a] == rng[a] and square.get(a) == a}
+    G = FiniteGroupoid(units=units, arrows=arrows, src=src, rng=rng,
+                       inv=inv, compose_table=None,
+                       unit_arrow=dict(unit_arrows))
+    t = G.__dict__["arrays"] = GroupoidArrays(G, compose_pairs)
+    object.__setattr__(G, "compose_table", t.table)
+    return G
 
 
 def validate(G: FiniteGroupoid) -> list:
@@ -387,7 +432,7 @@ def _triple_checks(t: GroupoidArrays, s=None, tol=0.0,
     names = lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]]}
     if s is not None:
         s1 = np.append(s, np.nan)
-    p = np.arange(len(t.pairs))
+    p = np.arange(len(t.a))
     fq, fc, cocycle = [], [], []
     for q, c, b_c, ab_c, a_bc in t.triples(p):
         fails = t._ab[ab_c] != t._ab[a_bc]
@@ -456,7 +501,7 @@ def _generator_pass(t: GroupoidArrays, s, tol: float) -> bool:
     returns False, as it does on tables of at most _FULL_PASS_MAX
     triples (counted as |pairs| |arrows| / |units|, which is exact when
     every unit is the range of equally many arrows)."""
-    if len(t.pairs) * len(t.index) <= _FULL_PASS_MAX * len(t.unit_index):
+    if len(t.a) * len(t.index) <= _FULL_PASS_MAX * len(t.unit_index):
         return False
     S, L = t.generators
     L = max(L, 1)
@@ -470,7 +515,7 @@ def _generator_pass(t: GroupoidArrays, s, tol: float) -> bool:
                 + eta <= tol):
             return False
     # the other axioms make every pair of these triples defined
-    p = np.arange(len(t.pairs))
+    p = np.arange(len(t.a))
     for q, c, b_c, ab_c, a_bc in t.triples(p, S):
         if (t._ab[ab_c] != t._ab[a_bc]).any() or s is not None and not (
                 np.abs(s[q] * s[ab_c] - s[b_c] * s[a_bc]) <= eps).all():

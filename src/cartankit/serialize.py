@@ -8,9 +8,9 @@ line/column information for malformed JSON.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,18 +44,25 @@ def groupoid_to_json(G: FiniteGroupoid) -> dict:
     }
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cycle collector: a parsed file holds no cycles to find."""
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        (gc.enable if was else gc.disable)()
+def _collector_paused(load):
+    """``load`` with the cycle collector paused: a parsed file holds no
+    cycles to find.  The wrapper makes no object of its own before the
+    pause starts (a context manager makes two): the first one made after
+    a decode would start a collection over the decoded tree."""
+    collector = gc  # the package's one binding of gc, read at each call
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        was = collector.isenabled()
+        collector.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            (collector.enable if was else collector.disable)()
+    return paused
 
 
-@_collector_paused()
+@_collector_paused
 def groupoid_from_json(data) -> FiniteGroupoid:
     """Compile a groupoid file, refusing a repeated unit id, arrow id or
     compose pair (a table keeps one entry per key) and a compose entry of
@@ -71,9 +78,7 @@ def groupoid_from_json(data) -> FiniteGroupoid:
                 f"repeated arrow id {_repeated(s[0] for s in specs)!r}")
         if len(set(G.units)) != len(G.units):
             raise ParseError(f"repeated unit id {_repeated(data['units'])!r}")
-        # the table keeps one entry per pair; its arrays are cached, and
-        # every reader of the file works on them
-        if len(G.arrays.pairs) != len(pairs):
+        if len(G.arrays.pairs) != len(pairs):  # one entry per pair
             a, b = _repeated(tuple(e[:2]) for e in pairs)
             raise ParseError(f"repeated compose entry for pair "
                              f"({a!r}, {b!r})")
@@ -99,7 +104,7 @@ def twist_to_json(T: CocycleTwist) -> dict:
     return {"groupoid": groupoid_to_json(T.groupoid), "cocycle": cocycle}
 
 
-@_collector_paused()
+@_collector_paused
 def twist_from_json(data) -> CocycleTwist:
     """Compile a twist file: sigma is 1 except at the cocycle entries,
     which are placed by ``pair_at`` into one phase vector over the pairs.
@@ -134,12 +139,12 @@ def twist_from_json(data) -> CocycleTwist:
             complex(re[k], im[k])  # raises: a part is not a JSON number
         if unread is not None:
             raise unread
-        phases = np.ones(len(t.pairs), dtype=complex)
+        phases = np.ones(len(t.a), dtype=complex)
         phases.real[pos] = np.asarray(re, dtype=float)
         phases.imag[pos] = np.asarray(im, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed cocycle entry: {exc}") from exc
-    if (np.bincount(pos, minlength=len(t.pairs)) > 1).any():
+    if (np.bincount(pos, minlength=len(t.a)) > 1).any():
         a, b = _repeated(zip(a, b))
         raise ParseError(f"repeated cocycle entry for pair ({a!r}, {b!r})")
     return _with_phases(G, phases)
@@ -178,7 +183,7 @@ def inclusion_from_json(data, cap: int = None) -> Inclusion:
     return make_inclusion(C, D, norms)
 
 
-@_collector_paused()
+@_collector_paused
 def load_json(path):
     try:
         with open(path) as fh:
@@ -193,7 +198,7 @@ def load_json(path):
 TWIST_KINDS = ("groupoid", "twist")
 
 
-@_collector_paused()
+@_collector_paused
 def load_file(path, kinds=TWIST_KINDS + ("inclusion",)) -> tuple:
     """(kind, content) of the file at path, refusing a kind outside
     ``kinds``.  The file is decoded, classified and, for a groupoid or

@@ -2,7 +2,8 @@
 
 A twist is stored as a normalized T-valued 2-cocycle sigma on the
 composable pairs, keyed by arrow-id pairs and, for computing, as a vector
-over the groupoid's pair arrays (``FiniteGroupoid.arrays``); convolution,
+over the groupoid's pair arrays (``FiniteGroupoid.arrays``); a twist built
+from such a vector keeps sigma as a read-only view of it.  Convolution,
 involution and transpose are gathers and scatters over those arrays.
 Degree-k functions (k in {-1, +1}) multiply with the structure phases
 c_k, where c_1 = sigma and c_{-1} = conj(sigma); both degrees carry
@@ -11,6 +12,7 @@ genuine convolution *-algebras and are exchanged by the transpose map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +26,8 @@ from .errors import (
 )
 from .groupoid import (
     FiniteGroupoid,
+    _PairTable,
+    _is_view,
     _triple_checks,
     _violations,
     restrict_groupoid,
@@ -38,7 +42,7 @@ class CocycleTwist:
     """A normalized circle-valued 2-cocycle over a finite groupoid."""
 
     groupoid: FiniteGroupoid
-    sigma: dict  # (a, b) -> complex of modulus 1, keyed by composable pairs
+    sigma: Mapping  # (a, b) -> complex of modulus 1, keyed by composable pairs
 
     @cached_property
     def sigma_vector(self) -> np.ndarray:
@@ -58,17 +62,16 @@ class CocycleTwist:
 
 
 def _with_phases(G: FiniteGroupoid, phases) -> CocycleTwist:
-    """The twist with sigma = phases at ``G.arrays.pairs``; the vector is
-    kept as its ``sigma_vector``."""
+    """The twist with sigma = phases at ``G.arrays.pairs``: the vector is
+    its ``sigma_vector``, and sigma a view of it."""
     phases = np.asarray(phases, dtype=complex)
-    T = CocycleTwist(groupoid=G,
-                     sigma=dict(zip(G.arrays.pairs, phases.tolist())))
+    T = CocycleTwist(groupoid=G, sigma=_PairTable(G.arrays, phases))
     T.__dict__["sigma_vector"] = phases
     return T
 
 
 def trivial_twist(G: FiniteGroupoid) -> CocycleTwist:
-    return _with_phases(G, np.ones(len(G.arrays.pairs), dtype=complex))
+    return _with_phases(G, np.ones(len(G.arrays.a), dtype=complex))
 
 
 def coboundary_twist(G: FiniteGroupoid, lam: dict) -> CocycleTwist:
@@ -110,9 +113,11 @@ def validate_twist(T: CocycleTwist) -> list:
 
 def _sigma_lines(T: CocycleTwist, tol: float) -> tuple:
     """(the pairwise sigma violations, the phase vector), or the keying
-    violation and None when sigma is not keyed by the composable pairs."""
-    t, keyed = T.groupoid.arrays, T.sigma.__contains__
-    if len(T.sigma) != len(t.pairs) or not all(map(keyed, t.pairs)):
+    violation and None when sigma is not keyed by the composable pairs
+    (which a view over the groupoid's own pairs is)."""
+    t, sigma = T.groupoid.arrays, T.sigma
+    if not _is_view(sigma, t) and (len(sigma) != len(t.a) or not all(
+            map(sigma.__contains__, t.pairs))):
         return ["sigma is not keyed exactly by the composable pairs"], None
     s = T.sigma_vector
     p = np.arange(len(s))

@@ -28,7 +28,7 @@ from .inclusion import (
     canonical_expectation,
 )
 from .matalg import hs_inner, hs_norm
-from .twist import CocycleTwist
+from .twist import CocycleTwist, _with_phases
 
 _GERM_TOL = 1e-8
 
@@ -141,7 +141,7 @@ def _class_twist(keys, X, units, arrows, refusal) -> tuple:
     mu X[c] for the class c of that key, and sigma(a, b) = mu/|mu|, from
     one batched contraction over the pairs.  ``refusal`` is raised when a
     product's class is missing, the product is not a multiple of it or
-    |mu| != 1.  Returns the twist and {(a, b): mu}."""
+    |mu| != 1.  Returns the twist and mu, over its pairs in order."""
     src, rng = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     where = np.full((len(units),) * 2, -1)
     where[src, rng] = np.arange(len(keys))
@@ -155,12 +155,12 @@ def _class_twist(keys, X, units, arrows, refusal) -> tuple:
     if np.any(t < 0) or np.any(resid > _GERM_TOL * scale) or \
             np.any(np.abs(np.abs(lam) - 1.0) > _GERM_TOL):
         raise refusal
-    pairs = [(arrows[x], arrows[y], arrows[z]) for x, y, z in zip(a, b, t)]
-    ab = [(x, y) for x, y, _ in pairs]
-    sigma = dict(zip(ab, (lam / np.abs(lam)).tolist()))
+    names = np.array(arrows, dtype=object)
     specs = [(arrows[k], units[s], units[r], arrows[where[r, s]])
              for k, (s, r) in enumerate(zip(src, rng))]
     unit_arrows = {units[s]: arrows[k]
                    for k, (s, r) in enumerate(zip(src, rng)) if s == r}
-    G = build_groupoid(units, specs, pairs, unit_arrows)
-    return CocycleTwist(groupoid=G, sigma=sigma), dict(zip(ab, lam.tolist()))
+    # the pairs (a, b) are distinct, so pair p of the groupoid is p here
+    G = build_groupoid(units, specs, names[np.stack([a, b, t], axis=1)]
+                       .tolist(), unit_arrows)
+    return _with_phases(G, lam / np.abs(lam)), lam

@@ -102,10 +102,10 @@ def ref_eigen_twist(inc, cover):
                    for aid, (s, r, _) in zip(arrow_ids, classes) if s == r}
     G = build_groupoid(list(unit_of_state.values()), specs, pairs,
                        unit_arrows)
-    return EigenTwistData(inclusion=inc, cover=cover,
-                          twist=CocycleTwist(groupoid=G, sigma=sigma),
+    T = CocycleTwist(groupoid=G, sigma=sigma)
+    return EigenTwistData(inclusion=inc, cover=cover, twist=T,
                           arrow_eigs=arrow_eigs, unit_of_state=unit_of_state,
-                          ratios=dict(sigma))
+                          ratios=T.sigma_vector)
 
 
 def conjugated_m4():

@@ -109,6 +109,32 @@ def test_paused_while_decoding_and_compiling(tmp_path, monkeypatch):
                     ("_with_phases", False)]
 
 
+def test_no_collection_while_loading_and_compiling(tmp_path):
+    """With the collector on, ``twist_from_json(load_json(p))`` starts no
+    collection: each pause starts before its wrapper allocates, so the
+    decoded tree is never scanned."""
+    path = tmp_path / "pair20.json"
+    path.write_text(json.dumps(twist_to_json(trivial_twist(
+        pair_groupoid(20)))))
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        for _ in range(3):
+            T = twist_from_json(load_json(str(path)))
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert len(T.groupoid.arrows) == 400
+    assert starts == []
+
+
 def _gc_uses(tree):
     """(line, enclosing function) of each import or name of gc."""
     uses = []

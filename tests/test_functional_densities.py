@@ -424,7 +424,7 @@ def test_class_twist_refuses_a_scaled_representative():
     ids = [f"g{i}.{j}" for i, j in keys]
     refusal = NoConditionalExpectation("scaled")
     T, mu = _class_twist(keys, X, units, ids, refusal)
-    assert np.allclose(np.abs(list(mu.values())), 1.0)
+    assert np.allclose(np.abs(mu), 1.0)
     k = next(k for k, (i, j) in enumerate(keys) if i != j)
     scaled = X.copy()
     scaled[k] *= 2

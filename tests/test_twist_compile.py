@@ -2,13 +2,16 @@
 pass that checks associativity and the cocycle identity together.
 
 References kept here: the numbering of ``GroupoidArrays`` by one
-``setdefault`` per name and the compile of the cocycle through a sigma
-dict, both as they were before the compile read names by lookup and
-placed the file's entries into a phase vector.
+``setdefault`` per name, the compile of the compose entries through the
+dict {(a, b): ab} and of the cocycle through a sigma dict, as they were
+before the compile read names by lookup, numbered the entries straight
+into the arrays and kept both tables as views of them.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +21,13 @@ import cartankit.serialize
 from cartankit import cli
 from cartankit.errors import ParseError
 from cartankit.groupoid import (
+    FiniteGroupoid,
     GroupoidArrays,
+    _PairTable,
     build_groupoid,
     cyclic_groupoid,
+    disjoint_union,
+    klein_four_groupoid,
     pair_groupoid,
     validate,
 )
@@ -40,7 +47,11 @@ from cartankit.twist import (
     validate_cocycle,
     validate_twist,
 )
-from conftest import random_coboundary
+from conftest import (
+    k4_nontrivial_sigma,
+    random_coboundary,
+    random_twist_corpus,
+)
 from test_triples import ref_triples
 from test_table_arrays import (
     TWISTS,
@@ -70,9 +81,63 @@ def ref_numbering(G):
     return codes, units, ends, abc, unit_arrow
 
 
+def ref_build_groupoid(units, arrow_specs, compose_pairs=None,
+                       unit_arrows=None):
+    """build_groupoid through the dict {(a, b): ab} over the entries (a
+    repeated pair at its first position, with its last value), whose
+    arrays ``GroupoidArrays`` compiles from that dict."""
+    src = {a: s for a, s, _, _ in arrow_specs}
+    rng = {a: r for a, _, r, _ in arrow_specs}
+    inv = {a: i for a, _, _, i in arrow_specs}
+    table = {(a, b): c for a, b, c in (compose_pairs or [])}
+    arrows = tuple(sorted(s[0] for s in arrow_specs))
+    if unit_arrows is None:
+        unit_arrows = {}
+        for a in arrows:
+            if src[a] == rng[a] and table.get((a, a)) == a:
+                unit_arrows[src[a]] = a
+    return FiniteGroupoid(units=tuple(sorted(units)), arrows=arrows,
+                          src=src, rng=rng, inv=inv, compose_table=table,
+                          unit_arrow=dict(unit_arrows))
+
+
+def _first_repeat(keys):
+    """The first key that occurs a second time, None if none does."""
+    seen = set()
+    for k in keys:
+        if k in seen:
+            return k
+        seen.add(k)
+
+
+def ref_groupoid_from_json(data):
+    """``groupoid_from_json`` over ``ref_build_groupoid``, with its
+    refusals in their order."""
+    try:
+        specs = [(a["id"], a["src"], a["rng"], a["inv"])
+                 for a in data["arrows"]]
+        pairs = data.get("compose", [])
+        G = ref_build_groupoid(data["units"], specs, pairs,
+                               data.get("unit_arrows"))
+        if len(G.src) != len(specs):
+            raise ParseError("repeated arrow id "
+                             f"{_first_repeat(s[0] for s in specs)!r}")
+        if len(set(G.units)) != len(G.units):
+            raise ParseError("repeated unit id "
+                             f"{_first_repeat(data['units'])!r}")
+        if len(G.arrays.pairs) != len(pairs):
+            a, b = _first_repeat(tuple(e[:2]) for e in pairs)
+            raise ParseError(f"repeated compose entry for pair "
+                             f"({a!r}, {b!r})")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed groupoid object: {exc}") from exc
+    return G
+
+
 def ref_twist_from_json(data):
     """sigma as a dict over the compose table, overwritten entry by entry."""
-    G = groupoid_from_json(data["groupoid"] if "groupoid" in data else data)
+    G = ref_groupoid_from_json(data["groupoid"] if "groupoid" in data
+                               else data)
     sigma = {pair: 1.0 + 0.0j for pair in G.compose_table}
     for (a, b), (re, im) in data.get("cocycle", []):
         assert (a, b) in sigma
@@ -90,6 +155,25 @@ def ref_cocycle_error(G, entries):
             complex(re, im)
     except (TypeError, ValueError) as exc:
         return f"malformed cocycle entry: {exc}"
+
+
+def ref_compile(data):
+    """(the twist, None) from the dict compile of a twist file, or (None,
+    the message of the ParseError it is refused with)."""
+    try:
+        G = ref_groupoid_from_json(data["groupoid"] if "groupoid" in data
+                                   else data)
+        entries = data.get("cocycle", [])
+        error = ref_cocycle_error(G, entries)
+        if error is not None:
+            raise ParseError(error)
+        key = _first_repeat((a, b) for (a, b), _ in entries)
+        if key is not None:
+            raise ParseError(f"repeated cocycle entry for pair "
+                             f"({key[0]!r}, {key[1]!r})")
+    except ParseError as exc:
+        return None, str(exc)
+    return ref_twist_from_json(data), None
 
 
 def ref_associativity(G):
@@ -211,14 +295,17 @@ _OFF_TABLE = [["u0<-u1", "u0<-u1"], [1.0, 0.0]]
 _STRING = [["u1<-u0", "u0<-u1"], ["1", 0]]
 
 
-@pytest.mark.parametrize("entries", [
+_FIRST_REFUSED = [
     [_OFF_TABLE, _STRING], [_STRING, _OFF_TABLE], [_GOOD, _OFF_TABLE],
     [_OFF_TABLE, [1.0]], [[1.0], _OFF_TABLE], [_GOOD, 7, _STRING],
     [[["u0<-u1", "u0<-u1"], [None, 0]]], [_GOOD, [_GOOD[0], [0, None]]],
     [[_GOOD[0], [1.0]]], [[_GOOD[0], [1, 0, 0]]],
     [[["u0<-u1", "u1<-u0", "u0<-u0"], [1, 0]]],
     [[[["u0<-u1"], "u1<-u0"], [1, 0]]],
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("entries", _FIRST_REFUSED, ids=str)
 def test_first_refused_entry_in_file_order(entries):
     G = pair_groupoid(2)
     data = {"groupoid": groupoid_to_json(G), "cocycle": entries}
@@ -303,6 +390,231 @@ def test_values_keep_signed_zeros():
         assert (z.real, z.imag) == (re, im)
         assert np.copysign(1, z.imag) == np.copysign(1, im)
         assert np.copysign(1, z.real) == np.copysign(1, re)
+
+
+# --- against the dict compile ----------------------------------------------------
+
+def _file(T, seed=None):
+    """T's file as JSON decodes it; with a seed, its compose and cocycle
+    entries shuffled out of sorted order."""
+    data = json.loads(json.dumps(twist_to_json(T)))
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        for entries in (data["groupoid"]["compose"], data["cocycle"]):
+            entries[:] = [entries[k] for k in rng.permutation(len(entries))]
+    return data
+
+
+def _edited(data, edit):
+    data = json.loads(json.dumps(data))
+    edit(data["groupoid"], data["cocycle"])
+    return data
+
+
+def _corrupted_files():
+    """One corrupted entry per file, each of the kinds the compile refuses
+    or reads (a file's refusals are matched in ``test_cli.py``)."""
+    base = _file(random_coboundary(pair_groupoid(3), np.random.default_rng(8)))
+    k = 5
+    entry = base["groupoid"]["compose"][k]
+
+    def off_pair(edit):
+        """The edit, with the cocycle entry on the edited pair dropped."""
+        def both(g, c):
+            edit(g, c)
+            c[:] = [e for e in c if e[0] != entry[:2]]
+        return both
+
+    edits = {
+        "short compose entry": lambda g, c: g["compose"][k].pop(),
+        "long compose entry": lambda g, c: g["compose"][k].append("x"),
+        "number compose entry": lambda g, c: g["compose"].__setitem__(k, 7),
+        "string compose entry": off_pair(
+            lambda g, c: g["compose"].__setitem__(k, "abc")),
+        "list name": lambda g, c: g["compose"][k].__setitem__(0, ["u0"]),
+        "list composite": lambda g, c: g["compose"][k].__setitem__(2, []),
+        "repeated compose entry": lambda g, c: g["compose"].append(
+            list(entry)),
+        "conflicting compose entry": lambda g, c: g["compose"].insert(
+            k, entry[:2] + ["u0<-u0"]),
+        "unlisted composite": lambda g, c: g["compose"][k].__setitem__(
+            2, "zz"),
+        "unlisted factor": off_pair(
+            lambda g, c: g["compose"][k].__setitem__(1, "yy")),
+        "repeated arrow id": lambda g, c: g["arrows"].append(
+            dict(g["arrows"][4])),
+        "repeated unit id": lambda g, c: g["units"].append("u1"),
+        "list source": lambda g, c: g["arrows"][2].__setitem__("src", []),
+        "unit arrows inferred": lambda g, c: g.pop("unit_arrows"),
+        "no units": lambda g, c: g.pop("units"),
+        "non-composable cocycle entry": lambda g, c: c.append(
+            [["u0<-u1", "u0<-u1"], [1.0, 0.0]]),
+        "repeated cocycle entry": lambda g, c: c.append(
+            [list(c[3][0]), [1.0, 0.0]]),
+        "cocycle entry on an unlisted pair": lambda g, c: c.append(
+            [["yy", "u0<-u1"], [1.0, 0.0]]),
+    }
+    out = [(label, _edited(base, edit)) for label, edit in edits.items()]
+    pair2 = _file(trivial_twist(pair_groupoid(2)))
+    for n, entries in enumerate(_FIRST_REFUSED):
+        out.append((f"cocycle entries {n}", _edited(
+            pair2, lambda g, c, e=entries: c.extend(e))))
+    return out
+
+
+def _cross_files():
+    rng = np.random.default_rng(23)
+    twists = [(f"corpus {k}", T) for k, T in
+              enumerate(random_twist_corpus(20, seed=29))]
+    twists += [(f"pair{n}", random_coboundary(pair_groupoid(n), rng))
+               for n in range(3, 9)]
+    twists += [("Z/5", random_coboundary(cyclic_groupoid(5), rng)),
+               ("K4", trivial_twist(klein_four_groupoid())),
+               ("K4 sigma", k4_nontrivial_sigma(klein_four_groupoid()))]
+    twists += [(f"K4 sigma + pair{k}", random_coboundary(
+        disjoint_union(klein_four_groupoid(prefix="k"), pair_groupoid(k)),
+        rng, ("A.k",))) for k in (2, 3, 4)]
+    files = [(label, _file(T)) for label, T in twists + ALL]
+    files += [(f"pair{n} shuffled", _file(T, seed=n))
+              for label, T in twists if label.startswith("pair")
+              for n in [int(label[4:])]]
+    return files + _corrupted_files()
+
+
+def _assert_same_groupoid(G, H):
+    """G's fields, arrays and table views against the dict compile H's."""
+    for field in ("units", "arrows", "src", "rng", "inv", "unit_arrow"):
+        assert getattr(G, field) == getattr(H, field), field
+    assert list(G.compose_table.items()) == list(H.compose_table.items())
+    assert G.compose_table == H.compose_table
+    t, r = G.arrays, H.arrays
+    assert list(t.pairs) == list(H.compose_table)
+    assert len(t.pairs) == len(G.compose_table) == len(H.compose_table)
+    for name in ("index", "unit_index", "code"):
+        assert getattr(t, name) == getattr(r, name), name
+    for name in ("names", "src", "rng", "inv", "unit", "a", "b", "ab",
+                 "unit_arrow", "pair_at", "inv_pair", "_ab"):
+        assert np.array_equal(getattr(t, name), getattr(r, name)), name
+    codes, units, ends, abc, unit_arrow = ref_numbering(H)
+    assert list(t.names[:-1]) == list(codes) and t.unit_index == units
+    want = np.array(abc, dtype=np.intp).reshape(-1, 3)
+    assert np.array_equal(np.stack([t.a, t.b, t.ab], axis=1), want)
+    assert np.array_equal(t.unit_arrow, unit_arrow)
+
+
+CROSS = _cross_files()
+
+
+@pytest.mark.parametrize("label,data", CROSS, ids=ids)
+def test_compile_matches_the_dict_compile(label, data):
+    """Every array, every view's contents and every refusal, against the
+    compile through the dicts {(a, b): ab} and {(a, b): sigma}."""
+    want, error = ref_compile(data)
+    if error is not None:
+        with pytest.raises(ParseError) as err:
+            twist_from_json(data)
+        assert str(err.value) == error
+        return
+    got = twist_from_json(data)
+    _assert_same_groupoid(got.groupoid, want.groupoid)
+    assert isinstance(got.sigma, _PairTable)
+    assert list(got.sigma.items()) == list(want.sigma.items())
+    assert got.sigma == want.sigma
+    assert np.array_equal(got.sigma_vector, want.sigma_vector)
+
+
+def test_corrupted_files_refused_or_read():
+    """The corrupted files cover refusals of both the tables and the
+    cocycle, and files the compile reads."""
+    errors = {label: ref_compile(data)[1]
+              for label, data in _corrupted_files()}
+    assert errors["repeated arrow id"] == "repeated arrow id 'u1<-u1'"
+    assert errors["conflicting compose entry"].startswith(
+        "repeated compose entry for pair")
+    assert errors["list composite"] == ("malformed groupoid object: "
+                                        "unhashable type: 'list'")
+    assert errors["repeated cocycle entry"].startswith(
+        "repeated cocycle entry for pair")
+    assert [label for label, e in errors.items() if e is None] == [
+        "string compose entry", "unlisted composite", "unlisted factor",
+        "unit arrows inferred"]
+
+
+@pytest.mark.parametrize("infer", [False, True], ids=["given", "inferred"])
+@pytest.mark.parametrize("dropped,last", [
+    ("u0<-u0", "u2<-u0"), ("qq", "u2<-u0"), ("u0<-u0", "zz"), ("qq", "zz")])
+def test_library_repeated_pair(dropped, last, infer):
+    """``build_groupoid`` keeps a repeated pair at its first position with
+    its last value, as a dict does; a value it drops is numbered nowhere."""
+    P = pair_groupoid(3)
+    specs = [(a, P.src[a], P.rng[a], P.inv[a]) for a in P.arrows]
+    entries = [(a, b, ab) for (a, b), ab in P.compose_table.items()]
+    a, b, _ = entries[4]
+    entries.insert(4, (a, b, dropped))
+    entries.append((a, b, last))
+    unit_arrows = None if infer else P.unit_arrow
+    G = build_groupoid(P.units, specs, entries, unit_arrows)
+    H = ref_build_groupoid(P.units, specs, entries, unit_arrows)
+    _assert_same_groupoid(G, H)
+    assert G.compose_table[(a, b)] == last
+    assert list(G.compose_table).index((a, b)) == 4
+    assert "qq" not in G.arrays.code
+
+
+def test_views_hold_no_parsed_tree_and_no_cycle():
+    """The compiled twist keeps none of the file's lists alive, and with
+    its views built it is freed by reference counting alone."""
+
+    class Entry(list):
+        pass
+
+    data = _file(random_coboundary(pair_groupoid(3),
+                                   np.random.default_rng(3)))
+    data["groupoid"]["compose"] = [Entry(e)
+                                   for e in data["groupoid"]["compose"]]
+    data["cocycle"] = [Entry(e) for e in data["cocycle"]]
+    refs = [weakref.ref(e) for e in data["groupoid"]["compose"]
+            + data["cocycle"]]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        T = twist_from_json(data)
+        del data
+        assert all(r() is None for r in refs)
+        t = T.groupoid.arrays
+        assert len(list(T.sigma)) == len(list(T.groupoid.compose_table)) \
+            == len(list(t.pairs)) == 27
+        gone = [weakref.ref(x) for x in (T, T.groupoid, t)]
+        del T, t
+        assert all(r() is None for r in gone)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _refuse_build(self):
+    raise AssertionError("a pair table was built")
+
+
+@pytest.mark.parametrize("kind", ["twist", "groupoid", "corrupted"])
+def test_validate_builds_no_pair_table(tmp_path, capsys, monkeypatch, kind):
+    """``validate`` reads the arrays alone: neither the command nor
+    ``validate_twist`` of a compiled file builds the compose table, sigma
+    or the pairs."""
+    T = random_coboundary(pair_groupoid(6), np.random.default_rng(4))
+    data = _file(T)
+    if kind == "groupoid":
+        data = data["groupoid"]
+    elif kind == "corrupted":
+        data["cocycle"][7][1] = [0.0, 1.0]
+    path = _write(tmp_path, "t.json", data)
+    monkeypatch.setattr(_PairTable, "_table", property(_refuse_build))
+    assert cli.main(["validate", path]) == (kind == "corrupted")
+    S = twist_from_json(data)
+    assert bool(validate_twist(S)) is (kind == "corrupted")
+    views = (S.groupoid.compose_table, S.sigma, S.groupoid.arrays.pairs)
+    assert all(len(v) == 216 for v in views)
+    with pytest.raises(AssertionError, match="pair table"):
+        list(S.sigma)
 
 
 # --- the one triple pass ------------------------------------------------------------
@@ -393,6 +705,22 @@ def test_keying_violation_with_an_extra_key():
     T = CocycleTwist(T.groupoid, {**T.sigma, ("u0<-u1", "u0<-u1"): 1.0})
     assert validate_twist(T) == ref_validate_cocycle(T) == [
         "sigma is not keyed exactly by the composable pairs"]
+
+
+def test_keying_of_another_groupoids_view():
+    """Only a view over the groupoid's own pairs skips the keying scan: a
+    view from another groupoid is scanned like any mapping, and passes
+    when its keys are the pairs."""
+    P = random_coboundary(pair_groupoid(3), np.random.default_rng(6))
+    C = trivial_twist(cyclic_groupoid(27))
+    assert len(P.sigma) == 27 < len(C.sigma)
+    T = CocycleTwist(C.groupoid, P.sigma)
+    assert validate_twist(T) == [
+        "sigma is not keyed exactly by the composable pairs"]
+    T = CocycleTwist(pair_groupoid(3), P.sigma)
+    assert T.groupoid.arrays.a is not P.groupoid.arrays.a
+    assert validate_twist(T) == [] and T.sigma_vector.tolist() == list(
+        P.sigma.values())
 
 
 def test_both_validators_use_the_one_pass(monkeypatch):
