@@ -123,7 +123,8 @@ def cmd_analyze(args) -> int:
     report = _base_report(args)
     report["C_dim"] = inc.C.dim
     report["D_dim"] = inc.D.dim
-    report["commutant_dim"] = inc.commutant_of_D.dim
+    # D' cap C is the direct sum of the HS-orthogonal corners
+    report["commutant_dim"] = sum(c.algebra.dim for c in pe.corners)
     report["masa"] = inc.is_masa
     report["regular"] = inc.regular
     report["corner_dims"] = [c.algebra.dim for c in pe.corners]

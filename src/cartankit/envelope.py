@@ -45,14 +45,7 @@ from .inclusion import (
     _located_state,
     _transport_reps,
 )
-from .matalg import (
-    FdStarAlgebra,
-    _as_matrix,
-    _vec,
-    central_projections,
-    hs_norm,
-    rank,
-)
+from .matalg import _as_matrix, hs_norm
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
 from .twist import CocycleTwist, EquivariantFunction, _involution_values
 from .weyl import _class_twist
@@ -309,18 +302,6 @@ def _theta_on_classes(data: EigenTwistData) -> bool:
 
 # --- envelope pipeline ---------------------------------------------------
 
-def essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra,
-                        blocks=None) -> bool:
-    """Every nonzero ideal of A meets B (finite scale: every minimal
-    central block of A); ``blocks`` are A's minimal central projections,
-    computed here when not given."""
-    for q in central_projections(A) if blocks is None else blocks:
-        # no nonzero b with qb = b
-        if rank(_vec(B.stack - q @ B.stack).T) == B.dim:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class EnvelopeCertificate:
     """Evidence for (or the reasons against) a Cartan envelope."""
@@ -352,7 +333,18 @@ class EnvelopeCertificate:
 
 
 def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
-    """Past the unique pseudo-expectation (scalar corners) every field but
+    """The three essential-inclusion fields are facts about the corners
+    A_i = p_i C p_i, whose direct sum is D' cap C:
+    - D' cap C is abelian iff every A_i is, as ``mod_states`` has decided:
+      it lists extreme states exactly for the abelian corners;
+    - D is essential in D' cap C iff every A_i is a factor.  The minimal
+      central projections of D' cap C are the corners' (``commutant_blocks``),
+      and for such a q <= p_i and b = sum_j t_j p_j != 0 in D, qb = b forces
+      t_j = 0 for j != i and then q = p_i;
+    - C is always essential over D' cap C: a nonzero ideal of C is zC for a
+      central projection z != 0, and z commutes with D, which lies in C, so
+      z lies in D' cap C and in zC.
+    Past the unique pseudo-expectation (scalar corners) every field but
     ``essential_extension`` and ``cartan`` follows from ``_theta_on_classes``:
     a *-isomorphism carrying D onto C(G^0) maps normalizers to normalizers,
     is onto (generation, pointwise density), has E(theta(p_i)) spanning
@@ -362,17 +354,15 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     if not inc.regular:
         raise NotRegular("Cartan envelope requires a regular inclusion")
     pe = pseudo_expectations(inc)
-    dc = inc.commutant_of_D
-    dc_abelian = dc.is_abelian(1e-8)
-    dc_ess = essential_inclusion(dc, inc.D, inc.commutant_blocks)
-    c_ess = essential_inclusion(inc.C, dc, inc.central_projections)
+    dc_abelian = all(c.extreme_states for c in pe.corners)
+    dc_ess = len(inc.commutant_blocks) == inc.n_corners
     if not pe.unique:
         reason = ("no unique pseudo-expectation; the relative commutant "
                   "of D is " + ("abelian" if dc_abelian else "non-abelian"))
         return EnvelopeCertificate(
             inclusion=inc, has_unique_pseudo_expectation=False,
             dc_abelian=dc_abelian, dc_essential_over_d=dc_ess,
-            c_essential_over_dc=c_ess, rejection_reason=reason)
+            c_essential_over_dc=True, rejection_reason=reason)
 
     cover = build_cover(inc, "strongly_compatible")
     data = eigen_twist(inc, cover)
@@ -384,7 +374,7 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     return EnvelopeCertificate(
         inclusion=inc, has_unique_pseudo_expectation=True,
         dc_abelian=dc_abelian, dc_essential_over_d=dc_ess,
-        c_essential_over_dc=c_ess, data=data, realization=R,
+        c_essential_over_dc=True, data=data, realization=R,
         regular_homomorphism=iso, kernel_equals_KF=iso, generation=iso,
         d1_generation=iso, pointwise_density=iso, theta_isomorphism=iso,
         essential_extension=essential,

@@ -33,9 +33,11 @@ an eigenfunctional each cost O(n^3 + d n^2) on a d-dimensional C, with no
 d x d coefficient matrix of a stack.  Normalizer, corner and kernel
 conditions are checked on the whole stack at once.
 
-C's centre is read inside D' cap C: Z(C) lies in it, as D lies in C, so
-C's central projections come from a null space over dim(D' cap C)
-unknowns (``Inclusion.central_projections``), not over dim C.
+No question asked here needs C's centre.  An ideal's central support is
+the range projection of its elements (``matalg.ideal_from_subspace``),
+and D' cap C is read off the corners, its direct summands: its dimension
+is the sum of theirs, and its minimal central projections are theirs
+(``Inclusion.commutant_blocks``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .matalg import (
     _as_matrix,
     _vec,
     central_projections,
-    commutant_in,
     generate_star_algebra,
     hs_norm,
     ideal_from_subspace,
@@ -251,16 +252,6 @@ class Inclusion:
         """D' cap C = D, i.e. (see ``commutant_of_D``) every corner p_i C p_i
         is C p_i, as D's part of it is."""
         return self.scalar_corners
-
-    @cached_property
-    def central_projections(self) -> tuple:
-        """The minimal central projections of C.  A central z commutes
-        with D, which lies in C, so Z(C) lies in D' cap C: it is the
-        commutant of C's basis within ``commutant_of_D``, a null space over
-        dim(D' cap C) unknowns, not over dim C as ``matalg.center`` would
-        take it."""
-        return minimal_projections(commutant_in(self.C.stack,
-                                                self.commutant_of_D))
 
     @cached_property
     def _projection_rows(self) -> np.ndarray:
@@ -666,7 +657,7 @@ def pseudo_expectations(inc: Inclusion) -> PseudoExpectationSet:
     E = L = faithful = None
     if unique:
         E = canonical_expectation(inc)
-        L, faithful = _ideal_of_C(inc, inc.C.basis_rows[:0]), True
+        L, faithful = ideal_from_subspace(inc.C, inc.C.basis_rows[:0]), True
     return PseudoExpectationSet(inclusion=inc, corners=corners,
                                 unique=unique, expectation=E,
                                 faithful=faithful, left_kernel=L)
@@ -685,15 +676,7 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     # row (r, k, l), column b: (b p_r rho_r)[k, l]
     K = (inc.C.stack[None] @ dens[:, None]).transpose(0, 2, 3, 1)
     K = K.reshape(-1, inc.C.dim)
-    return _ideal_of_C(inc, null_space(K) @ inc.C.basis_rows)
-
-
-def _ideal_of_C(inc: Inclusion, rows: np.ndarray) -> IdealSubspace:
-    """The ideal of C with these orthonormal rows, its support read from
-    the cached ``Inclusion.central_projections`` (none are needed for the
-    zero ideal)."""
-    return ideal_from_subspace(inc.C, rows, blocks=inc.central_projections
-                               if len(rows) else None)
+    return ideal_from_subspace(inc.C, null_space(K) @ inc.C.basis_rows)
 
 
 def left_kernel(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
@@ -708,14 +691,14 @@ def radical_ideal(inc: Inclusion, F,
     """K_F = {x : rho(x*x) = 0 for all rho in F}."""
     F = list(F)
     if not F:
-        return _ideal_of_C(inc, inc.C.basis_rows)
+        return ideal_from_subspace(inc.C, inc.C.basis_rows)
     if check_invariance and not _is_invariant(inc, F):
         raise NotInvariant("F is not invariant under the normalizer action")
     # sum over rho of the Grams rho(a* b): the Gram of the summed values
     gram = _gram(inc.C, np.sum([rho.values for rho in F], axis=0))
     total = 0.5 * (gram + gram.conj().T)
     # total is Hermitian PSD: its singular values are its eigenvalues
-    return _ideal_of_C(inc, null_space(total) @ inc.C.basis_rows)
+    return ideal_from_subspace(inc.C, null_space(total) @ inc.C.basis_rows)
 
 
 def _is_invariant(inc: Inclusion, F) -> bool:

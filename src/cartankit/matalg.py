@@ -208,7 +208,8 @@ class FdStarAlgebra:
 
 @dataclass(frozen=True)
 class IdealSubspace:
-    """A two-sided ideal of a FdStarAlgebra, with its central support."""
+    """A two-sided or left ideal of a FdStarAlgebra, with its central
+    support."""
 
     parent: FdStarAlgebra
     basis: tuple
@@ -491,18 +492,16 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
     return IdealSubspace(parent=A, basis=basis, support_projection=support)
 
 
-def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray,
-                        eps: float = EPS, blocks=None) -> IdealSubspace:
-    """Wrap an orthonormal subspace of A known to be an ideal; ``blocks``
-    are A's minimal central projections, computed here when not given."""
+def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray) -> IdealSubspace:
+    """Wrap orthonormal rows spanning a left ideal L = A e of A (a
+    two-sided ideal is one).  The support is the range projection of L's
+    elements: with V an orthonormal ``row_span`` of their stacked columns,
+    P = V^T conj(V).  That is e's central support z: x e = x z e = z x e
+    has its range in range(z), and on each block M_k (x) 1_l of A where e
+    has a nonzero part f (x) 1_l, the x e in L give M_k f C^k (x) C^l, the
+    whole block's range."""
     n = A.ambient_dim
-    if rows.shape[0] == 0:
-        return IdealSubspace(parent=A, basis=(),
-                             support_projection=np.zeros((n, n), dtype=complex))
-    mats = [r.reshape(n, n) for r in rows]
-    if blocks is None:
-        blocks = central_projections(A)
-    support_blocks = [q for q in blocks
-                      if any(hs_norm(q @ m) >= eps for m in mats)]
-    support = sum(support_blocks) if support_blocks else np.zeros((n, n), dtype=complex)
-    return IdealSubspace(parent=A, basis=tuple(mats), support_projection=support)
+    mats = np.asarray(rows, dtype=complex).reshape(-1, n, n)
+    V = row_span(mats.transpose(0, 2, 1).reshape(-1, n))
+    return IdealSubspace(parent=A, basis=tuple(mats),
+                         support_projection=V.T @ V.conj())

@@ -265,12 +265,3 @@ def _phases_at(T: CocycleTwist, degree: int, x, y) -> np.ndarray:
     """c_k at the pairs (x, y) of arrow numbers (broadcast), each of
     which must compose."""
     return T.phases(degree)[T.groupoid.arrays.pair_at[x, y]]
-
-
-def structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
-    """Dense tensor S[i, j, l]: delta_i * delta_j = sum_l S[i,j,l] delta_l."""
-    t = T.groupoid.arrays
-    n = len(T.groupoid.arrows)
-    S = np.zeros((n, n, n), dtype=complex)
-    S[t.a, t.b, t.ab] = T.phases(degree)
-    return S

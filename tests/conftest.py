@@ -1,5 +1,7 @@
-"""Shared fixtures: standard groupoids, twists, inclusions, and the
-randomized twist corpus used by the property suites."""
+"""Shared fixtures: standard groupoids, twists, inclusions, the
+randomized twist corpus used by the property suites, and the dense
+references that left the package (essential inclusions through centres,
+structure constants)."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ from cartankit.groupoid import (
     pair_groupoid,
 )
 from cartankit.inclusion import make_inclusion
-from cartankit.matalg import generate_star_algebra
+from cartankit.matalg import (
+    FdStarAlgebra,
+    _vec,
+    central_projections,
+    generate_star_algebra,
+    rank,
+)
 from cartankit.twist import (
     CocycleTwist,
     EquivariantFunction,
@@ -59,6 +67,27 @@ def m2c_inclusion():
     C = generate_star_algebra(3, gens)
     D = generate_star_algebra(3, [np.eye(3)])
     return make_inclusion(C, D, gens)
+
+
+def ref_essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra,
+                            blocks=None) -> bool:
+    """Every nonzero ideal of A meets B (finite scale: every minimal
+    central block of A); ``blocks`` are A's minimal central projections,
+    computed here when not given."""
+    for q in central_projections(A) if blocks is None else blocks:
+        # no nonzero b with qb = b
+        if rank(_vec(B.stack - q @ B.stack).T) == B.dim:
+            return False
+    return True
+
+
+def ref_structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
+    """Dense tensor S[i, j, l]: delta_i * delta_j = sum_l S[i,j,l] delta_l."""
+    t = T.groupoid.arrays
+    n = len(T.groupoid.arrows)
+    S = np.zeros((n, n, n), dtype=complex)
+    S[t.a, t.b, t.ab] = T.phases(degree)
+    return S
 
 
 def random_coboundary(G, rng, k4_components=()):

@@ -50,7 +50,6 @@ from cartankit.twist import (
     delta,
     involution,
     restrict_twist,
-    structure_constants,
     transpose,
     trivial_twist,
 )
@@ -63,6 +62,7 @@ from conftest import (
     random_coboundary,
     random_function,
     random_twist_corpus,
+    ref_structure_constants as structure_constants,
 )
 
 TOL_LAW = 1e-8        # criteria 1-2 relative law tolerance

@@ -1,15 +1,19 @@
-"""Functionals on C evaluated through their densities, C's centre read
-inside D' cap C, and theta_F certified on the class basis (Theta =
-theta_F(V) = I): each matched with the slow paths it replaced (kept here,
-or in ``tests/test_stacked_kernel.py``, as references), and the counts
-that show the slow paths are gone."""
+"""Functionals on C evaluated through their densities, D' cap C and Z(C)
+read off the corners (ideal supports by the range rule), and theta_F
+certified on the class basis (Theta = theta_F(V) = I): each matched with
+the slow paths it replaced (kept here, in ``tests/conftest.py`` or in
+``tests/test_stacked_kernel.py``, as references), and the counts that
+show the slow paths are gone."""
 
 import dataclasses
 import functools
+import itertools
+import json
 
 import numpy as np
 import pytest
 
+import cartankit.cli
 import cartankit.envelope
 import cartankit.groupoid
 import cartankit.inclusion
@@ -22,29 +26,35 @@ from cartankit.envelope import (
     cartan_envelope,
     covers_nested,
     eigenfunctional,
-    essential_inclusion,
 )
 from cartankit.errors import NoConditionalExpectation
 from cartankit.groupoid import restrict_groupoid
 from cartankit.inclusion import (
+    PseudoExpectation,
     _density,
     _functional,
     _is_invariant,
     _left_kernel_subspace,
     canonical_expectation,
     mod_state_from_density,
+    mod_states,
     radical_ideal,
     strongly_compatible,
     transported_state,
 )
 from cartankit.matalg import (
+    _vec,
     central_projections,
     generate_star_algebra,
+    hs_norm,
+    ideal_from_subspace,
     null_space,
     rank,
+    row_span,
     span_residuals,
 )
 from cartankit.reduced import realize
+from cartankit.serialize import inclusion_to_json
 from cartankit.twist import (
     CocycleTwist,
     EquivariantFunction,
@@ -53,10 +63,15 @@ from cartankit.twist import (
     validate_cocycle,
 )
 from cartankit.weyl import _class_twist
-from conftest import m2c_inclusion, mndn_inclusion
+from conftest import m2c_inclusion, mndn_inclusion, ref_essential_inclusion
 from test_cartan_certificate import _normalizes
 from test_class_twist import abelian_self_inclusion, conjugated_m4
-from test_corner_slices import mixed_rank_inclusion, tensor_inclusion
+from test_corner_slices import (
+    corpus_inclusions,
+    mixed_rank_inclusion,
+    non_scalar_rank_two,
+    tensor_inclusion,
+)
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 from test_inclusion import m2_plus_c_inclusion
 from test_stacked_kernel import (
@@ -185,6 +200,15 @@ def ref_is_invariant(inc, F):
     return True
 
 
+def ref_ideal_support(A, mats, eps=1e-9):
+    """The centre-block rule the range rule replaced: the sum of A's
+    minimal central projections q with q x != 0 for some x of the ideal's
+    basis."""
+    blocks = [q for q in central_projections(A)
+              if any(hs_norm(q @ m) >= eps for m in mats)]
+    return sum(blocks) if blocks else np.zeros((A.ambient_dim,) * 2)
+
+
 def ref_covers_nested(F1, F2):
     """The pairwise scan ``covers_nested`` replaced."""
     idx = []
@@ -276,30 +300,136 @@ def test_invariance_is_one_transport_contraction(case, monkeypatch):
     assert calls == [(len(inc.corner_slices),) + (inc.C.ambient_dim,) * 2]
 
 
-# --- Z(C) inside D' cap C ---------------------------------------------------
+# --- D' cap C and Z(C) read off the corners ---------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    return tuple(inc for inc, _ in corpus_inclusions())
+
+
+#: The inclusions the corner-read fields and ideal supports are matched on.
+FIELD_CASES = dict(BUILDERS, m2c=m2c_inclusion, d2c=diagonal_scalar_inclusion,
+                   m2xm2=non_scalar_rank_two)
+FIELD_CASES.update((f"corpus{k}", functools.partial(lambda k: _corpus()[k], k))
+                   for k in range(12))
+
+
+@functools.lru_cache(maxsize=None)
+def field_case(name):
+    if name in BUILDERS:
+        return build(name)
+    inc = FIELD_CASES[name]()
+    return inc, cartan_envelope(inc)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_corner_fields_match_references(name):
+    """The three essential-inclusion fields, read off the corners, are
+    what the algebra D' cap C and the centre-block rank test decide."""
+    inc, cert = field_case(name)
+    dc = inc.commutant_of_D
+    assert cert.dc_abelian is dc.is_abelian(1e-8)
+    assert cert.dc_essential_over_d is ref_essential_inclusion(dc, inc.D)
+    assert cert.c_essential_over_dc is ref_essential_inclusion(inc.C, dc)
+
+
+def test_corner_fields_are_false_somewhere():
+    """m2c's corner M_2 + C is neither abelian nor a factor; d2c's corner
+    D_2 is abelian and not a factor; M_2 (x) M_2's corners are factors."""
+    fields = {name: (cert.dc_abelian, cert.dc_essential_over_d)
+              for name in ("m2c", "d2c", "m2xm2")
+              for cert in [field_case(name)[1]]}
+    assert fields == {"m2c": (False, False), "d2c": (True, False),
+                      "m2xm2": (False, True)}
+
 
 @pytest.mark.parametrize("name", sorted(BUILDERS) + ["m2c", "d2c"])
 def test_central_projections_match_center(name):
+    """Each minimal central projection q of C (``matalg.center``) is the
+    support the range rule gives the ideal qC, and they sum to 1."""
     inc = {"m2c": m2c_inclusion, "d2c": diagonal_scalar_inclusion}.get(
         name, lambda: build(name)[0])()
-    got, want = inc.central_projections, central_projections(inc.C)
-    assert len(got) == len(want)
-    assert all(_close(p, q, 1e-10) for p, q in zip(got, want))
+    qs = central_projections(inc.C)
+    assert _close(sum(qs), inc.C.unit, 1e-10)
+    for q in qs:
+        J = ideal_from_subspace(inc.C, row_span(_vec(q @ inc.C.stack)))
+        assert _close(J.support_projection, q, 1e-10)
+
+
+@pytest.mark.parametrize("name", ["m2c", "d2c", "m2xm2", "m2x1_plus_c",
+                                  "m4", "corpus3"])
+def test_analyze_commutant_dim_is_the_algebras(name, tmp_path, capsys):
+    """``analyze`` adds the corners' dimensions: D' cap C's, as built."""
+    inc = field_case(name)[0]
+    path = tmp_path / "inclusion.json"
+    path.write_text(json.dumps(inclusion_to_json(inc)))
+    assert cartankit.cli.main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["commutant_dim"] == inc.commutant_of_D.dim
+
+
+def _corner_states(inc):
+    """The extreme states of the abelian corners, and the vector states of
+    the p_i e_k of a non-abelian corner."""
+    out = []
+    for c in mod_states(inc):
+        p = inc.min_projs[c.corner_index]
+        out += c.extreme_states or [
+            mod_state_from_density(inc, c.corner_index,
+                                   np.diag(np.eye(len(p))[k]) / p[k, k].real)
+            for k in range(len(p)) if p[k, k].real > 1e-9]
+    return out
+
+
+def _extreme_state_ideals(inc):
+    """K_F for every F of one to three corner states (``_corner_states``),
+    invariance unchecked: left ideals of C, two-sided or not."""
+    states = _corner_states(inc)
+    return [radical_ideal(inc, F, check_invariance=False)
+            for k in (1, 2, 3) for F in itertools.combinations(states, k)]
+
+
+def _non_faithful_kernels():
+    """Left kernels of non-faithful pseudo-expectations: m2c's vector
+    state on its C summand (dim 4) and d2c's first point (dim 1)."""
+    m2c, d2c = m2c_inclusion(), diagonal_scalar_inclusion()
+    return [_left_kernel_subspace(m2c, PseudoExpectation(
+                m2c, (np.diag([0, 0, 1.0]).astype(complex),))),
+            _left_kernel_subspace(d2c, PseudoExpectation(
+                d2c, (np.diag([1.0, 0]).astype(complex),)))]
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+def test_ideal_supports_match_centre_blocks(name):
+    """The range rule's support is the centre-block rule's, on every
+    radical ideal of up to three corner states."""
+    ideals = _extreme_state_ideals(field_case(name)[0])
+    assert ideals
+    for J in ideals:
+        want = ref_ideal_support(J.parent, J.basis)
+        assert _close(J.support_projection, want, 1e-12)
+
+
+def test_non_faithful_kernel_supports_match_centre_blocks():
+    L = _non_faithful_kernels()
+    assert [J.dim for J in L] == [4, 1]
+    for J in L:
+        assert _close(J.support_projection,
+                      ref_ideal_support(J.parent, J.basis), 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS) + ["m2c", "d2c"])
 def test_commutant_blocks_match_center(name):
     """D' cap C splits into the corners' central projections as
-    ``matalg.center`` splits it, and D's essentiality reads the same on
-    both."""
+    ``matalg.center`` splits it, and D is essential in it exactly when
+    there is one block per corner."""
     inc = {"m2c": m2c_inclusion, "d2c": diagonal_scalar_inclusion}.get(
         name, lambda: BUILDERS[name]())()
     dc = inc.commutant_of_D
     got, want = inc.commutant_blocks, central_projections(dc)
     assert len(got) == len(want)
     assert all(sum(_close(p, q, 1e-10) for q in want) == 1 for p in got)
-    assert essential_inclusion(dc, inc.D, got) == \
-        essential_inclusion(dc, inc.D)
+    assert (len(got) == inc.n_corners) is ref_essential_inclusion(dc, inc.D)
 
 
 @pytest.mark.parametrize("builder,centres", [
@@ -320,8 +450,8 @@ def test_envelope_splits_only_non_scalar_corners(builder, centres,
 
 
 def test_envelope_forms_no_commutators_of_c(monkeypatch):
-    """``cartan_envelope`` never commutes C's basis with itself: Z(C) is a
-    null space over the m unknowns of D' cap C."""
+    """``cartan_envelope`` forms no commutator matrix at all: it takes no
+    centre of C and none of D' cap C on scalar corners."""
     inc = mndn_inclusion(4)
     shapes = []
     real = cartankit.matalg._commutators
@@ -329,7 +459,7 @@ def test_envelope_forms_no_commutators_of_c(monkeypatch):
                         lambda A, B: shapes.append((len(A), len(B)))
                         or real(A, B))
     assert cartan_envelope(inc).success
-    assert (16, 16) not in shapes and (16, 4) in shapes
+    assert shapes == []
 
 
 def test_one_dimensional_split_runs_no_eigh(monkeypatch):
@@ -338,7 +468,7 @@ def test_one_dimensional_split_runs_no_eigh(monkeypatch):
     inc = mndn_inclusion(3)
     inc.commutant_of_D  # splits D, with eigh
     monkeypatch.setattr(cartankit.matalg.np.linalg, "eigh", None)
-    (q,) = inc.central_projections
+    (q,) = cartankit.matalg.central_projections(inc.C)
     assert np.array_equal(q, inc.C.unit)
     for A in inc.corner_algebras:
         assert np.array_equal(cartankit.matalg.minimal_projections(A)[0],
@@ -388,10 +518,9 @@ def test_certificate_matches_dense_fields(name):
 def test_certificate_skips_the_removed_stages(monkeypatch):
     """On M_4 and the conjugated M_4 ``cartan_envelope`` runs no null
     space, closure, convolution or triple pass, and builds no algebra on
-    the realization.  The inclusion's own cached facts, its regularity (a
-    closure of C's generators) and Z(C) (a null space over the m unknowns
-    of D' cap C), are computed first: ``analyze`` shares them, and they
-    are not part of the certificate."""
+    the realization.  The inclusion's own cached regularity (a closure of
+    C's generators) is computed first: ``analyze`` shares it, and it is
+    not part of the certificate."""
     calls = []
 
     def count(module, name):
@@ -399,7 +528,7 @@ def test_certificate_skips_the_removed_stages(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(
             (module.__name__, name)) or real(*a, **k))
     for inc in (mndn_inclusion(4), conjugated_m4()):
-        inc.regular, inc.central_projections
+        inc.regular
         for module in (cartankit.matalg, cartankit.groupoid, cartankit.twist,
                        cartankit.inclusion, cartankit.reduced,
                        cartankit.envelope):

@@ -736,10 +736,9 @@ STACKED = {
                      "fixed_set_check", "_gram", "_located_state",
                      "corner_algebras", "scalar_corners", "mod_states",
                      "_density", "_functional", "_transports", "density",
-                     "_projection_rows", "central_projections",
-                     "_ideal_of_C", "_is_invariant", "is_compatible_state"],
-    "envelope.py": ["eigenfunctional", "range", "essential_inclusion",
-                    "_theta_map", "_theta",
+                     "_projection_rows", "_is_invariant",
+                     "is_compatible_state"],
+    "envelope.py": ["eigenfunctional", "range", "_theta_map", "_theta",
                     "_theta_on_classes", "_representatives",
                     "theta_F", "covers_nested"],
     "reduced.py": ["delta_norms"],

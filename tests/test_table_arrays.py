@@ -34,7 +34,6 @@ from cartankit.twist import (
     CocycleTwist,
     convolve,
     involution,
-    structure_constants,
     transpose,
     trivial_twist,
     validate_cocycle,
@@ -44,6 +43,7 @@ from conftest import (
     random_coboundary,
     random_function,
     random_twist_corpus,
+    ref_structure_constants as structure_constants,
 )
 
 VALUE_TOL = 1e-12

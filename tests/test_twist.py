@@ -16,13 +16,13 @@ from cartankit.twist import (
     delta,
     involution,
     restrict_twist,
-    structure_constants,
     transpose,
     trivial_twist,
     unit_function,
     validate_cocycle,
 )
-from conftest import random_function, random_twist_corpus
+from conftest import random_coboundary, random_function, random_twist_corpus
+from conftest import ref_structure_constants as structure_constants
 
 
 class TestValidateCocycle:
@@ -129,6 +129,19 @@ class TestTranspose:
                 assert np.allclose(
                     structure_constants(T, k),
                     structure_constants(conjugate_twist(T), -k))
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_delta_products_match_structure_constants(self, k):
+        """convolve(delta_a, delta_b) is row (a, b) of the dense tensor, on
+        every arrow pair of the corpus and of K4-sigma + pair(2)."""
+        G = disjoint_union(klein_four_groupoid(), pair_groupoid(2))
+        k4s = random_coboundary(G, np.random.default_rng(8), ("A.k",))
+        for T in random_twist_corpus(6, seed=5) + [k4s]:
+            S, idx = structure_constants(T, k), T.groupoid.arrays.index
+            for a in T.groupoid.arrows:
+                for b in T.groupoid.arrows:
+                    got = convolve(delta(T, k, a), delta(T, k, b)).values
+                    assert np.abs(got - S[idx[a], idx[b]]).max() < 1e-14
 
 
 class TestRestrict:
