@@ -6,12 +6,11 @@ value vector on the basis of C, read off its density conj(v) W /
 f(v*v)^{1/2} for f's density W (see ``inclusion``); its range state
 phi(. v)/phi(v) has density W_phi v^T.  Stored representatives
 automatically satisfy phi(v) = f(v*v)^{1/2} > 0.  Twist arrows are
-circle classes of eigenfunctionals, pinned by rotating the first
-significant value-vector entry to the positive reals; because the unit
-direction is the first basis vector of C, cover states are already
-canonical.  The twist is built by index, as the Weyl twist is: one class
-per (cover state, reachable corner) pair, and the cocycle from one
-batched contraction (``weyl._class_twist``).  On the class
+circle classes of eigenfunctionals [v, f], each v pinned by the Weyl
+twist's rule (first nonzero entry, row-major, positive real).  The twist
+is built by index, as the Weyl twist is: one class per (cover state,
+reachable corner) pair, and the cocycle from one batched contraction of
+r x r blocks (``weyl._class_twist``).  On the class
 representatives theta_F is the identity matrix (``_theta_on_classes``).
 """
 
@@ -48,7 +47,7 @@ from .inclusion import (
 from .matalg import _as_matrix, hs_norm
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
 from .twist import CocycleTwist, EquivariantFunction, _involution_values
-from .weyl import _class_twist
+from .weyl import _canonical_phases, _class_twist
 
 _EIG_TOL = 1e-7
 
@@ -110,23 +109,6 @@ def eig_product(a: Eigenfunctional, b: Eigenfunctional) -> Eigenfunctional:
 def eig_inverse(a: Eigenfunctional) -> Eigenfunctional:
     """a^{-1} = [v*, r(a)]; satisfies a^{-1}(x) = conj(a(x*))."""
     return eigenfunctional(a.inclusion, a.v.conj().T, a.range)
-
-
-def _canonicalize(a: Eigenfunctional, tol: float = 1e-9) -> Eigenfunctional:
-    """Rotate by a circle factor so the first significant value is
-    positive real ([z v, f] = conj(z) [v, f])."""
-    scale = np.abs(a.values).max()
-    for z in a.values:
-        if abs(z) > tol * max(scale, 1.0):
-            phase = z / abs(z)
-            if abs(phase - 1.0) < 1e-14:
-                return a
-            # [phase v, f] = conj(phase) [v, f] = values/phase
-            return Eigenfunctional(inclusion=a.inclusion,
-                                   v=a.v * phase,
-                                   source=a.source,
-                                   values=a.values / phase)
-    return a
 
 
 # --- covers --------------------------------------------------------------
@@ -228,29 +210,36 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     [u, f] is f on the diagonal, else the cover's one state at corner k:
     only scalar corners have off-diagonal keys, with one state each, and
     a built cover is invariant and repeats no state.  Classes are keyed
-    by (source, range), in key order.  [v, f] depends on v only through
-    v p_i, so v p_i represents it in ``weyl._class_twist``, and v_a v_b
-    p_i = mu v_c p_i gives [v_a v_b, f] = conj(mu)/|mu| [v_c, f]: theta_F
-    is multiplicative for sigma = mu/|mu|."""
+    by (source, range), in key order.  Each v is pinned by the Weyl rule
+    (``weyl._canonical_phases``), which leaves 1 as it is, so on scalar
+    corners the classes are the Weyl twist's.  [v, f] depends on v only
+    through v p_i = Q_k (Q_k* v Q_i) Q_i*, so the block Q_k* v Q_i
+    represents it in ``weyl._class_twist``, and v_a v_b p_i = mu v_c p_i
+    gives [v_a v_b, f] = conj(mu)/|mu| [v_c, f]: theta_F is multiplicative
+    for sigma = mu/|mu|, the Weyl sigma under the corner-pair map."""
     if not isinstance(cover, CompatibleCover) or not cover.certified:
         raise CoverNotCertified("cover is not certified")
     F = cover.states
     at_corner = _by_corner(F)
-    classes = {}  # (source, range) -> canonical Eigenfunctional
+    classes = {}  # (source, range) -> (corner pair, representative)
     for (i, k), u in _transport_reps(inc).items():
         for j in at_corner.get(i, ()):
             r = [j] if k == i else at_corner.get(k, [])
             if len(r) != 1:
                 raise CoverNotCertified("cover is not invariant")
-            classes[(j, r[0])] = _canonicalize(eigenfunctional(
-                inc, inc.C.unit if k == i else u, F[j]))
+            classes[(j, r[0])] = (i, k), inc.C.unit if k == i else u
     keys = sorted(classes)
-    eigs = [classes[key] for key in keys]
+    n, Q = inc.C.ambient_dim, inc._ranges
+    src, rng = np.array([classes[key][0] for key in keys],
+                        dtype=np.intp).reshape(-1, 2).T
+    V = np.reshape([classes[key][1] for key in keys], (-1, n, n))
+    V = V * _canonical_phases(V)[:, None, None]
+    eigs = [eigenfunctional(inc, v, F[j]) for v, (j, _) in zip(V, keys)]
     units = [f"f{j}" for j in range(len(F))]
     arrows = [f"a{k}" for k in range(len(keys))]
-    T, ratios = _class_twist(keys, _representatives(inc, eigs), units, arrows,
-                             CoverNotCertified("eigenfunctional classes not "
-                                               "closed under products"))
+    X = Q[rng].conj().transpose(0, 2, 1) @ V @ Q[src]
+    T, ratios = _class_twist(keys, X, units, arrows, CoverNotCertified(
+        "eigenfunctional classes not closed under products"))
     return EigenTwistData(inclusion=inc, cover=cover, twist=T,
                           arrow_eigs=dict(zip(arrows, eigs)),
                           unit_of_state=dict(enumerate(units)), ratios=ratios)

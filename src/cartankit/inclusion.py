@@ -233,8 +233,7 @@ class Inclusion:
         p_k x = p_k x p_k = x p_k for every k.  Each p_i x p_i lies in C,
         as p_i does."""
         rows = np.concatenate([A.basis_rows for A in self.corner_algebras])
-        return _algebra_from_rows(self.C.ambient_dim, rows, self.C.unit,
-                                  self.C.unit_is_ambient)
+        return _algebra_from_rows(self.C.ambient_dim, rows, self.C.unit)
 
     @cached_property
     def commutant_blocks(self) -> tuple:
@@ -372,7 +371,7 @@ def theta(inc: Inclusion, v) -> ThetaMap:
     return ThetaMap(inclusion=inc, v=v, domain=dom, codomain=cod)
 
 
-def fixed_point_ideal(inc: Inclusion, v, eps: float = EPS) -> IdealSubspace:
+def fixed_point_ideal(inc: Inclusion, v) -> IdealSubspace:
     """K0 = {d in the support ideal of vv*D : vd = dv lies in D^c}."""
     v = _require_normalizer(inc, v)
     vv = v @ v.conj().T
@@ -391,7 +390,7 @@ def fixed_point_ideal(inc: Inclusion, v, eps: float = EPS) -> IdealSubspace:
     return ideal_from_subspace(inc.D, rows)
 
 
-def fixed_set_check(inc: Inclusion, v, eps: float = EPS):
+def fixed_set_check(inc: Inclusion, v):
     """Corner support of K0 within the v*v ideal vs fixed points of beta."""
     v = _require_normalizer(inc, v)
     K0 = fixed_point_ideal(inc, v)
@@ -527,7 +526,7 @@ def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
     Q = inc._ranges[i, :, :r]
     return _algebra_from_rows(
         inc.C.ambient_dim, _vec(Q @ rows.reshape(-1, r, r) @ Q.conj().T),
-        inc.min_projs[i], unit_is_ambient=False)
+        inc.min_projs[i])
 
 
 def mod_states(inc: Inclusion) -> tuple:

@@ -133,16 +133,12 @@ def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FdStarAlgebra:
-    """A *-subalgebra of M_n(C) with an orthonormal HS basis.
-
-    The unit equals the ambient identity unless built with
-    ``unit_is_ambient=False`` (corner algebras).
-    """
+    """A *-subalgebra of M_n(C) with an orthonormal HS basis; its unit
+    is a projection, the identity but for corner algebras."""
 
     ambient_dim: int
     basis: tuple  # of n x n complex ndarrays, HS-orthonormal
     unit: np.ndarray
-    unit_is_ambient: bool = True
 
     @property
     def dim(self) -> int:
@@ -229,8 +225,8 @@ class IdealSubspace:
         return span_residual(self.basis_rows, _as_matrix(m)) < eps
 
 
-def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
-                       unit_is_ambient: bool = True) -> FdStarAlgebra:
+def _algebra_from_rows(ambient_dim: int, rows: np.ndarray,
+                       unit: np.ndarray) -> FdStarAlgebra:
     """Assemble a FdStarAlgebra from spanning rows, unit-direction first."""
     n = ambient_dim
     uvec = unit.ravel()
@@ -244,8 +240,7 @@ def _algebra_from_rows(ambient_dim: int, rows: np.ndarray, unit: np.ndarray,
     else:
         rest = rows
     mats = [first.reshape(n, n)] + [r.reshape(n, n) for r in rest]
-    return FdStarAlgebra(ambient_dim=n, basis=tuple(mats), unit=unit,
-                         unit_is_ambient=unit_is_ambient)
+    return FdStarAlgebra(ambient_dim=n, basis=tuple(mats), unit=unit)
 
 
 def _round_residuals(S: np.ndarray, new: np.ndarray, V: np.ndarray):
@@ -277,9 +272,8 @@ def _round_residuals(S: np.ndarray, new: np.ndarray, V: np.ndarray):
     return None
 
 
-def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
-                          unit: np.ndarray | None = None,
-                          unit_is_ambient: bool = True) -> FdStarAlgebra:
+def generate_star_algebra(ambient_dim: int, generators,
+                          cap: int = DIM_CAP) -> FdStarAlgebra:
     """Smallest unital *-subalgebra of M_n containing the generators.
 
     S is the span of the generators, their adjoints and the unit, and V
@@ -303,10 +297,7 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
     """
     n = int(ambient_dim)
     gens = [_as_matrix(g, n) for g in generators]
-    if not gens and unit is None:
-        gens = [np.eye(n, dtype=complex)]
-    if unit is None:
-        unit = np.eye(n, dtype=complex)
+    unit = np.eye(n, dtype=complex)
     seed = gens + [g.conj().T for g in gens] + [unit]
     rows = row_span(_vec(seed))
     S = new = rows.reshape(len(rows), n, n)
@@ -324,7 +315,7 @@ def generate_star_algebra(ambient_dim: int, generators, cap: int = DIM_CAP,
             break
         rows = np.vstack([rows, added])
         new = added.reshape(len(added), n, n)
-    return _algebra_from_rows(n, rows, unit, unit_is_ambient)
+    return _algebra_from_rows(n, rows, unit)
 
 
 def check_star_algebra(A: FdStarAlgebra, eps: float = EPS) -> list:
@@ -368,7 +359,7 @@ def commutant_in(S: np.ndarray, within: FdStarAlgebra) -> FdStarAlgebra:
     K = _commutators(S, within.stack).reshape(len(S) * n * n, within.dim)
     # within's basis is HS-orthonormal, so the mapped null rows are too
     return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
-                              within.unit, within.unit_is_ambient)
+                              within.unit)
 
 
 def center(A: FdStarAlgebra) -> FdStarAlgebra:
@@ -479,14 +470,14 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
     for s in seeds:
         if not A.contains(s, max(eps, 1e-7)):
             raise SeedOutsideAlgebra("seed matrix lies outside the algebra")
-    live = [s for s in seeds if hs_norm(s) >= eps]
+    live = [s / hs_norm(s) for s in seeds if hs_norm(s) >= eps]
     if not live:
         return IdealSubspace(parent=A, basis=(),
                              support_projection=np.zeros((n, n), dtype=complex))
-    # finite-dimensional ideals are sums of central blocks
-    support_blocks = [q for q in central_projections(A)
-                      if any(hs_norm(q @ s) >= eps for s in live)]
-    support = sum(support_blocks)
+    # the support of the left ideal A S is the seeds' central support z
+    # (``ideal_from_subspace``), and the ideal they generate is z A
+    support = ideal_from_subspace(A, A.stack[:, None] @ np.array(live)) \
+        .support_projection
     rows = row_span(_vec(support @ A.stack))
     basis = tuple(r.reshape(n, n) for r in rows)
     return IdealSubspace(parent=A, basis=basis, support_projection=support)

@@ -124,16 +124,14 @@ class ReducedAlgebra:
     @cached_property
     def algebra(self) -> FdStarAlgebra:
         rows = row_span(self._delta_images)
-        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix,
-                                  unit_is_ambient=True)
+        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix)
 
     @cached_property
     def diagonal(self) -> FdStarAlgebra:
         G = self.twist.groupoid
         units = [G.arrays.index[e] for e in G.unit_arrow.values()]
         rows = row_span(self._delta_images[units])
-        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix,
-                                  unit_is_ambient=True)
+        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix)
 
     @cached_property
     def unit_matrix(self) -> np.ndarray:

@@ -65,10 +65,12 @@ def germ_equal(inc: Inclusion, v, w, i: int, mode: str = "RT") -> bool:
 
 def _canonical_phases(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Per matrix of the stack U, the unimodular factor that rotates its
-    first nonzero entry (row-major) to the positive reals; 1 for 0."""
-    mag = np.abs(U.reshape(len(U), -1))
+    first nonzero entry (row-major) to the positive reals; 1 for 0.  It is
+    1 on a PSD matrix, whose first nonzero entry is on the diagonal."""
+    flat = U.reshape(len(U), np.prod(U.shape[1:], dtype=int))
+    mag = np.abs(flat)
     first = np.argmax(mag > tol * mag.max(axis=1, keepdims=True), axis=1)
-    z = U.reshape(len(U), -1)[np.arange(len(U)), first]
+    z = flat[np.arange(len(U)), first]
     return np.divide(np.abs(z), z, out=np.ones_like(z), where=z != 0)
 
 
@@ -132,12 +134,12 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
 def _class_twist(keys, X, units, arrows, refusal) -> tuple:
     """The twist of normalizer classes over scalar corners, shared by the
     Weyl and eigenfunctional twists: arrows[k] runs from units[s] to
-    units[r], (s, r) = keys[k], and X[k] is a partial isometry from the
-    corner of s onto that of r (or a block of one, with its products and
-    inner products).  With scalar corners each slice p_j C p_i is at most
-    one-dimensional (``Inclusion.corner_slices``), so (s, r) names one
-    class, the inverse (adjoint) class is the swapped key, and for
-    s(a) = r(b), X[a] X[b] lies in the slice of (s(b), r(a)): it is
+    units[r], (s, r) = keys[k], and X[k] is the square block Q_j* u Q_i
+    (``Inclusion._ranges``) of a partial isometry u from p_i, the corner
+    of s, onto p_j, that of r.  With scalar corners each slice p_j C p_i
+    is at most one-dimensional (``Inclusion.corner_slices``), so (s, r)
+    names one class, the inverse (adjoint) class is the swapped key, and
+    for s(a) = r(b), X[a] X[b] lies in the slice of (s(b), r(a)): it is
     mu X[c] for the class c of that key, and sigma(a, b) = mu/|mu|, from
     one batched contraction over the pairs.  ``refusal`` is raised when a
     product's class is missing, the product is not a multiple of it or

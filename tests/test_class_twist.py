@@ -10,10 +10,10 @@ import pytest
 
 import cartankit.envelope
 import cartankit.weyl
+from cartankit import cli
 from cartankit.envelope import (
     CompatibleCover,
     EigenTwistData,
-    _canonicalize,
     build_cover,
     eig_inverse,
     eig_product,
@@ -30,13 +30,18 @@ from cartankit.inclusion import (
 )
 from cartankit.matalg import generate_star_algebra
 from cartankit.reduced import groupoid_inclusion, realize
-from cartankit.serialize import twist_from_json, twist_to_json
+from cartankit.serialize import (
+    inclusion_to_json,
+    twist_from_json,
+    twist_to_json,
+)
 from cartankit.twist import (
     COCYCLE_TOL,
     CocycleTwist,
     coboundary_twist,
     validate_twist,
 )
+from cartankit.weyl import _canonical_phases, weyl_twist
 from conftest import E, mndn_inclusion, random_twist_corpus
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 from test_exact_corners import unequal_rank_inclusion
@@ -61,8 +66,8 @@ def ref_eigen_twist(inc, cover):
         for (i, k), u in reps.items():
             if i != f.corner_index:
                 continue
-            phi = _canonicalize(eigenfunctional(
-                inc, inc.C.unit if k == i else u, f))
+            v = inc.C.unit if k == i else u
+            phi = eigenfunctional(inc, v * _canonical_phases(v[None])[0], f)
             r_idx = j if k == i else _state_index(cover, phi.range)
             if r_idx is None:
                 raise CoverNotCertified("cover is not invariant")
@@ -87,7 +92,7 @@ def ref_eigen_twist(inc, cover):
                 return aid, lam / abs(lam)
         return None, None
 
-    inv = {aid: find_class(_canonicalize(eig_inverse(phi)))[0]
+    inv = {aid: find_class(eig_inverse(phi))[0]
            for aid, phi in arrow_eigs.items()}
     pairs, sigma = [], {}
     for a, pa in arrow_eigs.items():
@@ -108,17 +113,31 @@ def ref_eigen_twist(inc, cover):
                           ratios=T.sigma_vector)
 
 
-def conjugated_m4():
-    inc = mndn_inclusion(4)
-    rng = np.random.default_rng(17)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                        + 1j * rng.standard_normal((4, 4)))
+def conjugated(inc, seed):
+    """inc moved by a seeded random unitary of its ambient M_n."""
+    n = inc.C.ambient_dim
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
 
     def conj(xs):
         return [q @ x @ q.conj().T for x in xs]
-    return make_inclusion(generate_star_algebra(4, conj(inc.C.basis)),
-                          generate_star_algebra(4, conj(inc.D.basis)),
+    return make_inclusion(generate_star_algebra(n, conj(inc.C.basis)),
+                          generate_star_algebra(n, conj(inc.D.basis)),
                           conj(inc.normalizer_gens))
+
+
+def conjugated_m4():
+    return conjugated(mndn_inclusion(4), 17)
+
+
+def tensor_inclusion(k, r):
+    """M_k (x) 1_r over D_k (x) 1_r: scalar corners of rank r."""
+    units = [np.kron(E(i, j, k), np.eye(r)) for i in range(k)
+             for j in range(k)]
+    return make_inclusion(generate_star_algebra(k * r, units),
+                          generate_star_algebra(k * r, units[::k + 1]),
+                          units)
 
 
 def abelian_self_inclusion():
@@ -173,9 +192,10 @@ def test_corpus_has_principal_members():
 
 def test_one_class_product_helper():
     """Both twists read their tables and cocycle from ``_class_twist``;
-    the eigenfunctional twist searches no class."""
+    the eigenfunctional twist searches no class and pins its classes by
+    the Weyl rule alone."""
     assert cartankit.envelope._class_twist is cartankit.weyl._class_twist
-    for name in ("find_class", "_state_index"):
+    for name in ("find_class", "_state_index", "_canonicalize"):
         assert not hasattr(cartankit.envelope, name)
     for fn in (eigen_twist, cartankit.envelope.cover_comparison):
         source = inspect.getsource(fn)
@@ -183,6 +203,80 @@ def test_one_class_product_helper():
             assert name not in source
     assert "_class_twist(" in inspect.getsource(cartankit.weyl.weyl_twist)
     assert "_class_twist(" in inspect.getsource(eigen_twist)
+
+
+# --- the eigenfunctional twist's classes are the Weyl twist's ---------------
+
+def _weyl_sigma_on_pairs(data, W):
+    """The Weyl twist's sigma at the image of each eigenfunctional-twist
+    pair under the corner-pair map (``envelope_uniqueness_crosscheck``)."""
+    GA, GB = data.twist.groupoid, W.twist.groupoid
+    corner = {unit: data.cover.states[s].corner_index
+              for s, unit in data.unit_of_state.items()}
+    perm = np.array([GB.arrays.index[f"g{corner[GA.src[a]]}."
+                                     f"{corner[GA.rng[a]]}"]
+                     for a in GA.arrows], dtype=np.intp)
+    ta, tb = GA.arrays, GB.arrays
+    p = tb.pair_at[perm[ta.a], perm[ta.b]]
+    assert np.all(p >= 0) and len(p) == len(tb.pairs)
+    return W.twist.sigma_vector[p]
+
+
+def weyl_cases():
+    out = [pytest.param(p.values[0], id=p.id) for p in crosscheck_cases()
+           if p.values[0].scalar_corners]
+    for k in (2, 3):
+        inc = tensor_inclusion(k, 2)
+        out += [pytest.param(inc, id=f"m{k}x1_2"),
+                pytest.param(conjugated(inc, 3), id=f"m{k}x1_2conj")]
+    return out
+
+
+@pytest.mark.parametrize("inc", weyl_cases())
+def test_sigma_is_the_weyl_sigma(inc):
+    data = eigen_twist(inc, build_cover(inc))
+    got = data.twist.sigma_vector
+    assert np.max(np.abs(got - _weyl_sigma_on_pairs(data, weyl_twist(inc))),
+                  initial=0.0) <= 1e-12
+
+
+MNDN = [pytest.param(mndn_inclusion, n, id=f"m{n}") for n in range(2, 9)]
+MNDN.append(pytest.param(lambda _: conjugated_m4(), 4, id="m4conj"))
+
+
+@pytest.mark.parametrize("build, n", MNDN)
+def test_rank_one_corners_give_trivial_sigma(build, n, tmp_path, capsys):
+    """A pinned slice on a rank-one corner is q_k q_i* with each q's first
+    nonzero coordinate positive, so pinned slices compose exactly."""
+    inc = build(n)
+    data = eigen_twist(inc, build_cover(inc))
+    assert np.max(np.abs(data.twist.sigma_vector - 1.0)) <= COCYCLE_TOL
+    path = tmp_path / "inc.json"
+    path.write_text(json.dumps(inclusion_to_json(inc)))
+    assert cli.main(["envelope", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["success"] and report["twist"]["cocycle"] == []
+
+
+def test_class_twist_sees_rank_blocks(monkeypatch):
+    """Both twists hand ``_class_twist`` r x r blocks, r = max rank p_i,
+    one per class."""
+    seen, real = [], cartankit.weyl._class_twist
+
+    def spy(keys, X, *rest):
+        seen.append((len(keys), X.shape))
+        return real(keys, X, *rest)
+
+    monkeypatch.setattr(cartankit.envelope, "_class_twist", spy)
+    monkeypatch.setattr(cartankit.weyl, "_class_twist", spy)
+    for inc in (mndn_inclusion(3), tensor_inclusion(2, 2),
+                conjugated(tensor_inclusion(3, 2), 3)):
+        r = int(inc._ranks.max())
+        seen.clear()
+        weyl_twist(inc)
+        eigen_twist(inc, build_cover(inc))
+        assert [shape for _, shape in seen] == [(k, r, r) for k, _ in seen]
+        assert len(seen) == 2 and seen[0][0] == seen[1][0] == inc.C.dim
 
 
 # --- covers and densities that give no twist -------------------------------

@@ -265,8 +265,7 @@ def reference_corner(inc, i):
     """p_i C p_i from the full-width rows ``row_span(p S p)``."""
     p = inc.min_projs[i]
     return _algebra_from_rows(inc.C.ambient_dim,
-                              row_span(_vec(p @ inc.C.stack @ p)), p,
-                              unit_is_ambient=False)
+                              row_span(_vec(p @ inc.C.stack @ p)), p)
 
 
 def reference_weyl_sigma(inc):

@@ -434,7 +434,7 @@ def _perturbed(A, delta, seed=0):
     for b in A.basis:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         moved.append(b + delta * x / np.linalg.norm(x))
-    return FdStarAlgebra(n, tuple(moved), A.unit, A.unit_is_ambient)
+    return FdStarAlgebra(n, tuple(moved), A.unit)
 
 
 def _near_algebras(inc):
