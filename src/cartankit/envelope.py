@@ -44,12 +44,10 @@ from .inclusion import (
     _located_state,
     _transport_reps,
 )
-from .matalg import _as_matrix, hs_norm
+from .matalg import COVER_MATCH_TOL, EPS, STATE_TOL, _as_matrix, hs_norm
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
 from .twist import CocycleTwist, EquivariantFunction, _involution_values
 from .weyl import _canonical_phases, _class_twist
-
-_EIG_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,25 +71,24 @@ class Eigenfunctional:
         return _located_state(self.inclusion, _functional(C, moved)
                               / np.trace(moved))
 
-    def equal(self, other: "Eigenfunctional", tol: float = _EIG_TOL) -> bool:
+    def equal(self, other: "Eigenfunctional") -> bool:
         """Equality criterion: same source state and s(v* w) > 0."""
-        if not self.source.close_to(other.source, tol):
+        if not self.source.close_to(other.source):
             return False
         t = complex(self.source(self.v.conj().T @ other.v))
-        return abs(t.imag) < tol and t.real > tol
+        return abs(t.imag) < STATE_TOL and t.real > STATE_TOL
 
-    def phase_class_equal(self, other: "Eigenfunctional",
-                          tol: float = _EIG_TOL) -> bool:
+    def phase_class_equal(self, other: "Eigenfunctional") -> bool:
         """Equality up to a circle factor."""
-        if not self.source.close_to(other.source, tol):
+        if not self.source.close_to(other.source):
             return False
-        return abs(self.source(self.v.conj().T @ other.v)) > tol
+        return abs(self.source(self.v.conj().T @ other.v)) > STATE_TOL
 
 
 def eigenfunctional(inc: Inclusion, v, f: ModState) -> Eigenfunctional:
     v = np.asarray(v, dtype=complex)
     wt = complex(f(v.conj().T @ v))
-    if wt.real <= 1e-9:
+    if wt.real <= EPS:
         raise SourceVanishes("f(v*v) vanishes; [v, f] is undefined")
     root = np.sqrt(wt.real)
     vals = _functional(inc.C, v.conj() @ f.density) / root
@@ -261,7 +258,7 @@ def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
 def _theta_on_classes(data: EigenTwistData) -> bool:
     """theta_F is a *-isomorphism of C onto C_r(Sigma) carrying span{p_i}
     onto C(G^0).  With V the class representatives (``_representatives``)
-    and Theta = theta_F(V), checked to ``_EIG_TOL`` per entry: (i)
+    and Theta = theta_F(V), checked to ``STATE_TOL`` per entry: (i)
     |arrows| = dim C and Theta = I; (ii) p_r(a) v_a p_s(a) = v_a; (iii)
     sigma(a, b) = mu(a, b), the twist's stored sigma against the ratio
     v_a v_b = mu v_ab that ``_class_twist`` measured with |mu| = 1; (iv)
@@ -282,7 +279,7 @@ def _theta_on_classes(data: EigenTwistData) -> bool:
     P = np.array(inc.min_projs)[[data.arrow_eigs[G.unit_arrow[x]].source
                                  .corner_index for x in G.units]]
     return n == inc.C.dim and all(
-        np.abs(err).max(initial=0.0) <= _EIG_TOL for err in (
+        np.abs(err).max(initial=0.0) <= STATE_TOL for err in (
             theta - np.eye(n), P[t.rng[:n]] @ V @ P[t.src[:n]] - V,
             T.sigma_vector - data.ratios,
             data._theta(V.conj().transpose(0, 2, 1))
@@ -413,7 +410,7 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
     arrow_map = {a: by_ends.get((unit[G1.src[a]], unit[G1.rng[a]]))
                  for a in G1.arrows}
     if any(a2 is None or hs_norm(d1.arrow_eigs[a1].values
-                                 - d2.arrow_eigs[a2].values) >= 1e-6
+                                 - d2.arrow_eigs[a2].values) >= COVER_MATCH_TOL
            for a1, a2 in arrow_map.items()):
         raise NotNested("could not match eigenfunctional classes "
                         "between the covers")

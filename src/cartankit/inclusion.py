@@ -61,6 +61,9 @@ from .errors import (
 )
 from .matalg import (
     EPS,
+    NORMALIZER_TOL,
+    RANK_TOL,
+    STATE_TOL,
     FdStarAlgebra,
     IdealSubspace,
     _algebra_from_rows,
@@ -77,8 +80,6 @@ from .matalg import (
     span_residuals,
 )
 
-#: Cut on state values: for equal states and for traciality on a corner.
-_STATE_TOL = 1e-7
 #: Complex entries of the products v S v* held at once by the stacked
 #: normalizer check.
 _NORMALIZER_CHUNK = 1 << 16
@@ -260,22 +261,22 @@ class Inclusion:
 
 
 def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
-                   normalizer_gens=(), eps: float = EPS) -> Inclusion:
+                   normalizer_gens=()) -> Inclusion:
     """The inclusion (C, D) with the given normalizer generators, checked
     together: the first generator in list order that is malformed, lies
     outside C or fails the normalizer condition is refused."""
-    if not D.is_subalgebra_of(C, eps):
+    if not D.is_subalgebra_of(C):
         raise NotASubalgebra("D is not contained in C")
-    if not D.is_abelian(eps):
+    if not D.is_abelian():
         raise NotAbelian("D is not abelian")
-    if hs_norm(C.unit - D.unit) >= eps:
+    if hs_norm(C.unit - D.unit) >= EPS:
         raise NotASubalgebra("C and D do not share a unit")
     gens = tuple(np.asarray(v, dtype=complex) for v in normalizer_gens)
     inc = Inclusion(C=C, D=D, normalizer_gens=gens)
     n = C.ambient_dim
     good = ([v.shape == (n, n) for v in gens] + [False]).index(False)
     if not _normalizer_verdicts(inc, np.array(gens[:good]).reshape(
-            good, n, n), eps).all():
+            good, n, n), EPS).all():
         raise NotANormalizer("generator fails the normalizer condition")
     if good < len(gens):
         _as_matrix(gens[good], n)  # raises NonSquareMatrix
@@ -290,11 +291,11 @@ def is_normalizer(inc: Inclusion, v, eps: float = EPS) -> bool:
 def _normalizer_verdicts(inc: Inclusion, V: np.ndarray,
                          eps: float) -> np.ndarray:
     """Whether v S v* and v* S v lie in D for each v of the (k, n, n) stack
-    V and the basis stack S of D, up to max(eps, 1e-7).  Raises
+    V and the basis stack S of D, up to max(eps, NORMALIZER_TOL).  Raises
     ``OutsideAmbient`` when the first v that fails lies outside C.  The
     products are formed about ``_NORMALIZER_CHUNK`` complex entries at a
     time, for whole generators."""
-    tol = max(eps, 1e-7)
+    tol = max(eps, NORMALIZER_TOL)
     k, n = len(V), inc.C.ambient_dim
     inside = span_residuals(inc.C.basis_rows, V.reshape(k, n * n)) < tol
     S, d = inc.D.stack, inc.D.dim
@@ -320,19 +321,19 @@ def _require_normalizer(inc: Inclusion, v) -> np.ndarray:
     return v
 
 
-def beta(inc: Inclusion, v, eps: float = EPS) -> dict:
+def beta(inc: Inclusion, v) -> dict:
     """The partial bijection on corner indices induced by v."""
     v = _require_normalizer(inc, v)
     vv = v.conj().T @ v
     out = {}
     for i in range(inc.n_corners):
         wt = inc.char(i, vv).real
-        if wt <= max(eps, 1e-9):
+        if wt <= EPS:
             continue
         # beta_v(sigma_i)(d) = sigma_i(v* d v)/sigma_i(v*v): a character
         targets = [j for j in range(inc.n_corners)
                    if abs(inc.char(i, v.conj().T @ inc.min_projs[j] @ v) / wt - 1.0)
-                   < 1e-7]
+                   < STATE_TOL]
         if len(targets) != 1:
             raise NotANormalizer(
                 f"corner {i} does not map to a unique corner under v")
@@ -365,7 +366,7 @@ def theta(inc: Inclusion, v) -> ThetaMap:
     v = _require_normalizer(inc, v)
     vv = v @ v.conj().T
     dom = tuple(j for j in range(inc.n_corners)
-                if abs(inc.char(j, vv)) > 1e-9)
+                if abs(inc.char(j, vv)) > EPS)
     b = beta(inc, v)
     cod = tuple(sorted(b.keys()))
     return ThetaMap(inclusion=inc, v=v, domain=dom, codomain=cod)
@@ -375,7 +376,7 @@ def fixed_point_ideal(inc: Inclusion, v) -> IdealSubspace:
     """K0 = {d in the support ideal of vv*D : vd = dv lies in D^c}."""
     v = _require_normalizer(inc, v)
     vv = v @ v.conj().T
-    support = [j for j in range(inc.n_corners) if abs(inc.char(j, vv)) > 1e-9]
+    support = [j for j in range(inc.n_corners) if abs(inc.char(j, vv)) > EPS]
     if not support:
         return ideal_from_subspace(inc.D, np.zeros((0, inc.D.ambient_dim ** 2)))
     projs = [inc.min_projs[j] for j in support]
@@ -401,12 +402,12 @@ def fixed_set_check(inc: Inclusion, v):
     support = set()
     for i in vstar_support:
         p = inc.min_projs[i]
-        if K0.dim and span_residual(K0.basis_rows, p) < 1e-7:
+        if K0.dim and span_residual(K0.basis_rows, p) < NORMALIZER_TOL:
             support.add(i)
         elif K0.dim:
             # p need not be in K0 itself; check p against the projection of
             # K0 onto this corner: some element of K0 is nonzero at corner i
-            if np.any(np.abs(inc.char(i, np.array(K0.basis))) > 1e-7):
+            if np.any(np.abs(inc.char(i, np.array(K0.basis))) > STATE_TOL):
                 support.add(i)
     return (support == fixed, {"support": sorted(support),
                                "fixed": sorted(fixed)})
@@ -431,8 +432,8 @@ class ModState:
         """W with rho(x) = sum(W * x) on C (``_density``)."""
         return _density(self.inclusion.C, self.values)
 
-    def close_to(self, other: "ModState", tol: float = _STATE_TOL) -> bool:
-        return bool(np.max(np.abs(self.values - other.values)) < tol)
+    def close_to(self, other: "ModState") -> bool:
+        return bool(np.max(np.abs(self.values - other.values)) < STATE_TOL)
 
 
 def _located_state(inc: Inclusion, vals: np.ndarray) -> ModState:
@@ -475,7 +476,7 @@ def mod_state_from_density(inc: Inclusion, i: int, rho) -> ModState:
     """The state x -> trace(rho p_i x p_i) at corner i, if rho(p_i) != 0."""
     rho = np.asarray(rho, dtype=complex)
     p = inc.min_projs[i]
-    if abs(np.trace(rho @ p)) < _STATE_TOL:
+    if abs(np.trace(rho @ p)) < STATE_TOL:
         raise SourceVanishes(f"no state at corner {i}: rho(p_{i}) = 0")
     vals = _functional(inc.C, (p @ rho @ p).T)
     return ModState(inclusion=inc, corner_index=i, values=vals)
@@ -487,25 +488,25 @@ def canonical_corner_state(inc: Inclusion, i: int) -> ModState:
     return mod_state_from_density(inc, i, p / np.trace(p))
 
 
-def check_mod_state(rho: ModState, eps: float = 1e-7) -> list:
+def check_mod_state(rho: ModState) -> list:
     """Verify the ModState invariants; returns violations."""
     inc = rho.inclusion
     C = inc.C
     bad = []
-    if abs(rho(C.unit) - 1.0) > eps:
+    if abs(rho(C.unit) - 1.0) > STATE_TOL:
         bad.append("not unital")
     gram = _gram(C, rho.values)
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if evals.min() < -eps:
+    if evals.min() < -STATE_TOL:
         bad.append(f"Gram matrix not PSD (min eigenvalue {evals.min():.2e})")
     on_d = inc._projection_rows @ rho.values
     for j, val in enumerate(on_d):
         want = 1.0 if j == rho.corner_index else 0.0
-        if abs(val - want) > eps:
+        if abs(val - want) > STATE_TOL:
             bad.append(f"restriction to D wrong at corner {j}")
     # rho(x) - rho(p x p) on C's basis, from the density W - conj(p) W p^T
     p, W = inc.min_projs[rho.corner_index], rho.density
-    if np.any(np.abs(_functional(C, W - _transports(W, p))) > eps):
+    if np.any(np.abs(_functional(C, W - _transports(W, p))) > STATE_TOL):
         bad.append("state not concentrated on its corner")
     return bad
 
@@ -534,7 +535,7 @@ def mod_states(inc: Inclusion) -> tuple:
     out = []
     for i, A in enumerate(inc.corner_algebras):
         extremes = ()
-        if A.is_abelian(1e-8):
+        if A.is_abelian(RANK_TOL):
             qs = minimal_projections(A)
             extremes = tuple(
                 mod_state_from_density(inc, i, q / np.trace(q)) for q in qs)
@@ -545,8 +546,7 @@ def mod_states(inc: Inclusion) -> tuple:
 
 # --- compatibility and invariance ---------------------------------------
 
-def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None,
-                        tol: float = 1e-7):
+def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None):
     """|rho(v)|^2 in {0, rho(v*v)} for every normalizer v, decided exactly:
     it holds iff rho is a character of A_i = p_i C p_i (i its corner).
 
@@ -560,7 +560,7 @@ def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None,
     domain, and the unitaries span A_i.
 
     The test is the rank-one Gram rho(a*b) = conj(rho(a)) rho(b) on A_i's
-    basis: the PSD defect has top eigenvalue lam <= ``tol``.  Otherwise
+    basis: the PSD defect has top eigenvalue lam <= ``STATE_TOL``.  Otherwise
     its eigenvector is an a with |a|_HS = 1 and rho(|a - rho(a)|^2) = lam,
     and h = a + a* or i(a* - a), whichever has the larger variance, has
     Var(h) >= lam.  With Delta <= 4 the width of h's spectrum on p_i, the
@@ -573,7 +573,7 @@ def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None,
     A = inc.corner_algebras[i]
     r = A.basis_rows @ rho.density.ravel()  # rho on A's basis
     lam, vecs = np.linalg.eigh(_gram(A, r) - np.outer(r.conj(), r))
-    if lam[-1] <= tol:
+    if lam[-1] <= STATE_TOL:
         return True, None
     n = inc.C.ambient_dim
     a = (vecs[:, -1] @ A.basis_rows).reshape(n, n)
@@ -713,8 +713,9 @@ def _is_invariant(inc: Inclusion, F) -> bool:
     is {rho}, and the unitaries span A_i.
 
     The transports of all states by their u are one contraction of the
-    stacked densities (``_transports``), compared with F (``close_to``)
-    through one table of distances.
+    stacked densities (``_transports``), each compared (``close_to``) with
+    F's states at its target corner k only: any other state differs from
+    it by 1 on p_k, so by >= n^(-3/2) on some basis element of C.
     """
     reps = _transport_reps(inc)
     F = list(F)
@@ -723,19 +724,20 @@ def _is_invariant(inc: Inclusion, F) -> bool:
         # rho(x) = trace(w x); rho(a* b) - rho(b a*) over A's basis
         w = rho.density.T
         if np.abs(A.basis_rows.conj() @ _vec(
-                A.stack @ w - w @ A.stack).T).max() > _STATE_TOL:
+                A.stack @ w - w @ A.stack).T).max() > STATE_TOL:
             return False
-    moves = [(rho.density, u) for rho in F
-             for (i, _), u in reps.items() if i == rho.corner_index]
+    moves = [(rho.density, u, k) for rho in F
+             for (i, k), u in reps.items() if i == rho.corner_index]
     if not moves:
         return True
-    W, U = map(np.array, zip(*moves))
+    W, U, target = map(np.array, zip(*moves))
     moved = _transports(W, U)
     vals = _functional(inc.C, moved) / \
         np.trace(moved, axis1=1, axis2=2).real[:, None]
     known = np.array([rho.values for rho in F])
-    dist = np.abs(vals[:, None] - known[None]).max(axis=2)
-    return bool(np.all(np.any(dist < _STATE_TOL, axis=1)))
+    m, s = np.nonzero(target[:, None] == [rho.corner_index for rho in F])
+    near = np.abs(vals[m] - known[s]).max(axis=1) < STATE_TOL
+    return bool(np.bincount(m[near], minlength=len(moves)).all())
 
 
 def strongly_compatible(inc: Inclusion) -> tuple:

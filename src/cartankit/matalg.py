@@ -30,10 +30,19 @@ from .errors import (
     SeedOutsideAlgebra,
 )
 
-#: Global default tolerance for subspace/equality decisions.
+# The tolerance policy: every numerical cut of the package, named once.
+#: Subspace residuals, vanishing weights, the entry that pins a phase.
 EPS = 1e-9
-#: Singular-value threshold for rank decisions.
+#: Singular values (relative to max(s_max, 1)), germ ratios, commutators.
 RANK_TOL = 1e-8
+#: Subalgebra membership (normalizers, projections, seeds), eigen-gaps.
+NORMALIZER_TOL = 1e-7
+#: State values: equality, traciality, compatibility, theta_F entries.
+STATE_TOL = 1e-7
+#: Distance at which two covers' eigenfunctional classes match.
+COVER_MATCH_TOL = 1e-6
+#: Cocycle identity and normalization of a twist's sigma.
+COCYCLE_TOL = 1e-12
 #: Dimension cap for generated algebras.
 DIM_CAP = 4096
 #: Complex entries per chunk of a round's products in
@@ -344,19 +353,13 @@ def check_star_algebra(A: FdStarAlgebra, eps: float = EPS) -> list:
     return bad
 
 
-def relative_commutant(A: FdStarAlgebra, within: FdStarAlgebra,
-                       eps: float = EPS) -> FdStarAlgebra:
-    """{x in `within` : xa = ax for all a in A}."""
-    if not A.is_subalgebra_of(within, eps):
+def relative_commutant(A: FdStarAlgebra,
+                       within: FdStarAlgebra) -> FdStarAlgebra:
+    """{x in `within` : xa = ax for all a in A}, as a null space."""
+    if not A.is_subalgebra_of(within):
         raise NotASubalgebra("A is not contained in the ambient algebra")
-    return commutant_in(A.stack, within)
-
-
-def commutant_in(S: np.ndarray, within: FdStarAlgebra) -> FdStarAlgebra:
-    """{x in `within` : xs = sx for every s of the (k, n, n) stack S}: a
-    null space over dim(within) unknowns, whether or not S lies in it."""
     n = within.ambient_dim
-    K = _commutators(S, within.stack).reshape(len(S) * n * n, within.dim)
+    K = _commutators(A.stack, within.stack).reshape(A.dim * n * n, within.dim)
     # within's basis is HS-orthonormal, so the mapped null rows are too
     return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
                               within.unit)
@@ -366,7 +369,7 @@ def center(A: FdStarAlgebra) -> FdStarAlgebra:
     return relative_commutant(A, A)
 
 
-def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
+def minimal_projections(D: FdStarAlgebra) -> tuple:
     """Ordered minimal projections of an abelian algebra, summing to its unit.
 
     Order is deterministic: lexicographic on rounded matrix entries, row
@@ -377,7 +380,7 @@ def minimal_projections(D: FdStarAlgebra, eps: float = EPS) -> tuple:
     """
     if D.dim == 1:
         return (np.array(D.unit, dtype=complex),)
-    return _minimal_projections(D, eps, _fixed_draws())
+    return _minimal_projections(D, EPS, _fixed_draws())
 
 
 def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
@@ -399,7 +402,7 @@ def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
         # cluster eigenvalues
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
-        gap = max(1e-7, 1e-7 * max(1.0, float(np.abs(evals).max())))
+        gap = NORMALIZER_TOL * max(1.0, float(np.abs(evals).max()))
         groups = []
         start = 0
         for i in range(1, len(evals) + 1):
@@ -412,7 +415,7 @@ def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
             v = evecs[:, list(g)]
             p = v @ v.conj().T
             if hs_norm(p @ D.unit - p) < eps:  # drop the complement cluster
-                if not D.contains(p, 1e-7):
+                if not D.contains(p, NORMALIZER_TOL):
                     ok = False
                     break
                 projs.append(p)
@@ -428,7 +431,7 @@ def _minimal_projections(D: FdStarAlgebra, eps: float, draw) -> tuple:
 
     projs.sort(key=key)
     total = sum(projs)
-    if hs_norm(total - D.unit) >= 1e-7:
+    if hs_norm(total - D.unit) >= NORMALIZER_TOL:
         raise NumericalRankAmbiguity(
             "minimal projections of abelian algebra do not sum to its unit")
     return tuple(projs)
@@ -463,21 +466,20 @@ def block_structure(A: FdStarAlgebra) -> tuple:
     return tuple(sorted(sizes))
 
 
-def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspace:
+def ideal_generated_by(A: FdStarAlgebra, seeds) -> IdealSubspace:
     """Smallest two-sided ideal of A containing the seed matrices."""
     n = A.ambient_dim
     seeds = [_as_matrix(s, n) for s in seeds]
     for s in seeds:
-        if not A.contains(s, max(eps, 1e-7)):
+        if not A.contains(s, NORMALIZER_TOL):
             raise SeedOutsideAlgebra("seed matrix lies outside the algebra")
-    live = [s / hs_norm(s) for s in seeds if hs_norm(s) >= eps]
+    live = [s / hs_norm(s) for s in seeds if hs_norm(s) >= EPS]
     if not live:
         return IdealSubspace(parent=A, basis=(),
                              support_projection=np.zeros((n, n), dtype=complex))
     # the support of the left ideal A S is the seeds' central support z
     # (``ideal_from_subspace``), and the ideal they generate is z A
-    support = ideal_from_subspace(A, A.stack[:, None] @ np.array(live)) \
-        .support_projection
+    support = _range_projection(A.stack[:, None] @ np.array(live))
     rows = row_span(_vec(support @ A.stack))
     basis = tuple(r.reshape(n, n) for r in rows)
     return IdealSubspace(parent=A, basis=basis, support_projection=support)
@@ -486,13 +488,18 @@ def ideal_generated_by(A: FdStarAlgebra, seeds, eps: float = EPS) -> IdealSubspa
 def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray) -> IdealSubspace:
     """Wrap orthonormal rows spanning a left ideal L = A e of A (a
     two-sided ideal is one).  The support is the range projection of L's
-    elements: with V an orthonormal ``row_span`` of their stacked columns,
-    P = V^T conj(V).  That is e's central support z: x e = x z e = z x e
-    has its range in range(z), and on each block M_k (x) 1_l of A where e
-    has a nonzero part f (x) 1_l, the x e in L give M_k f C^k (x) C^l, the
-    whole block's range."""
+    elements (``_range_projection``).  That is e's central support z:
+    x e = x z e = z x e has its range in range(z), and on each block
+    M_k (x) 1_l of A where e has a nonzero part f (x) 1_l, the x e in L
+    give M_k f C^k (x) C^l, the whole block's range."""
     n = A.ambient_dim
     mats = np.asarray(rows, dtype=complex).reshape(-1, n, n)
-    V = row_span(mats.transpose(0, 2, 1).reshape(-1, n))
     return IdealSubspace(parent=A, basis=tuple(mats),
-                         support_projection=V.T @ V.conj())
+                         support_projection=_range_projection(mats))
+
+
+def _range_projection(mats: np.ndarray) -> np.ndarray:
+    """The projection V^T conj(V) onto the sum of the ranges of a stack
+    of matrices, V an orthonormal ``row_span`` of their stacked columns."""
+    V = row_span(np.swapaxes(mats, -1, -2).reshape(-1, mats.shape[-1]))
+    return V.T @ V.conj()

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import EmptyAlgebra, OutsideFibers
 from .matalg import (
     EPS,
+    NORMALIZER_TOL,
     FdStarAlgebra,
     _algebra_from_rows,
     block_structure as algebra_blocks,
@@ -246,11 +247,7 @@ class CartanCertificate:
                 and self.expectation_faithful)
 
 
-#: Distance (HS norm) from D within which a product v d v* lies in D.
-NORMALIZER_TOL = 1e-7
-
-
-def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
+def is_cartan_pair(R: ReducedAlgebra) -> CartanCertificate:
     """Certify (or refute) that the diagonal is Cartan in the realization,
     from the tables and the realization's entries, with no matrix built.
 
@@ -285,7 +282,7 @@ def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
     (g^-1, h) lands on a unit and 0 otherwise.  If every pair (a, b)
     landing on a unit has b = a^-1, the Gram is diagonal, with
     |c_k(a, b)|^2 at (b, b), and E is faithful exactly when each diagonal
-    entry exceeds ``eps``.  Tables on which another pair lands on a unit
+    entry exceeds ``EPS``.  Tables on which another pair lands on a unit
     are not certified.
     """
     if not R.total_dim:
@@ -302,7 +299,7 @@ def is_cartan_pair(R: ReducedAlgebra, eps: float = EPS) -> CartanCertificate:
         regular=_deltas_normalize(t, R._fiber_arrows, t.a[p], rows, cols,
                                   phases[p]),
         expectation_faithful=bool((t.inv[t.a[on]] == t.b[on]).all()
-                                  and (gram > eps).all()),
+                                  and (gram > EPS).all()),
         masa_defect=defect)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ParseError
 from .groupoid import FiniteGroupoid, _lookup, build_groupoid
 from .inclusion import Inclusion, make_inclusion
-from .matalg import generate_star_algebra
-from .twist import COCYCLE_TOL, CocycleTwist, _with_phases, trivial_twist
+from .matalg import COCYCLE_TOL, generate_star_algebra
+from .twist import CocycleTwist, _with_phases, trivial_twist
 
 
 def matrix_to_json(m) -> list:

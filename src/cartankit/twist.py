@@ -32,9 +32,7 @@ from .groupoid import (
     _violations,
     restrict_groupoid,
 )
-
-#: Tolerance for the cocycle identity and normalization.
-COCYCLE_TOL = 1e-12
+from .matalg import COCYCLE_TOL
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,15 @@ from .inclusion import (
     _require_normalizer,
     canonical_expectation,
 )
-from .matalg import hs_inner, hs_norm
+from .matalg import EPS, RANK_TOL, hs_inner, hs_norm
 from .twist import CocycleTwist, _with_phases
-
-_GERM_TOL = 1e-8
 
 
 def _ratio(a: np.ndarray, b: np.ndarray):
     """lambda with a = lambda b, or None if a, b are not proportional."""
     nb = hs_norm(b)
     lam = hs_inner(a, b) / nb ** 2
-    if hs_norm(a - lam * b) > _GERM_TOL * max(1.0, hs_norm(a)):
+    if hs_norm(a - lam * b) > RANK_TOL * max(1.0, hs_norm(a)):
         return None
     return lam
 
@@ -49,38 +47,37 @@ def germ_equal(inc: Inclusion, v, w, i: int, mode: str = "RT") -> bool:
     w = _require_normalizer(inc, w)
     a = v @ inc.min_projs[i]
     b = w @ inc.min_projs[i]
-    if hs_norm(a) < _GERM_TOL and hs_norm(b) < _GERM_TOL:
+    if hs_norm(a) < RANK_TOL and hs_norm(b) < RANK_TOL:
         raise NotInDomain(f"corner {i} is outside both beta domains")
-    if hs_norm(a) < _GERM_TOL or hs_norm(b) < _GERM_TOL:
+    if hs_norm(a) < RANK_TOL or hs_norm(b) < RANK_TOL:
         return False
     lam = _ratio(a, b)
-    if lam is None or abs(lam) < _GERM_TOL:
+    if lam is None or abs(lam) < RANK_TOL:
         return False
     if mode == "R1":
-        return abs(lam.imag) < _GERM_TOL and lam.real > 0
+        return abs(lam.imag) < RANK_TOL and lam.real > 0
     if mode == "RT":
         return True
     raise ValueError(f"unknown germ mode {mode!r}")
 
 
-def _canonical_phases(U: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _canonical_phases(U: np.ndarray) -> np.ndarray:
     """Per matrix of the stack U, the unimodular factor that rotates its
     first nonzero entry (row-major) to the positive reals; 1 for 0.  It is
     1 on a PSD matrix, whose first nonzero entry is on the diagonal."""
     flat = U.reshape(len(U), np.prod(U.shape[1:], dtype=int))
     mag = np.abs(flat)
-    first = np.argmax(mag > tol * mag.max(axis=1, keepdims=True), axis=1)
+    first = np.argmax(mag > EPS * mag.max(axis=1, keepdims=True), axis=1)
     z = flat[np.arange(len(U)), first]
     return np.divide(np.abs(z), z, out=np.ones_like(z), where=z != 0)
 
 
-def canonical_phase(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rotate u so its first nonzero entry (row-major) is positive real."""
-    return u * _canonical_phases(u[None], tol)[0]
+    return u * _canonical_phases(u[None])[0]
 
 
-def germ_expectation_criterion(inc: Inclusion, v, w, i: int,
-                               tol: float = 1e-9) -> bool:
+def germ_expectation_criterion(inc: Inclusion, v, w, i: int) -> bool:
     """sigma_i(E(w* v)) != 0, for the conditional expectation of a MASA
     inclusion; agrees with germ_equal in mode RT."""
     if not inc.is_masa:
@@ -89,7 +86,7 @@ def germ_expectation_criterion(inc: Inclusion, v, w, i: int,
     v = _require_normalizer(inc, v)
     w = _require_normalizer(inc, w)
     E = canonical_expectation(inc)
-    return abs(inc.char(i, E.apply(w.conj().T @ v))) > tol
+    return abs(inc.char(i, E.apply(w.conj().T @ v))) > EPS
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,8 @@ def _class_twist(keys, X, units, arrows, refusal) -> tuple:
         np.einsum("kij,kij->k", target.conj(), target).real
     resid = np.linalg.norm(prod - lam[:, None, None] * target, axis=(1, 2))
     scale = np.maximum(1.0, np.linalg.norm(prod, axis=(1, 2)))
-    if np.any(t < 0) or np.any(resid > _GERM_TOL * scale) or \
-            np.any(np.abs(np.abs(lam) - 1.0) > _GERM_TOL):
+    if np.any(t < 0) or np.any(resid > RANK_TOL * scale) or \
+            np.any(np.abs(np.abs(lam) - 1.0) > RANK_TOL):
         raise refusal
     names = np.array(arrows, dtype=object)
     specs = [(arrows[k], units[s], units[r], arrows[where[r, s]])

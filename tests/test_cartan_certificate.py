@@ -4,17 +4,21 @@ cross-checked against the dense numerical path it replaces (kept here as
 ``ref_cartan_certificate``), on valid twists, on hand-built phase vectors
 that are no cocycles, and on corrupted composition tables."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import cartankit.matalg
 import cartankit.reduced
+import cartankit.twist
 from cartankit import cli
-from cartankit.envelope import build_cover, eigen_twist
+from cartankit.envelope import Eigenfunctional, build_cover, eigen_twist
 from cartankit.errors import EmptyAlgebra, OutsideFibers
 from cartankit.groupoid import (
     build_groupoid,
@@ -23,13 +27,23 @@ from cartankit.groupoid import (
     klein_four_groupoid,
     pair_groupoid,
 )
+from cartankit.inclusion import (
+    ModState,
+    beta,
+    check_mod_state,
+    is_compatible_state,
+    make_inclusion,
+)
 from cartankit.matalg import (
     EPS,
     _minimal_projections,
     _vec,
     block_structure,
     center,
+    ideal_generated_by,
+    minimal_projections,
     rank,
+    relative_commutant,
 )
 from cartankit.reduced import (
     NORMALIZER_TOL,
@@ -43,6 +57,11 @@ from cartankit.twist import (
     _involution_values,
     delta,
     trivial_twist,
+)
+from cartankit.weyl import (
+    _canonical_phases,
+    canonical_phase,
+    germ_expectation_criterion,
 )
 from conftest import (
     k4_nontrivial_sigma,
@@ -290,12 +309,64 @@ def test_no_linear_algebra(G, monkeypatch):
     assert "contains_all" in calls and "eigvalsh" in calls
 
 
-def test_normalizer_tolerance_named_once():
-    """The 1e-7 cut of the regularity test is ``NORMALIZER_TOL``, shared
-    with ``_normalizes``."""
-    assert cartankit.reduced.NORMALIZER_TOL == 1e-7
-    source = open(cartankit.reduced.__file__).read()
-    assert source.count("1e-7") == 1
+# --- one tolerance policy -----------------------------------------------
+
+#: The tolerance table at the top of ``matalg``, with its values.
+TOLERANCES = {"EPS": 1e-9, "RANK_TOL": 1e-8, "NORMALIZER_TOL": 1e-7,
+              "STATE_TOL": 1e-7, "COVER_MATCH_TOL": 1e-6,
+              "COCYCLE_TOL": 1e-12}
+#: The ``--tolerance`` flag's range check, the one other place a float
+#: literal with an exponent is allowed.
+FLAG_RANGE = {("cli.py", "1e-14"), ("cli.py", "1e-4")}
+
+
+def _exponent_literals(path):
+    """(line, text) of each float literal written like 1e-7 in the code of
+    a source file, docstrings and comments aside (they are no numbers),
+    and the table's own assignments aside in ``matalg``."""
+    tree = ast.parse(path.read_text())
+    table = {id(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and path.name == "matalg.py"
+             and node.targets[0].id in TOLERANCES}
+    source = path.read_text()
+    return [(node.lineno, ast.get_source_segment(source, node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and id(node) not in table
+            and re.search(r"\de-\d", ast.get_source_segment(source, node))]
+
+
+def test_tolerances_named_once_in_matalg():
+    """Every cut in src/ reads the table in ``matalg``: no other float
+    literal like 1e-7 appears in code, and the modules that name a cut
+    read it from there, with the value it has always had."""
+    for name, value in TOLERANCES.items():
+        assert getattr(cartankit.matalg, name) == value
+    assert cartankit.reduced.NORMALIZER_TOL is cartankit.matalg.NORMALIZER_TOL
+    assert cartankit.twist.COCYCLE_TOL is cartankit.matalg.COCYCLE_TOL
+    src = pathlib.Path(cartankit.matalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for line, text in _exponent_literals(path):
+            assert (path.name, text) in FLAG_RANGE, (path.name, line, text)
+        if path.name != "matalg.py":
+            assert not re.search(r"^_?[A-Z_]*(TOL|EPS)\b\s*=",
+                                 path.read_text(), re.M), path.name
+
+
+#: The functions whose tolerance keyword no caller set, now read from the
+#: table.
+FIXED_CUTS = (
+    make_inclusion, beta, check_mod_state, is_compatible_state,
+    relative_commutant, minimal_projections, ideal_generated_by,
+    is_cartan_pair, Eigenfunctional.equal, Eigenfunctional.phase_class_equal,
+    ModState.close_to, canonical_phase, germ_expectation_criterion,
+    _canonical_phases)
+
+
+def test_fixed_cuts_take_no_tolerance():
+    for fn in FIXED_CUTS:
+        params = inspect.signature(fn).parameters
+        assert not {"eps", "tol"} & set(params), fn.__qualname__
 
 
 # --- no numpy.random in src/ ---------------------------------------------

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cartankit.inclusion import (
     _functional,
     _is_invariant,
     _left_kernel_subspace,
+    _transports,
     canonical_expectation,
     mod_state_from_density,
     mod_states,
@@ -73,6 +75,7 @@ from test_corner_slices import (
     tensor_inclusion,
 )
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
+from test_exact_corners import corner_states, m2c_state
 from test_inclusion import m2_plus_c_inclusion
 from test_stacked_kernel import (
     ref_eigenfunctional_cm,
@@ -200,6 +203,31 @@ def ref_is_invariant(inc, F):
     return True
 
 
+def ref_is_invariant_table(inc, F):
+    """The rule ``_is_invariant`` had before it compared each move only
+    with the states at its target corner: traciality, then every
+    transported state against every state of F, through one
+    (|moves|, |F|, dim C) table of distances."""
+    reps = cartankit.inclusion._transport_reps(inc)
+    for rho in F:
+        A = inc.corner_algebras[rho.corner_index]
+        w = rho.density.T
+        if np.abs(A.basis_rows.conj() @ _vec(
+                A.stack @ w - w @ A.stack).T).max() > 1e-7:
+            return False
+    moves = [(rho.density, u) for rho in F
+             for (i, _), u in reps.items() if i == rho.corner_index]
+    if not moves:
+        return True
+    W, U = map(np.array, zip(*moves))
+    moved = _transports(W, U)
+    vals = _functional(inc.C, moved) / \
+        np.trace(moved, axis1=1, axis2=2).real[:, None]
+    known = np.array([rho.values for rho in F])
+    dist = np.abs(vals[:, None] - known[None]).max(axis=2)
+    return bool(np.all(np.any(dist < 1e-7, axis=1)))
+
+
 def ref_ideal_support(A, mats, eps=1e-9):
     """The centre-block rule the range rule replaced: the sum of A's
     minimal central projections q with q x != 0 for some x of the ideal's
@@ -298,6 +326,48 @@ def test_invariance_is_one_transport_contraction(case, monkeypatch):
                         lambda W, V: calls.append(V.shape) or real(W, V))
     _is_invariant(inc, F)
     assert calls == [(len(inc.corner_slices),) + (inc.C.ambient_dim,) * 2]
+
+
+@pytest.mark.parametrize("name", ["m2", "m3", "m4", "m5", "m6", "m4conj",
+                                  "m2x1"])
+def test_invariance_at_the_target_corner(name):
+    """Comparing each move with the states at its target corner only gives
+    the verdicts of the whole table: on the cover, without its first
+    state, with a state moved off F, and with that state added."""
+    inc, _ = build(name)
+    F = list(strongly_compatible(inc))
+    off = dataclasses.replace(F[-1], values=F[-1].values * (1 + 1e-3))
+    for G in (F, F[1:], F[:-1] + [off], F + [off]):
+        assert _is_invariant(inc, G) is ref_is_invariant_table(inc, G)
+    assert not _is_invariant(inc, F[:-1] + [off])
+
+
+def test_invariance_at_the_target_corner_custom_covers():
+    """m2c's non-scalar corner: seeded pure and mixed states, alone and in
+    pairs, and the tracial state, which is invariant."""
+    m2c = m2c_inclusion()
+    states = corner_states(m2c, 2, seed=4)
+    covers = [states[k:k + 2] for k in range(0, len(states), 2)]
+    covers += [[s] for s in states] + [[m2c_state(0.5, 0.5, 0)[1]]]
+    verdicts = [_is_invariant(m2c, F) for F in covers]
+    assert verdicts == [ref_is_invariant_table(m2c, F) for F in covers]
+    assert verdicts[-1] and not any(verdicts[:-1])
+
+
+def test_invariance_holds_no_state_table():
+    """On M_12 the traced peak of ``_is_invariant`` is a few arrays of
+    |moves| x dim C entries, under the (|moves|, |F|, dim C) table of
+    ``ref_is_invariant_table`` (|F| = 12)."""
+    inc = mndn_inclusion(12)
+    F = list(strongly_compatible(inc))
+    assert _is_invariant(inc, F)  # fills the caches
+    tracemalloc.start()
+    try:
+        assert _is_invariant(inc, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(inc.corner_slices) * inc.C.dim * 16
 
 
 # --- D' cap C and Z(C) read off the corners ---------------------------------

@@ -727,7 +727,7 @@ STACKED = {
                   "check_star_algebra", "relative_commutant",
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
-                  "_commutators", "span_residuals", "commutant_in"],
+                  "_commutators", "span_residuals"],
     "inclusion.py": ["is_normalizer", "_normalizer_verdicts",
                      "mod_state_from_density",
                      "check_mod_state", "corner_algebra", "transported_state",
