@@ -324,11 +324,11 @@ def _exponent_literals(path):
     """(line, text) of each float literal written like 1e-7 in the code of
     a source file, docstrings and comments aside (they are no numbers),
     and the table's own assignments aside in ``matalg``."""
-    tree = ast.parse(path.read_text())
-    table = {id(node.value) for node in tree.body
-             if isinstance(node, ast.Assign) and path.name == "matalg.py"
-             and node.targets[0].id in TOLERANCES}
     source = path.read_text()
+    tree = ast.parse(source)
+    table = {id(node.value) for node in tree.body
+             if path.name == "matalg.py" and isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in TOLERANCES}
     return [(node.lineno, ast.get_source_segment(source, node))
             for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and type(node.value) is float
