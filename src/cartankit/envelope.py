@@ -44,7 +44,7 @@ from .inclusion import (
     _located_state,
     _transport_reps,
 )
-from .matalg import COVER_MATCH_TOL, EPS, STATE_TOL, _as_matrix, hs_norm
+from .matalg import COVER_MATCH_TOL, EPS, STATE_TOL, _as_matrix
 from .reduced import ReducedAlgebra, is_cartan_pair, realize
 from .twist import CocycleTwist, EquivariantFunction, _involution_values
 from .weyl import _canonical_phases, _class_twist
@@ -87,12 +87,19 @@ class Eigenfunctional:
 
 def eigenfunctional(inc: Inclusion, v, f: ModState) -> Eigenfunctional:
     v = np.asarray(v, dtype=complex)
-    wt = complex(f(v.conj().T @ v))
-    if wt.real <= EPS:
+    return Eigenfunctional(inclusion=inc, v=v, source=f, values=_eig_values(
+        inc, v[None], f.density[None])[0])
+
+
+def _eig_values(inc: Inclusion, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The values of [v, f] on C's basis for (k, n, n) stacks V of v and W
+    of f's densities: [v, f] has density M / f(v*v)^{1/2} with M = conj(v)
+    W, and f(v*v) = sum(M * v)."""
+    M = V.conj() @ W
+    wt = np.einsum("kij,kij->k", M, V).real
+    if np.any(wt <= EPS):
         raise SourceVanishes("f(v*v) vanishes; [v, f] is undefined")
-    root = np.sqrt(wt.real)
-    vals = _functional(inc.C, v.conj() @ f.density) / root
-    return Eigenfunctional(inclusion=inc, v=v, source=f, values=vals)
+    return _functional(inc.C, M) / np.sqrt(wt)[:, None]
 
 
 def eig_product(a: Eigenfunctional, b: Eigenfunctional) -> Eigenfunctional:
@@ -173,24 +180,20 @@ def _by_corner(states) -> dict:
 
 @dataclass(frozen=True)
 class EigenTwistData:
-    """The extracted twist with its canonical eigenfunctional per arrow."""
+    """The extracted twist with its classes as arrays in arrow order."""
 
     inclusion: Inclusion
     cover: CompatibleCover
     twist: CocycleTwist
-    arrow_eigs: dict   # arrow id -> canonical Eigenfunctional
+    reps: np.ndarray  # (|arrows|, n, n): v p_i of arrow [v, f], f at corner i
+    values: np.ndarray  # (|arrows|, dim C): [v, f] on the basis of C
     unit_of_state: dict  # cover-state index -> unit id
     ratios: np.ndarray  # per pair (a, b), mu with v_a v_b = mu v_ab
 
     @cached_property
     def _theta_map(self) -> np.ndarray:
-        """The (n^2, |arrows|) matrix B^H Phi^T of theta_F on flattened
-        elements, Phi's row g being arrow g's eigenfunctional on the basis
-        B of C."""
-        C = self.inclusion.C
-        eigs = np.reshape([self.arrow_eigs[a].values
-                           for a in self.twist.groupoid.arrows], (-1, C.dim))
-        return C.basis_rows.conj().T @ eigs.T
+        """theta_F's (n^2, |arrows|) matrix B^H values^T, B C's basis rows."""
+        return self.inclusion.C.basis_rows.conj().T @ self.values.T
 
     def _theta(self, mats: np.ndarray) -> np.ndarray:
         """theta_F on a stack (..., n, n) of elements of C."""
@@ -231,22 +234,18 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
                         dtype=np.intp).reshape(-1, 2).T
     V = np.reshape([classes[key][1] for key in keys], (-1, n, n))
     V = V * _canonical_phases(V)[:, None, None]
-    eigs = [eigenfunctional(inc, v, F[j]) for v, (j, _) in zip(V, keys)]
     units = [f"f{j}" for j in range(len(F))]
     arrows = [f"a{k}" for k in range(len(keys))]
     X = Q[rng].conj().transpose(0, 2, 1) @ V @ Q[src]
     T, ratios = _class_twist(keys, X, units, arrows, CoverNotCertified(
         "eigenfunctional classes not closed under products"))
-    return EigenTwistData(inclusion=inc, cover=cover, twist=T,
-                          arrow_eigs=dict(zip(arrows, eigs)),
-                          unit_of_state=dict(enumerate(units)), ratios=ratios)
-
-
-def _representatives(inc: Inclusion, eigs) -> np.ndarray:
-    """The stack of class representatives v p_i of [v, f], f at corner i."""
-    P = np.array(inc.min_projs)
-    return np.reshape([phi.v @ P[phi.source.corner_index] for phi in eigs],
-                      (-1,) + P.shape[1:])
+    order = np.argsort([T.groupoid.arrays.index[a] for a in arrows])
+    W = np.reshape([F[keys[k][0]].density for k in order], (-1, n, n))
+    return EigenTwistData(
+        inclusion=inc, cover=cover, twist=T,
+        reps=V[order] @ np.reshape(inc.min_projs, (-1, n, n))[src[order]],
+        values=_eig_values(inc, V[order], W),
+        unit_of_state=dict(enumerate(units)), ratios=ratios)
 
 
 def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
@@ -257,8 +256,8 @@ def theta_F(data: EigenTwistData, a) -> EquivariantFunction:
 
 def _theta_on_classes(data: EigenTwistData) -> bool:
     """theta_F is a *-isomorphism of C onto C_r(Sigma) carrying span{p_i}
-    onto C(G^0).  With V the class representatives (``_representatives``)
-    and Theta = theta_F(V), checked to ``STATE_TOL`` per entry: (i)
+    onto C(G^0).  With V the class representatives (``reps``) and
+    Theta = theta_F(V), checked to ``STATE_TOL`` per entry: (i)
     |arrows| = dim C and Theta = I; (ii) p_r(a) v_a p_s(a) = v_a; (iii)
     sigma(a, b) = mu(a, b), the twist's stored sigma against the ratio
     v_a v_b = mu v_ab that ``_class_twist`` measured with |mu| = 1; (iv)
@@ -271,13 +270,12 @@ def _theta_on_classes(data: EigenTwistData) -> bool:
     = delta_a * delta_b.  So theta is multiplicative, with no associativity
     needed, and by (iv) *-preserving.  (ii) puts the unit class's v_e in
     p C p = C p, so theta(p) is a multiple of delta_e."""
-    T, inc = data.twist, data.inclusion
+    T, inc, F = data.twist, data.inclusion, data.cover.states
     G, t = T.groupoid, T.groupoid.arrays
-    n = len(G.arrows)
-    V = _representatives(inc, [data.arrow_eigs[a] for a in G.arrows])
+    n, V = len(G.arrows), data.reps
     theta = data._theta(V)
-    P = np.array(inc.min_projs)[[data.arrow_eigs[G.unit_arrow[x]].source
-                                 .corner_index for x in G.units]]
+    corner = {u: F[j].corner_index for j, u in data.unit_of_state.items()}
+    P = np.array(inc.min_projs)[[corner[x] for x in G.units]]
     return n == inc.C.dim and all(
         np.abs(err).max(initial=0.0) <= STATE_TOL for err in (
             theta - np.eye(n), P[t.rng[:n]] @ V @ P[t.src[:n]] - V,
@@ -380,12 +378,6 @@ class CoverComparison:
     dim_small: int
     intertwining_residual: float
 
-    def quotient(self, f: EquivariantFunction) -> EquivariantFunction:
-        """Restrict a function over the big twist to the small twist."""
-        Ts = self.data_small.twist
-        return EquivariantFunction(Ts, f.degree, [
-            f[self.arrow_map[a]] for a in Ts.groupoid.arrows])
-
 
 def cover_comparison(inc: Inclusion, F1: CompatibleCover,
                      F2: CompatibleCover) -> CoverComparison:
@@ -409,13 +401,12 @@ def cover_comparison(inc: Inclusion, F1: CompatibleCover,
     by_ends = {(G2.src[a], G2.rng[a]): a for a in H}
     arrow_map = {a: by_ends.get((unit[G1.src[a]], unit[G1.rng[a]]))
                  for a in G1.arrows}
-    if any(a2 is None or hs_norm(d1.arrow_eigs[a1].values
-                                 - d2.arrow_eigs[a2].values) >= COVER_MATCH_TOL
-           for a1, a2 in arrow_map.items()):
+    cols = [G2.arrays.index.get(a2, -1) for a2 in arrow_map.values()]
+    if -1 in cols or np.any(np.linalg.norm(
+            d1.values - d2.values[cols], axis=-1) >= COVER_MATCH_TOL):
         raise NotNested("could not match eigenfunctional classes "
                         "between the covers")
     # intertwining: q(theta_2(b)) = theta_1(b)
-    cols = [G2.arrays.index[arrow_map[a]] for a in G1.arrows]
     B = inc.C.stack
     resid = float(np.max(np.abs(d2._theta(B)[:, cols] - d1._theta(B)),
                          initial=0.0))

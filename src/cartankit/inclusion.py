@@ -276,14 +276,16 @@ def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
     n = C.ambient_dim
     good = ([v.shape == (n, n) for v in gens] + [False]).index(False)
     if not _normalizer_verdicts(inc, np.array(gens[:good]).reshape(
-            good, n, n), EPS).all():
+            good, n, n), NORMALIZER_TOL).all():
         raise NotANormalizer("generator fails the normalizer condition")
     if good < len(gens):
         _as_matrix(gens[good], n)  # raises NonSquareMatrix
     return inc
 
 
-def is_normalizer(inc: Inclusion, v, eps: float = EPS) -> bool:
+def is_normalizer(inc: Inclusion, v, eps: float = NORMALIZER_TOL) -> bool:
+    """Whether v normalizes D, cut at max(eps, ``NORMALIZER_TOL``): an eps
+    below the default cannot tighten the cut."""
     v = _as_matrix(v, inc.C.ambient_dim)
     return bool(_normalizer_verdicts(inc, v[None], eps)[0])
 
@@ -450,13 +452,13 @@ def _density(C: FdStarAlgebra, vals: np.ndarray) -> np.ndarray:
     (..., n, n) stack of densities."""
     n = C.ambient_dim
     vals = np.asarray(vals)
-    return (vals @ C.basis_rows.conj()).reshape(vals.shape[:-1] + (n, n))
+    return (vals.conj() @ C.basis_rows).conj().reshape(*vals.shape[:-1], n, n)
 
 
 def _functional(C: FdStarAlgebra, W: np.ndarray) -> np.ndarray:
     """The values on C's basis of the functional x -> sum(W * x), for a
     density or a (..., n, n) stack of them: B vec(W)."""
-    return W.reshape(W.shape[:-2] + (-1,)) @ C.basis_rows.T
+    return W.reshape(W.shape[:-2] + (C.ambient_dim ** 2,)) @ C.basis_rows.T
 
 
 def _transports(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -589,16 +591,16 @@ def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None):
 def _transport_reps(inc: Inclusion) -> dict:
     """{(i, j): u}, u in p_j C p_i with u*u = p_i and uu* = p_j, one per
     reachable corner pair: the corner slices when every corner is scalar,
-    else u = p_i alone when every slice p_j C p_i with i != j and
-    rank p_i = rank p_j is 0 (such a u needs equal ranks)."""
+    else u = p_i alone when every slice p_j C p_i, i != j, of equal ranks
+    (as u needs) is 0; the first nonzero one is named in the refusal."""
     if inc.corner_slices is not None:
         return inc.corner_slices
     m, r = inc.n_corners, inc._ranks
-    if any(map(len, inc._slice_spans([(i, j) for i in range(m)
-                                      for j in range(m)
-                                      if i != j and r[i] == r[j]]).values())):
+    spans = inc._slice_spans([(i, j) for i in range(m) for j in range(m)
+                              if i != j and r[i] == r[j]])
+    for i, j in sorted(key for key, rows in spans.items() if len(rows)):
         raise InvarianceUndecided("no partial isometry is built between "
-                                  "non-scalar corners")
+                                  f"the non-scalar corners {i} and {j}")
     return {(i, i): p for i, p in enumerate(inc.min_projs)}
 
 

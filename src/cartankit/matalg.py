@@ -174,7 +174,7 @@ class FdStarAlgebra:
     def coefficients(self, m) -> np.ndarray:
         """HS coefficients of m against the basis (projection if outside)."""
         v = _as_matrix(m, self.ambient_dim).ravel()
-        return self.basis_rows.conj() @ v
+        return (self.basis_rows @ v.conj()).conj()
 
     def coefficient_matrix(self, stack) -> np.ndarray:
         """Row k: the HS coefficients of stack[k] (k, n, n) -> (k, d)."""

@@ -193,9 +193,6 @@ class ReducedAlgebra:
         return EquivariantFunction(self.twist, self.degree,
                                    np.where(unit, f.values, 0))
 
-    def expectation_matrix(self, M: np.ndarray) -> np.ndarray:
-        return self.represent(self.expectation(self.function_of(M)))
-
 
 def realize(T: CocycleTwist, degree: int = 1) -> ReducedAlgebra:
     """Concrete realization of the reduced algebra in matrices."""

@@ -42,7 +42,7 @@ from cartankit.twist import (
     validate_twist,
 )
 from cartankit.weyl import _canonical_phases, weyl_twist
-from conftest import E, mndn_inclusion, random_twist_corpus
+from conftest import E, m2c_inclusion, mndn_inclusion, random_twist_corpus
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 from test_exact_corners import unequal_rank_inclusion
 
@@ -57,7 +57,9 @@ def _state_index(cover, s):
 def ref_eigen_twist(inc, cover):
     """The class search ``eigen_twist`` replaced: ranges, inverses and
     products found by scanning the classes with ``phase_class_equal``,
-    one ``eig_product`` per composable pair."""
+    one ``eig_product`` per composable pair.  The per-class
+    eigenfunctionals are stacked into ``reps`` (v p_i) and ``values`` in
+    the groupoid's arrow order."""
     F = cover.states
     unit_of_state = {j: f"f{j}" for j in range(len(F))}
     classes = []
@@ -108,8 +110,13 @@ def ref_eigen_twist(inc, cover):
     G = build_groupoid(list(unit_of_state.values()), specs, pairs,
                        unit_arrows)
     T = CocycleTwist(groupoid=G, sigma=sigma)
-    return EigenTwistData(inclusion=inc, cover=cover, twist=T,
-                          arrow_eigs=arrow_eigs, unit_of_state=unit_of_state,
+    n, P = inc.C.ambient_dim, np.array(inc.min_projs)
+    eigs = [arrow_eigs[a] for a in G.arrows]
+    reps = np.reshape([phi.v @ P[phi.source.corner_index] for phi in eigs],
+                      (-1, n, n))
+    values = np.reshape([phi.values for phi in eigs], (-1, inc.C.dim))
+    return EigenTwistData(inclusion=inc, cover=cover, twist=T, reps=reps,
+                          values=values, unit_of_state=unit_of_state,
                           ratios=T.sigma_vector)
 
 
@@ -180,9 +187,43 @@ def test_matches_class_search(inc, cover):
     assert validate_twist(got.twist) == []
     s, t = got.twist.sigma_vector, want.twist.sigma_vector
     assert np.max(np.abs(s - t), initial=0.0) <= 1e-12
-    for a in G.arrows:
-        assert np.max(np.abs(got.arrow_eigs[a].values
-                             - want.arrow_eigs[a].values)) <= 1e-9
+    assert got.values.shape == want.values.shape
+    assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-9
+    assert np.max(np.abs(got.reps - want.reps), initial=0.0) <= 1e-12
+
+
+def _row_cases():
+    out = [pytest.param(mndn_inclusion(n), None, id=f"m{n}")
+           for n in range(2, 9)]
+    out += [pytest.param(conjugated_m4(), None, id="m4conj"),
+            pytest.param(tensor_inclusion(2, 2), None, id="m2x1_2")]
+    m2c = m2c_inclusion()
+    out.append(pytest.param(m2c, build_cover(m2c, "custom", F=[
+        mod_state_from_density(m2c, 0, np.diag([0, 0, 1.0]))]),
+        id="m2c-lambda"))
+    out += [pytest.param(inc, F, id=f"d2c-F{len(F.states)}")
+            for inc, F in _nested_covers()]
+    m3 = mndn_inclusion(3)
+    out.append(pytest.param(m3, CompatibleCover(inclusion=m3, states=(),
+                                                certified=True), id="empty"))
+    return out
+
+
+@pytest.mark.parametrize("inc, cover", _row_cases())
+def test_rows_are_the_single_class_eigenfunctionals(inc, cover):
+    """Row g of ``values`` is ``eigenfunctional(inc, v, f)`` for arrow g's
+    class: v its representative ``reps[g]`` = v p_i and f its source
+    state; the batched and the single-class paths share one formula."""
+    cover = cover or build_cover(inc)
+    data = eigen_twist(inc, cover)
+    G = data.twist.groupoid
+    state = {u: j for j, u in data.unit_of_state.items()}
+    n, d = inc.C.ambient_dim, inc.C.dim
+    assert data.reps.shape == (len(G.arrows), n, n)
+    assert data.values.shape == (len(G.arrows), d)
+    for g, a in enumerate(G.arrows):
+        phi = eigenfunctional(inc, data.reps[g], cover.states[state[G.src[a]]])
+        assert np.max(np.abs(phi.values - data.values[g])) <= 1e-12
 
 
 def test_corpus_has_principal_members():

@@ -233,7 +233,8 @@ class TestInvariance:
         F = [canonical_corner_state(inc, i) for i in range(2)]
         with pytest.raises(InvarianceUndecided):
             radical_ideal(inc, F, check_invariance=True)
-        with pytest.raises(InvarianceUndecided):
+        with pytest.raises(InvarianceUndecided,
+                           match="non-scalar corners 0 and 1$"):
             _transport_reps(inc)
         assert radical_ideal(inc, F, check_invariance=False).dim == 0
 

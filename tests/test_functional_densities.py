@@ -67,7 +67,7 @@ from cartankit.twist import (
 from cartankit.weyl import _class_twist
 from conftest import m2c_inclusion, mndn_inclusion, ref_essential_inclusion
 from test_cartan_certificate import _normalizes
-from test_class_twist import abelian_self_inclusion, conjugated_m4
+from test_class_twist import abelian_self_inclusion, conjugated, conjugated_m4
 from test_corner_slices import (
     corpus_inclusions,
     mixed_rank_inclusion,
@@ -92,8 +92,7 @@ def ref_theta_homomorphism(data):
     """The all-pairs check theta_F replaced: theta(x*) = theta(x)* and
     theta(a b) = theta(a) theta(b) over C's basis, a batch of b per basis
     element a, with theta from the eigenfunctionals' coefficient rows."""
-    inc, T = data.inclusion, data.twist
-    eigs = np.array([data.arrow_eigs[a].values for a in T.groupoid.arrows])
+    inc, T, eigs = data.inclusion, data.twist, data.values
 
     def theta(mats):
         rows = mats.reshape(*mats.shape[:-2], -1)
@@ -392,6 +391,30 @@ def field_case(name):
     return inc, cartan_envelope(inc)
 
 
+#: Larger inclusions the conjugate hoist is also pinned on.
+HOIST_CASES = dict(m12=functools.partial(mndn_inclusion, 12),
+                   m6conj=lambda: conjugated(mndn_inclusion(6), 5))
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES) + sorted(HOIST_CASES))
+def test_conjugate_of_the_short_operand_is_bit_equal(name):
+    """``_density`` conjugates the values and ``FdStarAlgebra.coefficients``
+    the element, not C's (d, n^2) basis rows: both are bit-equal to the
+    formulas that conjugated the rows on every call."""
+    C = (HOIST_CASES[name]() if name in HOIST_CASES else field_case(name)[0]).C
+    n, rows = C.ambient_dim, C.basis_rows
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((4, C.dim)) \
+        + 1j * rng.standard_normal((4, C.dim))
+    assert np.array_equal(_density(C, vals),
+                          (vals @ rows.conj()).reshape(4, n, n))
+    assert np.array_equal(_density(C, vals[0]),
+                          (vals[0] @ rows.conj()).reshape(n, n))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for x in (m, C.stack[-1], C.unit):
+        assert np.array_equal(C.coefficients(x), rows.conj() @ x.ravel())
+
+
 @pytest.mark.parametrize("name", sorted(FIELD_CASES))
 def test_corner_fields_match_references(name):
     """The three essential-inclusion fields, read off the corners, are
@@ -578,8 +601,7 @@ def test_certificate_matches_dense_fields(name):
     assert want.pop("realized_dim") == len(cert.data.twist.groupoid.arrows)
     assert {k: getattr(cert, k) for k in want} == want
     assert all(want.values())
-    eigs = [cert.data.arrow_eigs[a] for a in cert.data.twist.groupoid.arrows]
-    theta = cert.data._theta(cartankit.envelope._representatives(inc, eigs))
+    theta = cert.data._theta(cert.data.reps)
     assert np.abs(theta - np.eye(len(theta))).max() < 1e-13
     pe = cartankit.inclusion.pseudo_expectations(inc)
     assert pe.faithful is True and pe.left_kernel.dim == 0
@@ -699,9 +721,11 @@ def test_swapped_classes_refused(name):
     data = cert.data
     G = data.twist.groupoid
     a = next(a for a in G.arrows if a not in G.unit_arrow.values())
-    eigs = dict(data.arrow_eigs)
-    eigs[a], eigs[G.inv[a]] = eigs[G.inv[a]], eigs[a]
-    bad = dataclasses.replace(data, arrow_eigs=eigs)
+    swap = np.arange(len(G.arrows))
+    k, k_inv = G.arrays.index[a], G.arrays.index[G.inv[a]]
+    swap[[k, k_inv]] = k_inv, k
+    bad = dataclasses.replace(data, reps=data.reps[swap],
+                              values=data.values[swap])
     assert not _theta_on_classes(bad)
     assert not ref_theta_homomorphism(bad)
 
@@ -716,10 +740,11 @@ def test_rotated_class_refused(name):
     data = cert.data
     G = data.twist.groupoid
     a = next(a for a in G.arrows if a not in G.unit_arrow.values())
-    phi, z = data.arrow_eigs[a], np.exp(0.3j)
-    bad = dataclasses.replace(data, arrow_eigs={
-        **data.arrow_eigs, a: dataclasses.replace(
-            phi, v=phi.v * z, values=phi.values / z)})
+    k, z = G.arrays.index[a], np.exp(0.3j)
+    reps, values = data.reps.copy(), data.values.copy()
+    reps[k] *= z
+    values[k] /= z
+    bad = dataclasses.replace(data, reps=reps, values=values)
     assert not _theta_on_classes(bad)
     assert not ref_theta_homomorphism(bad)
 
@@ -731,10 +756,10 @@ def test_scaled_unit_class_refused(name):
     refuses it."""
     _, cert = build(name)
     data = cert.data
-    e = next(iter(data.twist.groupoid.unit_arrow.values()))
-    phi = data.arrow_eigs[e]
-    bad = dataclasses.replace(data, arrow_eigs={
-        **data.arrow_eigs, e: dataclasses.replace(phi, values=2 * phi.values)})
+    G = data.twist.groupoid
+    values = data.values.copy()
+    values[G.arrays.index[next(iter(G.unit_arrow.values()))]] *= 2
+    bad = dataclasses.replace(data, values=values)
     assert not _theta_on_classes(bad)
     assert not ref_theta_homomorphism(bad)
 

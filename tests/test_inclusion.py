@@ -1,5 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
+
+import cartankit.inclusion
 
 from cartankit.errors import (
     NonUniquePseudoExpectation,
@@ -28,7 +32,7 @@ from cartankit.inclusion import (
     theta,
     transported_state,
 )
-from cartankit.matalg import generate_star_algebra, hs_norm
+from cartankit.matalg import NORMALIZER_TOL, generate_star_algebra, hs_norm
 from conftest import E, mndn_inclusion
 
 
@@ -72,6 +76,28 @@ class TestIsNormalizer:
     def test_make_inclusion_rejects_bad_gen(self, m2d2):
         with pytest.raises(NotANormalizer):
             make_inclusion(m2d2.C, m2d2.D, [E(0, 1, 2) + E(0, 0, 2)])
+
+    def test_default_is_the_applied_cut(self, m2d2, monkeypatch):
+        """``is_normalizer`` and ``make_inclusion`` pass the cut that
+        ``_normalizer_verdicts`` applies, ``NORMALIZER_TOL``."""
+        eps = inspect.signature(is_normalizer).parameters["eps"].default
+        assert eps == NORMALIZER_TOL
+        seen, real = [], cartankit.inclusion._normalizer_verdicts
+        monkeypatch.setattr(cartankit.inclusion, "_normalizer_verdicts",
+                            lambda inc, V, eps: seen.append(eps)
+                            or real(inc, V, eps))
+        make_inclusion(m2d2.C, m2d2.D, [E(0, 1, 2)])
+        is_normalizer(m2d2, E(0, 1, 2))
+        assert seen == [NORMALIZER_TOL] * 2
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7])
+    def test_smaller_eps_cannot_tighten(self, m2d2, eps):
+        """v = E_01 + 3e-8 E_00 puts v* E_00 v about 4.2e-8 off D: under
+        the 1e-7 cut, which no smaller eps tightens."""
+        v = E(0, 1, 2) + 3e-8 * E(0, 0, 2)
+        assert is_normalizer(m2d2, v, eps)
+        assert is_normalizer(m2d2, v)
+        assert not is_normalizer(m2d2, E(0, 1, 2) + 3e-6 * E(0, 0, 2), eps)
 
 
 class TestBeta:

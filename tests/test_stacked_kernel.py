@@ -739,7 +739,7 @@ STACKED = {
                      "_projection_rows", "_is_invariant",
                      "is_compatible_state"],
     "envelope.py": ["eigenfunctional", "range", "_theta_map", "_theta",
-                    "_theta_on_classes", "_representatives",
+                    "_theta_on_classes", "eigen_twist", "_eig_values",
                     "theta_F", "covers_nested"],
     "reduced.py": ["delta_norms"],
 }
