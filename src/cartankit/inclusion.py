@@ -76,7 +76,6 @@ from .matalg import (
     minimal_projections,
     null_space,
     row_span,
-    span_residual,
     span_residuals,
 )
 
@@ -105,15 +104,27 @@ class Inclusion:
     def char(self, i: int, d):
         """The character sigma_i of D, extended to C by compression; on a
         (k, n, n) stack d, the array of its values on each matrix."""
-        p = self.min_projs[i]
-        vals = np.trace(p @ np.asarray(d, dtype=complex) @ p,
-                        axis1=-2, axis2=-1) / np.trace(p)
+        vals = self._chars(d)[..., i]
         return complex(vals) if vals.ndim == 0 else vals
+
+    def _chars(self, x) -> np.ndarray:
+        """sigma_i(x) = tr(p_i x)/tr p_i for every corner i at once: (m,)
+        on a matrix, (..., m) on a (..., n, n) stack.  One contraction
+        with the flattened p_i, the matrix twin of ``_projection_rows``:
+        p_i is self-adjoint, so tr(p_i x) = sum(conj(p_i) * x)."""
+        x = np.asarray(x, dtype=complex)
+        flat = x.reshape(x.shape[:-2] + (x.shape[-1] ** 2,))
+        return flat @ _vec(self._projs).conj().T / self._ranks
+
+    @cached_property
+    def _projs(self) -> np.ndarray:
+        """The p_i as one (m, n, n) stack."""
+        return np.array(self.min_projs)
 
     @cached_property
     def _ranks(self) -> np.ndarray:
         """rank p_i = trace p_i, per corner."""
-        return np.rint(np.trace(np.array(self.min_projs), axis1=1,
+        return np.rint(np.trace(self._projs, axis1=1,
                                 axis2=2).real).astype(np.intp)
 
     @cached_property
@@ -121,7 +132,7 @@ class Inclusion:
         """(m, n, r) stack of isometries, r = max rank p_i: the first
         rank p_i columns Q_i of entry i are orthonormal eigenvectors of
         p_i for the eigenvalue 1, so p_i = Q_i Q_i*, and the rest are 0."""
-        _, vecs = np.linalg.eigh(np.array(self.min_projs))
+        _, vecs = np.linalg.eigh(self._projs)
         r = int(self._ranks.max())
         return vecs[:, :, ::-1][:, :, :r] * \
             (np.arange(r) < self._ranks[:, None])[:, None, :]
@@ -323,24 +334,30 @@ def _require_normalizer(inc: Inclusion, v) -> np.ndarray:
     return v
 
 
+def _beta_targets(inc: Inclusion, v: np.ndarray) -> np.ndarray:
+    """beta_v over the corners: entry i is the j at which the character
+    beta_v(sigma_i) = sigma_i(v* . v)/sigma_i(v*v) is 1, or -1 where
+    sigma_i(v*v) = 0; sigma_i(v* p_j v) read off the stack v* p_j v."""
+    vh = v.conj().T
+    wt = inc._chars(vh @ v).real
+    live = wt > EPS
+    # hits[j, k]: beta_v sends the k-th live corner to j
+    hits = np.abs(inc._chars(vh @ inc._projs @ v)[:, live] / wt[live]
+                  - 1.0) < STATE_TOL
+    bad = np.flatnonzero(hits.sum(axis=0) != 1)
+    if len(bad):
+        raise NotANormalizer(f"corner {np.flatnonzero(live)[bad[0]]} does "
+                             "not map to a unique corner under v")
+    out = np.full(inc.n_corners, -1)
+    out[live] = hits.argmax(axis=0)
+    return out
+
+
 def beta(inc: Inclusion, v) -> dict:
     """The partial bijection on corner indices induced by v."""
-    v = _require_normalizer(inc, v)
-    vv = v.conj().T @ v
-    out = {}
-    for i in range(inc.n_corners):
-        wt = inc.char(i, vv).real
-        if wt <= EPS:
-            continue
-        # beta_v(sigma_i)(d) = sigma_i(v* d v)/sigma_i(v*v): a character
-        targets = [j for j in range(inc.n_corners)
-                   if abs(inc.char(i, v.conj().T @ inc.min_projs[j] @ v) / wt - 1.0)
-                   < STATE_TOL]
-        if len(targets) != 1:
-            raise NotANormalizer(
-                f"corner {i} does not map to a unique corner under v")
-        out[i] = targets[0]
-    return out
+    t = _beta_targets(inc, _require_normalizer(inc, v))
+    dom = np.flatnonzero(t >= 0)
+    return dict(zip(dom.tolist(), t[dom].tolist()))
 
 
 @dataclass(frozen=True)
@@ -353,66 +370,55 @@ class ThetaMap:
     codomain: tuple
 
     def apply(self, d) -> np.ndarray:
-        """theta_v(vv* h) = v* h v; d must lie in the domain ideal."""
-        inc = self.inclusion
-        v = self.v
-        vv = v @ v.conj().T
-        h = np.zeros_like(vv)
-        for j in self.domain:
-            p = inc.min_projs[j]
-            h += (inc.char(j, d) / inc.char(j, vv)) * p
-        return v.conj().T @ h @ v
+        """theta_v(vv* h) = v* h v; d must lie in the domain ideal, and
+        h = sum_j sigma_j(d)/sigma_j(vv*) p_j over the domain."""
+        inc, v, dom = self.inclusion, self.v, list(self.domain)
+        c = inc._chars(d)[dom] / inc._chars(v @ v.conj().T)[dom]
+        return v.conj().T @ np.tensordot(c, inc._projs[dom], 1) @ v
 
 
 def theta(inc: Inclusion, v) -> ThetaMap:
     v = _require_normalizer(inc, v)
-    vv = v @ v.conj().T
-    dom = tuple(j for j in range(inc.n_corners)
-                if abs(inc.char(j, vv)) > EPS)
-    b = beta(inc, v)
-    cod = tuple(sorted(b.keys()))
-    return ThetaMap(inclusion=inc, v=v, domain=dom, codomain=cod)
+    dom = np.flatnonzero(np.abs(inc._chars(v @ v.conj().T)) > EPS)
+    cod = np.flatnonzero(_beta_targets(inc, v) >= 0)
+    return ThetaMap(inclusion=inc, v=v, domain=tuple(dom.tolist()),
+                    codomain=tuple(cod.tolist()))
 
 
 def fixed_point_ideal(inc: Inclusion, v) -> IdealSubspace:
     """K0 = {d in the support ideal of vv*D : vd = dv lies in D^c}."""
     v = _require_normalizer(inc, v)
-    vv = v @ v.conj().T
-    support = [j for j in range(inc.n_corners) if abs(inc.char(j, vv)) > EPS]
-    if not support:
+    support = np.flatnonzero(np.abs(inc._chars(v @ v.conj().T)) > EPS)
+    if not len(support):
         return ideal_from_subspace(inc.D, np.zeros((0, inc.D.ambient_dim ** 2)))
-    projs = [inc.min_projs[j] for j in support]
-    dc = inc.commutant_of_D
+    P = inc._projs[support]
+    S = inc.commutant_of_D.stack
     # linear conditions on coefficients t_j of d = sum t_j p_j
-    S = dc.stack
-    K = np.array([np.concatenate([(v @ p - p @ v).ravel(),
-                                  (v @ p @ S - S @ v @ p).ravel()])
-                  for p in projs]).T
+    vP = v @ P
+    K = np.concatenate([_vec(vP - P @ v),
+                        _vec(vP[:, None] @ S - S @ vP[:, None])], axis=1).T
     # the projections are not HS-normalized, so re-orthonormalize
-    rows = row_span(null_space(K) @ _vec(projs))
+    rows = row_span(null_space(K) @ _vec(P))
     return ideal_from_subspace(inc.D, rows)
 
 
 def fixed_set_check(inc: Inclusion, v):
-    """Corner support of K0 within the v*v ideal vs fixed points of beta."""
+    """Corner support of K0 within the v*v ideal vs fixed points of beta.
+
+    K0 is supported at corner i when |sigma_i(b_k)| > ``STATE_TOL`` for
+    some b_k of its orthonormal basis, which holds whenever p_i is in K0:
+    p_i's projection p' = sum_k c_k b_k on K0 has |c|_2 <= (rank p_i)^(1/2)
+    and r = |p_i - p'|_HS < ``NORMALIZER_TOL``, so 1 - r <= |sigma_i(p')|
+    <= (rank p_i dim K0)^(1/2) max_k |sigma_i(b_k)|, and rank p_i, dim K0
+    <= n give max_k |sigma_i(b_k)| >= (1 - r)/n >> ``STATE_TOL``."""
     v = _require_normalizer(inc, v)
     K0 = fixed_point_ideal(inc, v)
-    b = beta(inc, v)
-    fixed = {i for i, j in b.items() if i == j}
-    vstar_support = {i for i, _ in b.items()}
-    # support of K0 restricted to the v*v ideal
-    support = set()
-    for i in vstar_support:
-        p = inc.min_projs[i]
-        if K0.dim and span_residual(K0.basis_rows, p) < NORMALIZER_TOL:
-            support.add(i)
-        elif K0.dim:
-            # p need not be in K0 itself; check p against the projection of
-            # K0 onto this corner: some element of K0 is nonzero at corner i
-            if np.any(np.abs(inc.char(i, np.array(K0.basis))) > STATE_TOL):
-                support.add(i)
-    return (support == fixed, {"support": sorted(support),
-                               "fixed": sorted(fixed)})
+    t = _beta_targets(inc, v)
+    fixed = np.flatnonzero(t == np.arange(len(t)))
+    seen = np.abs(inc._chars(np.reshape(K0.basis, (-1,) + v.shape)))
+    support = np.flatnonzero((t >= 0) & (seen > STATE_TOL).any(axis=0))
+    return (np.array_equal(support, fixed),
+            {"support": support.tolist(), "fixed": fixed.tolist()})
 
 
 # --- states --------------------------------------------------------------
@@ -488,29 +494,6 @@ def canonical_corner_state(inc: Inclusion, i: int) -> ModState:
     """The normalized-trace corner state (the unique one for scalar corners)."""
     p = inc.min_projs[i]
     return mod_state_from_density(inc, i, p / np.trace(p))
-
-
-def check_mod_state(rho: ModState) -> list:
-    """Verify the ModState invariants; returns violations."""
-    inc = rho.inclusion
-    C = inc.C
-    bad = []
-    if abs(rho(C.unit) - 1.0) > STATE_TOL:
-        bad.append("not unital")
-    gram = _gram(C, rho.values)
-    evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if evals.min() < -STATE_TOL:
-        bad.append(f"Gram matrix not PSD (min eigenvalue {evals.min():.2e})")
-    on_d = inc._projection_rows @ rho.values
-    for j, val in enumerate(on_d):
-        want = 1.0 if j == rho.corner_index else 0.0
-        if abs(val - want) > STATE_TOL:
-            bad.append(f"restriction to D wrong at corner {j}")
-    # rho(x) - rho(p x p) on C's basis, from the density W - conj(p) W p^T
-    p, W = inc.min_projs[rho.corner_index], rho.density
-    if np.any(np.abs(_functional(C, W - _transports(W, p))) > STATE_TOL):
-        bad.append("state not concentrated on its corner")
-    return bad
 
 
 @dataclass(frozen=True)
@@ -604,14 +587,6 @@ def _transport_reps(inc: Inclusion) -> dict:
     return {(i, i): p for i, p in enumerate(inc.min_projs)}
 
 
-def transported_state(inc: Inclusion, rho: ModState, v) -> ModState:
-    """beta-tilde_v(rho): x -> rho(v* x v)/rho(v*v), of density
-    W' = conj(v) W v^T; rho(v*v) = sum(W' * 1) is the trace of W'."""
-    moved = _transports(rho.density, np.asarray(v, dtype=complex))
-    return _located_state(inc, _functional(inc.C, moved)
-                          / np.trace(moved).real)
-
-
 # --- pseudo-expectations -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -623,12 +598,13 @@ class PseudoExpectation:
     corner_densities: tuple  # density matrices, one per corner
 
     def apply(self, x) -> np.ndarray:
+        """tr(rho_i p_i x p_i) = tr p_i sigma_i(x p_i rho_i), as p_i^2 = p_i:
+        the diagonal of the characters of the stack x p_i rho_i."""
         inc = self.inclusion
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros_like(x)
-        for p, rho in zip(inc.min_projs, self.corner_densities):
-            out += np.trace(rho @ p @ x @ p) * p
-        return out
+        y = np.asarray(x, dtype=complex) @ inc._projs @ \
+            np.array(self.corner_densities)
+        c = np.diagonal(inc._chars(y)) * inc._ranks
+        return np.tensordot(c, inc._projs, 1)
 
 
 def canonical_expectation(inc: Inclusion) -> PseudoExpectation:
@@ -672,8 +648,7 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     and rho_i have the same range); this is a linear condition.  Taking no
     square root keeps rounding noise in rho_i's spectrum below the rank cut.
     """
-    dens = np.array([p @ rho for p, rho in
-                     zip(inc.min_projs, E.corner_densities)])
+    dens = inc._projs @ np.array(E.corner_densities)
     # row (r, k, l), column b: (b p_r rho_r)[k, l]
     K = (inc.C.stack[None] @ dens[:, None]).transpose(0, 2, 3, 1)
     K = K.reshape(-1, inc.C.dim)

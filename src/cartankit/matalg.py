@@ -229,9 +229,9 @@ class IdealSubspace:
         return _vec(self.basis)
 
     def contains(self, m, eps: float = EPS) -> bool:
-        if self.dim == 0:
-            return hs_norm(_as_matrix(m, self.parent.ambient_dim)) < eps
-        return span_residual(self.basis_rows, _as_matrix(m)) < eps
+        m = _as_matrix(m, self.parent.ambient_dim)
+        return (span_residual(self.basis_rows, m) if self.dim
+                else hs_norm(m)) < eps
 
 
 def _algebra_from_rows(ambient_dim: int, rows: np.ndarray,
@@ -325,32 +325,6 @@ def generate_star_algebra(ambient_dim: int, generators,
         rows = np.vstack([rows, added])
         new = added.reshape(len(added), n, n)
     return _algebra_from_rows(n, rows, unit)
-
-
-def check_star_algebra(A: FdStarAlgebra, eps: float = EPS) -> list:
-    """Check the FdStarAlgebra invariants; returns a list of violations."""
-    bad = []
-    rows = A.basis_rows
-    S = A.stack
-    adj = span_residuals(rows, _vec(S.conj().transpose(0, 2, 1)))
-    for i, a in enumerate(S):
-        prod = span_residuals(rows, _vec(a @ S))
-        bad += [f"product of basis elements {i},{j} leaves span "
-                f"(residual {prod[j]:.2e})"
-                for j in np.flatnonzero(prod >= eps)]
-        if adj[i] >= eps:
-            bad.append(f"adjoint of basis element {i} leaves span "
-                       f"(residual {adj[i]:.2e})")
-    if span_residual(rows, A.unit) >= eps:
-        bad.append("unit not in span of basis")
-    left = np.linalg.norm(A.unit @ S - S, axis=(1, 2))
-    right = np.linalg.norm(S @ A.unit - S, axis=(1, 2))
-    bad += [f"unit does not act as identity on basis element {i}"
-            for i in np.flatnonzero((left >= eps) | (right >= eps))]
-    gram = rows @ rows.conj().T
-    if np.max(np.abs(gram - np.eye(A.dim))) >= eps:
-        bad.append("basis not HS-orthonormal")
-    return bad
 
 
 def relative_commutant(A: FdStarAlgebra,

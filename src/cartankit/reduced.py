@@ -138,15 +138,6 @@ class ReducedAlgebra:
     def unit_matrix(self) -> np.ndarray:
         return self.represent(unit_function(self.twist, self.degree))
 
-    def function_of(self, M: np.ndarray) -> EquivariantFunction:
-        """Invert the representation on its image.  The delta images have
-        disjoint supports, so they are HS-orthogonal and the orthogonal
-        projection onto the image has coefficients <M, delta_g>/|delta_g|^2."""
-        rows = self._delta_images
-        coeffs = rows.conj() @ np.asarray(M, dtype=complex).ravel()
-        return EquivariantFunction(self.twist, self.degree,
-                                   coeffs / np.linalg.norm(rows, axis=1) ** 2)
-
     def block_structure(self) -> tuple:
         """Sorted block sizes of ``algebra``, read from orbit and isotropy
         data instead of a center computation.

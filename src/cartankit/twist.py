@@ -72,14 +72,6 @@ def trivial_twist(G: FiniteGroupoid) -> CocycleTwist:
     return _with_phases(G, np.ones(len(G.arrays.a), dtype=complex))
 
 
-def coboundary_twist(G: FiniteGroupoid, lam: dict) -> CocycleTwist:
-    """sigma(a, b) = lam(a) lam(b) / lam(ab) for a modulus-one lam with
-    lam = 1 on unit arrows; always a normalized cocycle."""
-    t = G.arrays
-    v = np.array([lam[a] for a in G.arrows], dtype=complex)
-    return _with_phases(G, v[t.a] * v[t.b] / v[t.ab])
-
-
 def conjugate_twist(T: CocycleTwist) -> CocycleTwist:
     return _with_phases(T.groupoid, T.phases(-1))
 

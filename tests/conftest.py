@@ -1,7 +1,7 @@
 """Shared fixtures: standard groupoids, twists, inclusions, the
 randomized twist corpus used by the property suites, and the dense
 references that left the package (essential inclusions through centres,
-structure constants)."""
+structure constants, coboundary twists)."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from cartankit.matalg import (
 from cartankit.twist import (
     CocycleTwist,
     EquivariantFunction,
-    coboundary_twist,
+    _with_phases,
     trivial_twist,
 )
 
@@ -88,6 +88,14 @@ def ref_structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
     S = np.zeros((n, n, n), dtype=complex)
     S[t.a, t.b, t.ab] = T.phases(degree)
     return S
+
+
+def coboundary_twist(G, lam: dict) -> CocycleTwist:
+    """sigma(a, b) = lam(a) lam(b) / lam(ab) for a modulus-one lam with
+    lam = 1 on unit arrows; always a normalized cocycle."""
+    t = G.arrays
+    v = np.array([lam[a] for a in G.arrows], dtype=complex)
+    return _with_phases(G, v[t.a] * v[t.b] / v[t.ab])
 
 
 def random_coboundary(G, rng, k4_components=()):

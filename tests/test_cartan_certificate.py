@@ -30,7 +30,6 @@ from cartankit.groupoid import (
 from cartankit.inclusion import (
     ModState,
     beta,
-    check_mod_state,
     is_compatible_state,
     make_inclusion,
 )
@@ -356,7 +355,7 @@ def test_tolerances_named_once_in_matalg():
 #: The functions whose tolerance keyword no caller set, now read from the
 #: table.
 FIXED_CUTS = (
-    make_inclusion, beta, check_mod_state, is_compatible_state,
+    make_inclusion, beta, is_compatible_state,
     relative_commutant, minimal_projections, ideal_generated_by,
     is_cartan_pair, Eigenfunctional.equal, Eigenfunctional.phase_class_equal,
     ModState.close_to, canonical_phase, germ_expectation_criterion,

@@ -38,11 +38,11 @@ from cartankit.serialize import (
 from cartankit.twist import (
     COCYCLE_TOL,
     CocycleTwist,
-    coboundary_twist,
     validate_twist,
 )
 from cartankit.weyl import _canonical_phases, weyl_twist
-from conftest import E, m2c_inclusion, mndn_inclusion, random_twist_corpus
+from conftest import E, coboundary_twist, m2c_inclusion, mndn_inclusion, \
+    random_twist_corpus
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
 from test_exact_corners import unequal_rank_inclusion
 

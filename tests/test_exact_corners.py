@@ -14,12 +14,10 @@ from cartankit.inclusion import (
     _is_invariant,
     _transport_reps,
     canonical_corner_state,
-    check_mod_state,
     is_compatible_state,
     is_normalizer,
     mod_state_from_density,
     radical_ideal,
-    transported_state,
 )
 from cartankit.matalg import hs_norm
 from cartankit.inclusion import make_inclusion
@@ -31,6 +29,7 @@ from test_corner_slices import (
     ref_normalizer_words,
 )
 from test_envelope import diagonal_scalar_inclusion
+from test_stacked_kernel import ref_check_mod_state, ref_transported
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cartankit"
 
@@ -59,7 +58,7 @@ def ref_is_invariant(inc, F, word_bound=2):
         for v in ref_normalizer_words(inc, word_bound, include_d=False):
             if rho(v.conj().T @ v).real <= 1e-9:
                 continue
-            moved = transported_state(inc, rho, v)
+            moved = ref_transported(inc, rho, v)
             if not any(moved.close_to(s) for s in F):
                 return False
     return True
@@ -114,7 +113,7 @@ class TestCompatibility:
         """rho(x) = x[0, 0]: the monomial words never leave {0, 1}, while
         exp(i pi/4 sigma_x) (+) 1 gives |rho(u)|^2 = 1/2."""
         m2c, rho = m2c_state(1, 0, 0)
-        assert check_mod_state(rho) == []
+        assert ref_check_mod_state(rho) == []
         ok, w = is_compatible_state(m2c, rho)
         assert not ok
         assert is_witness(m2c, rho, w)
@@ -154,7 +153,7 @@ class TestCompatibility:
         words = ref_normalizer_words(inc)
         states = corner_states(inc, 5, seed=len(name))
         for rho in states:
-            assert check_mod_state(rho) == []
+            assert ref_check_mod_state(rho) == []
             ref_ok, ref_w = ref_is_compatible(inc, rho, words)
             ok, w = is_compatible_state(inc, rho)
             if not ref_ok:
@@ -252,7 +251,7 @@ class TestInvariance:
         # corner 0 is the rank-1 p = diag(0, 0, 1)
         pure = [tracial[0],
                 mod_state_from_density(inc, 1, np.diag([1.0, 0, 0]))]
-        assert check_mod_state(pure[1]) == []
+        assert ref_check_mod_state(pure[1]) == []
         assert radical_ideal(inc, tracial, check_invariance=True).dim == 0
         with pytest.raises(NotInvariant):
             radical_ideal(inc, pure, check_invariance=True)

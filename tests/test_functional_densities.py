@@ -42,7 +42,6 @@ from cartankit.inclusion import (
     mod_states,
     radical_ideal,
     strongly_compatible,
-    transported_state,
 )
 from cartankit.matalg import (
     _vec,
@@ -80,6 +79,7 @@ from test_inclusion import m2_plus_c_inclusion
 from test_stacked_kernel import (
     ref_eigenfunctional_cm,
     ref_range_cm,
+    ref_transported,
     ref_transported_cm,
 )
 
@@ -188,15 +188,15 @@ def ref_envelope_fields(inc, data):
 
 def ref_is_invariant(inc, F):
     """The per-state loop ``_is_invariant`` replaced: traciality on the
-    corner, then one ``transported_state`` per state and transport,
-    compared with F one state at a time."""
+    corner, then one transported state (``ref_transported``) per state
+    and transport, compared with F one state at a time."""
     reps = cartankit.inclusion._transport_reps(inc)
     for rho in F:
         A = inc.corner_algebras[rho.corner_index]
         if any(abs(rho(a.conj().T @ b) - rho(b @ a.conj().T)) > 1e-7
                for a in A.basis for b in A.basis):
             return False
-        if not all(any(transported_state(inc, rho, u).close_to(s) for s in F)
+        if not all(any(ref_transported(inc, rho, u).close_to(s) for s in F)
                    for (i, _), u in reps.items() if i == rho.corner_index):
             return False
     return True
@@ -295,7 +295,7 @@ def test_transports_match_coefficient_matrix(case):
         for u in inc.corner_slices.values():
             if rho(u.conj().T @ u).real <= 1e-9:
                 continue
-            moved = transported_state(inc, rho, u)
+            moved = ref_transported(inc, rho, u)
             assert _close(moved.values, ref_transported_cm(inc, rho, u))
             phi = eigenfunctional(inc, u, rho)
             assert _close(phi.values, ref_eigenfunctional_cm(inc, u, rho))

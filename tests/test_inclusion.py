@@ -17,7 +17,6 @@ from cartankit.inclusion import (
     beta,
     canonical_corner_state,
     canonical_expectation,
-    check_mod_state,
     fixed_point_ideal,
     fixed_set_check,
     is_compatible_state,
@@ -30,10 +29,10 @@ from cartankit.inclusion import (
     radical_ideal,
     strongly_compatible,
     theta,
-    transported_state,
 )
 from cartankit.matalg import NORMALIZER_TOL, generate_star_algebra, hs_norm
 from conftest import E, mndn_inclusion
+from test_stacked_kernel import ref_check_mod_state, ref_transported
 
 
 def corner_of(inc, p):
@@ -208,7 +207,7 @@ class TestModStates:
         for d in descs:
             assert d.algebra.dim == 1
             assert len(d.extreme_states) == 1
-            assert check_mod_state(d.extreme_states[0]) == []
+            assert ref_check_mod_state(d.extreme_states[0]) == []
 
     def test_m2c_single_big_corner(self, m2c):
         descs = mod_states(m2c)
@@ -225,19 +224,19 @@ class TestModStates:
     def test_check_rejects_wrong_corner(self, m2d2):
         rho = canonical_corner_state(m2d2, 0)
         bad = type(rho)(inclusion=m2d2, corner_index=1, values=rho.values)
-        assert check_mod_state(bad)
+        assert ref_check_mod_state(bad)
 
 
 class TestCompatibility:
     def test_m2c_lambda_state_compatible(self, m2c):
         rho = mod_state_from_density(m2c, 0, np.diag([0, 0, 1.0]))
-        assert check_mod_state(rho) == []
+        assert ref_check_mod_state(rho) == []
         ok, _ = is_compatible_state(m2c, rho)
         assert ok
 
     def test_m2c_half_trace_incompatible(self, m2c):
         rho = mod_state_from_density(m2c, 0, np.diag([0.5, 0.5, 0]))
-        assert check_mod_state(rho) == []
+        assert ref_check_mod_state(rho) == []
         ok, witness = is_compatible_state(m2c, rho)
         assert not ok
         lhs = abs(rho(witness)) ** 2
@@ -341,7 +340,7 @@ class TestStronglyCompatible:
         assert len(S) == 3
         assert sorted(s.corner_index for s in S) == [0, 1, 2]
         for s in S:
-            assert check_mod_state(s) == []
+            assert ref_check_mod_state(s) == []
             ok, _ = is_compatible_state(m3d3, s)
             assert ok
 
@@ -381,5 +380,5 @@ class TestExpectationLaws:
             for v in m3d3.normalizer_gens:
                 if rho(v.conj().T @ v).real <= 1e-9:
                     continue
-                moved = transported_state(m3d3, rho, v)
+                moved = ref_transported(m3d3, rho, v)
                 assert any(moved.close_to(s) for s in F)

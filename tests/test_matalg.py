@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cartankit
 from cartankit import matalg
 from cartankit.errors import (
+    NonSquareMatrix,
     NotAbelian,
     NotASubalgebra,
     NumericalRankAmbiguity,
@@ -16,7 +17,6 @@ from cartankit.errors import (
 from cartankit.matalg import (
     RANK_TOL,
     block_structure,
-    check_star_algebra,
     generate_star_algebra,
     hs_norm,
     ideal_generated_by,
@@ -28,6 +28,7 @@ from cartankit.matalg import (
     row_span,
 )
 from conftest import E
+from test_stacked_kernel import ref_check_star_algebra
 
 
 def full_matrix_algebra(n):
@@ -55,7 +56,7 @@ class TestGenerate:
 
     def test_invariants_hold(self):
         A = generate_star_algebra(3, [E(0, 1, 3), E(1, 2, 3)])
-        assert check_star_algebra(A) == []
+        assert ref_check_star_algebra(A) == []
 
 
 class TestRelativeCommutant:
@@ -95,7 +96,7 @@ class TestRelativeCommutant:
         full = full_matrix_algebra(4)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         A = generate_star_algebra(4, [g @ g.conj().T])
-        assert check_star_algebra(relative_commutant(A, full)) == []
+        assert ref_check_star_algebra(relative_commutant(A, full)) == []
 
 
 class TestBlockStructure:
@@ -205,6 +206,18 @@ class TestIdeals:
             for m in J.basis:
                 assert J.contains(b @ m) and J.contains(m @ b)
 
+    @pytest.mark.parametrize("which", ["algebra", "zero ideal", "ideal"])
+    def test_contains_checks_the_ambient_shape(self, which):
+        """A 3 x 3 matrix asked of M_2 is refused as a typed error, by the
+        algebra, its zero ideal and a nonzero ideal alike."""
+        M2 = full_matrix_algebra(2)
+        space = {"algebra": M2,
+                 "zero ideal": ideal_generated_by(M2, []),
+                 "ideal": ideal_generated_by(M2, [E(0, 0, 2)])}[which]
+        assert space.contains(E(0, 0, 2)) == (which != "zero ideal")
+        with pytest.raises(NonSquareMatrix):
+            space.contains(np.eye(3))
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 10 ** 6))
@@ -214,7 +227,7 @@ def test_random_generators_close(n, seed):
     gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(k)]
     A = generate_star_algebra(n, gens)
-    assert check_star_algebra(A, 1e-9) == []
+    assert ref_check_star_algebra(A, 1e-9) == []
 
 
 # --- the rank kernel against a full-SVD reference recipe ----------------

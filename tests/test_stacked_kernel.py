@@ -22,24 +22,24 @@ from cartankit.groupoid import disjoint_union, klein_four_groupoid, \
 from cartankit.inclusion import (
     ModState,
     PseudoExpectation,
+    _functional,
     _gram,
     _left_kernel_subspace,
+    _located_state,
+    _transports,
     canonical_corner_state,
-    check_mod_state,
     is_normalizer,
     make_inclusion,
     mod_state_from_density,
     pseudo_expectations,
     radical_ideal,
     strongly_compatible,
-    transported_state,
 )
 from cartankit.matalg import (
     EPS,
     FdStarAlgebra,
     _commutators,
     _fixed_draws,
-    check_star_algebra,
     generate_star_algebra,
     hs_norm,
     minimal_projections,
@@ -84,9 +84,11 @@ def _ref_corner(inc, vals):
 
 
 def ref_transported(inc, rho, v):
+    """The transported state x -> rho(v* x v)/rho(v*v), at the corner it
+    is largest on."""
     wt = rho(v.conj().T @ v).real
     vals = _functional_values(inc, lambda x: rho(v.conj().T @ x @ v) / wt)
-    return vals, _ref_corner(inc, vals)
+    return ModState(inc, _ref_corner(inc, vals), vals)
 
 
 def ref_eigenfunctional(inc, v, f):
@@ -342,15 +344,19 @@ class TestFunctionals:
             assert _close(s.values, vals)
 
     def test_transported_state(self, inc):
+        """The density transport ``_is_invariant`` runs: the values of
+        conj(v) W v^T over its trace, at the corner they are largest on."""
         checked = 0
         for rho in _states(inc):
             for v in _normalizers(inc):
                 if rho(v.conj().T @ v).real <= 1e-9:
                     continue
-                moved = transported_state(inc, rho, v)
-                vals, corner = ref_transported(inc, rho, v)
-                assert moved.corner_index == corner
-                assert _close(moved.values, vals)
+                W = _transports(rho.density, v)
+                moved = _located_state(inc, _functional(inc.C, W)
+                                       / np.trace(W).real)
+                want = ref_transported(inc, rho, v)
+                assert moved.corner_index == want.corner_index
+                assert _close(moved.values, want.values)
                 assert _close(moved.values, ref_transported_cm(inc, rho, v))
                 checked += 1
         assert checked
@@ -545,12 +551,12 @@ class TestChecks:
 
     def test_check_star_algebra(self, inc):
         for A in _algebras(inc):
-            assert check_star_algebra(A) == ref_check_star_algebra(A) == []
+            assert ref_check_star_algebra(A) == []
         for A in _near_algebras(inc)[-3:]:
-            assert check_star_algebra(A) == ref_check_star_algebra(A)
+            assert ref_check_star_algebra(A)
 
 
-# --- the invariant checkers keep their strings and order -------------------
+# --- the invariant checkers flag broken algebras and states ---------------
 
 def _broken_algebras():
     n = 3
@@ -575,9 +581,7 @@ def _broken_algebras():
 @pytest.mark.parametrize("k", range(4))
 def test_check_star_algebra_violations(k):
     A = _broken_algebras()[k]
-    want = ref_check_star_algebra(A)
-    assert want
-    assert check_star_algebra(A) == want
+    assert ref_check_star_algebra(A)
 
 
 def _broken_states(inc):
@@ -596,8 +600,7 @@ def _broken_states(inc):
     name for name in _ids() if name.startswith("corpus")][:2])
 def test_check_mod_state_violations(name):
     inc = dict(fixtures())[name]
-    lists = [check_mod_state(s) for s in _broken_states(inc)]
-    assert lists == [ref_check_mod_state(s) for s in _broken_states(inc)]
+    lists = [ref_check_mod_state(s) for s in _broken_states(inc)]
     assert lists[0] == [] and all(lists[1:])
 
 
@@ -720,24 +723,29 @@ def test_make_inclusion_one_stacked_check(monkeypatch):
 
 # --- source guard ---------------------------------------------------------
 
+#: Functions that read the corner-character kernel ``Inclusion._chars``:
+#: they hold no Python loop at all, over the corners, corner pairs or
+#: anything else.
+CORNER_BATCHED = ["Inclusion.char", "Inclusion._chars", "_beta_targets",
+                  "beta", "theta", "ThetaMap.apply", "fixed_point_ideal",
+                  "fixed_set_check", "PseudoExpectation.apply"]
+
 STACKED = {
     "matalg.py": ["contains_all", "coefficient_matrix", "subspace_equals",
                   "is_subalgebra_of", "is_abelian", "generate_star_algebra",
-                  "_round_residuals",
-                  "check_star_algebra", "relative_commutant",
+                  "_round_residuals", "relative_commutant",
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
                   "_commutators", "span_residuals"],
     "inclusion.py": ["is_normalizer", "_normalizer_verdicts",
-                     "mod_state_from_density",
-                     "check_mod_state", "corner_algebra", "transported_state",
+                     "mod_state_from_density", "corner_algebra",
                      "_left_kernel_subspace", "radical_ideal",
                      "strongly_compatible", "fixed_point_ideal",
                      "fixed_set_check", "_gram", "_located_state",
                      "corner_algebras", "scalar_corners", "mod_states",
                      "_density", "_functional", "_transports", "density",
                      "_projection_rows", "_is_invariant",
-                     "is_compatible_state"],
+                     "is_compatible_state", *CORNER_BATCHED],
     "envelope.py": ["eigenfunctional", "range", "_theta_map", "_theta",
                     "_theta_on_classes", "eigen_twist", "_eig_values",
                     "theta_F", "covers_nested"],
@@ -751,8 +759,6 @@ STACKED = {
 PER_ELEMENT = {
     ("matalg.py", "is_abelian"):
         "commutators of one basis element with the later ones per step",
-    ("matalg.py", "check_star_algebra"):
-        "products of one basis element with the whole basis per step",
 }
 
 #: Attributes that hold an algebra's basis (or its rows).
@@ -801,9 +807,15 @@ def _basis_loops(fn):
 
 
 def _functions(module):
+    """Every function of the module by name, and each method also as
+    ``Class.method``."""
     tree = ast.parse((SRC / module).read_text())
-    return {fn.name: fn for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef)}
+    fns = {fn.name: fn for fn in ast.walk(tree)
+           if isinstance(fn, ast.FunctionDef)}
+    fns.update((f"{cls.name}.{fn.name}", fn) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef))
+    return fns
 
 
 class TestSourceGuard:
@@ -816,6 +828,12 @@ class TestSourceGuard:
                 continue
             assert not _basis_loops(fns[name]), \
                 f"{module}:{name} loops over a basis"
+
+    @pytest.mark.parametrize("name", CORNER_BATCHED)
+    def test_no_loop_in_corner_kernel_readers(self, name):
+        fn = _functions("inclusion.py")[name]
+        assert not [node for node in ast.walk(fn) if isinstance(
+            node, (ast.For, ast.While, ast.comprehension))], name
 
     @pytest.mark.parametrize("module,name", sorted(PER_ELEMENT))
     def test_per_element_exemptions(self, module, name):

@@ -40,7 +40,6 @@ from cartankit.serialize import (
 from cartankit.twist import (
     COCYCLE_TOL,
     CocycleTwist,
-    coboundary_twist,
     conjugate_twist,
     restrict_twist,
     trivial_twist,
@@ -48,6 +47,7 @@ from cartankit.twist import (
     validate_twist,
 )
 from conftest import (
+    coboundary_twist,
     k4_nontrivial_sigma,
     random_coboundary,
     random_twist_corpus,
