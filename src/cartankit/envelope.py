@@ -129,15 +129,16 @@ class CompatibleCover:
 
 def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
                 F=None) -> CompatibleCover:
-    """The cover F, refused unless it meets every corner, repeats no
-    state, and its states are compatible (``is_compatible_state``) and
-    invariant (``_is_invariant``), both decided exactly."""
-    if mode == "strongly_compatible":
-        F = strongly_compatible(inc)
-    elif mode == "custom":
-        F = tuple(F)
-    else:
+    """The strongly compatible cover, or the states F in the "custom" mode
+    only, refused unless it meets every corner, repeats no state, and its
+    states are compatible (``is_compatible_state``) and invariant
+    (``_is_invariant``), both decided exactly."""
+    if mode not in ("strongly_compatible", "custom"):
         raise ValueError(f"unknown cover mode {mode!r}")
+    if (mode == "custom") != (F is not None):
+        raise ValueError(f"cover mode {mode!r} " + (
+            "needs the states F" if F is None else "takes no states F"))
+    F = tuple(F) if mode == "custom" else strongly_compatible(inc)
     corners = {rho.corner_index for rho in F}
     if corners != set(range(inc.n_corners)):
         raise NotCovering("restrictions to the Gelfand space of D are not "

@@ -74,7 +74,10 @@ class FactorizationPropertyFails(CartanKitError):
 
 
 class OutsideFibers(CartanKitError):
-    """A product of realized arrows leaves the realized fibers."""
+    """A product of realized arrows leaves the realized fibers, or the
+    deltas that ``delta_norms``, ``algebra`` and ``diagonal`` read are no
+    partial isometry pattern, or (for the last two) overlap or vanish.
+    Only tables that fail validation get here."""
 
 
 # --- inclusion layer ---

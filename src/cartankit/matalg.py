@@ -9,7 +9,7 @@ The basis is held once as a stack: ``FdStarAlgebra.basis_rows`` is the
 (d, n^2) matrix of flattened basis elements and ``FdStarAlgebra.stack``
 the (d, n, n) view of it.  Coefficients, containment, commutators and
 products are contractions over that stack, taken for a whole stack of
-matrices at a time (``coefficient_matrix``, ``contains_all``).
+matrices at a time (``contains_all``, ``span_residuals``).
 """
 
 from __future__ import annotations
@@ -176,10 +176,6 @@ class FdStarAlgebra:
         v = _as_matrix(m, self.ambient_dim).ravel()
         return (self.basis_rows @ v.conj()).conj()
 
-    def coefficient_matrix(self, stack) -> np.ndarray:
-        """Row k: the HS coefficients of stack[k] (k, n, n) -> (k, d)."""
-        return self._rows(stack) @ self.basis_rows.conj().T
-
     def _rows(self, stack) -> np.ndarray:
         m = np.asarray(stack, dtype=complex)
         n = self.ambient_dim
@@ -187,11 +183,6 @@ class FdStarAlgebra:
             raise NonSquareMatrix(
                 f"expected a stack of ({n},{n}) matrices, got shape {m.shape}")
         return m.reshape(len(m), n * n)
-
-    def element(self, coeffs) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=complex)
-        n = self.ambient_dim
-        return (self.basis_rows.T @ c).reshape(n, n)
 
     def subspace_equals(self, other: "FdStarAlgebra", eps: float = EPS) -> bool:
         if self.dim != other.dim:

@@ -11,7 +11,7 @@ regularity and faithfulness of the diagonal from the tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,9 +22,9 @@ from .matalg import (
     NORMALIZER_TOL,
     FdStarAlgebra,
     _algebra_from_rows,
+    _rank_of,
     block_structure as algebra_blocks,
     operator_norm,
-    row_span,
 )
 from .twist import (
     CocycleTwist,
@@ -57,16 +57,10 @@ def _entries(t, order: np.ndarray) -> tuple:
     return p, col[t.ab[p]], col[t.b[p]]
 
 
-def _inside(entries) -> tuple:
-    """``entries``, refused if a pair lands off the fibers (row -1, which
-    numpy would read as the last row)."""
-    if (entries[1] < 0).any():
-        raise OutsideFibers("a product leaves the realized fibers")
-    return entries
-
-
 def _fill(f: EquivariantFunction, entries, size: int) -> np.ndarray:
-    p, rows, cols = _inside(entries)
+    p, rows, cols = entries
+    if (rows < 0).any():  # a pair off the fibers: numpy reads -1 as last
+        raise OutsideFibers("a product leaves the realized fibers")
     M = np.zeros((size, size), dtype=complex)
     M[rows, cols] = f.twist.phases(f.degree)[p] * \
         f.values[f.twist.groupoid.arrays.a[p]]
@@ -113,26 +107,48 @@ class ReducedAlgebra:
         return _fill(f, self._fiber_entries, self.total_dim)
 
     @cached_property
-    def _delta_images(self) -> np.ndarray:
-        """Row g: the represented delta_g, flattened."""
-        p, rows, cols = _inside(self._fiber_entries)
-        n, N = len(self.twist.groupoid.arrows), self.total_dim
-        out = np.zeros((n, N, N), dtype=complex)
-        out[self.twist.groupoid.arrays.a[p], rows, cols] = \
-            self.twist.phases(self.degree)[p]
-        return out.reshape(n, N * N)
+    def _pattern(self) -> tuple:
+        """(arrow, row, column, phase) of each fiber entry, refused unless
+        each delta_g is a partial isometry pattern: distinct rows (its
+        columns are distinct, one per pair (g, b)), its columns exactly the
+        positions of range s(g) and its rows exactly those of range r(g),
+        and unit arrows on the diagonal."""
+        t, arrows = self.twist.groupoid.arrays, self._fiber_arrows
+        p, rows, cols = self._fiber_entries
+        g, at = t.a[p], t.rng[arrows]  # at: the range of each position
+        n = len(t.index)
+        keys = np.sort(g * len(arrows) + rows)
+        if ((rows >= 0).all() and (rows == cols)[t.unit[g]].all()
+                and (at[rows] == t.rng[g]).all()
+                and (at[cols] == t.src[g]).all()
+                and not (keys[1:] == keys[:-1]).any()):
+            # g is listed now (an unlisted arrow has ends -1)
+            per_range = np.bincount(at, minlength=len(t.unit_index))
+            count = np.bincount(g, minlength=n)
+            if (per_range[[t.src[:n], t.rng[:n]]] == count).all():
+                return g, rows, cols, self.twist.phases(self.degree)[p]
+        raise OutsideFibers("the deltas are no partial isometry pattern")
 
     @cached_property
     def algebra(self) -> FdStarAlgebra:
-        rows = row_span(self._delta_images)
-        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix)
+        """The delta images from ``_pattern``, normalized: refused unless
+        their supports are disjoint, so that their HS norms are their
+        singular values, and each norm passes ``row_span``'s rank cut."""
+        g, rows, cols, phase = self._pattern
+        n, N = len(self.twist.groupoid.arrows), self.total_dim
+        keys = np.sort(rows * N + cols)
+        norm = np.sqrt(np.bincount(g, np.abs(phase) ** 2, n))
+        if (keys[1:] == keys[:-1]).any() or _rank_of(-np.sort(-norm)) < n:
+            raise OutsideFibers("two realized deltas overlap, or one vanishes")
+        basis = np.zeros((n, N, N), dtype=complex)
+        basis[g, rows, cols] = phase / norm[g]
+        return FdStarAlgebra(N, tuple(basis), self.unit_matrix)
 
     @cached_property
     def diagonal(self) -> FdStarAlgebra:
-        G = self.twist.groupoid
-        units = [G.arrays.index[e] for e in G.unit_arrow.values()]
-        rows = row_span(self._delta_images[units])
-        return _algebra_from_rows(self.total_dim, rows, self.unit_matrix)
+        """The unit-arrow rows of ``algebra``."""
+        A, unit = self.algebra, self.twist.groupoid.arrays.unit
+        return replace(A, basis=tuple(A.stack[unit[:A.dim]]))
 
     @cached_property
     def unit_matrix(self) -> np.ndarray:
@@ -166,16 +182,13 @@ class ReducedAlgebra:
         return tuple(sorted(np.concatenate(sizes).tolist()))
 
     def delta_norms(self) -> np.ndarray:
-        """reduced_norm of each delta_g, in arrow order: the largest
-        operator norm of its orbit blocks."""
-        N = self.total_dim
-        imgs = self._delta_images.reshape(-1, N, N)
-        out = np.zeros(len(imgs))
-        end = 0
-        for fiber in self.fibers:
-            start, end = end, end + len(fiber)
-            out = np.maximum(out, np.linalg.norm(
-                imgs[:, start:end, start:end], 2, axis=(1, 2)))
+        """reduced_norm of each delta_g, in arrow order: the operator norm
+        of its image, the largest of its orbit blocks' on valid tables.
+        Under ``_pattern`` the image has at most one entry per row and per
+        column, so that norm is its largest |entry|."""
+        g, _, _, phase = self._pattern
+        out = np.zeros(len(self.twist.groupoid.arrows))
+        np.maximum.at(out, g, np.abs(phase))
         return out
 
     def expectation(self, f: EquivariantFunction) -> EquivariantFunction:
@@ -213,11 +226,9 @@ def _isotropy_blocks(T: CocycleTwist, degree: int, h: np.ndarray) -> tuple:
 
 
 def groupoid_inclusion(R: ReducedAlgebra):
-    """The inclusion (realized algebra, diagonal) with delta normalizers."""
+    """The inclusion (algebra, diagonal), normalized by the deltas."""
     from .inclusion import make_inclusion
-    N = R.total_dim
-    return make_inclusion(R.algebra, R.diagonal,
-                          list(R._delta_images.reshape(-1, N, N)))
+    return make_inclusion(R.algebra, R.diagonal, list(R.algebra.stack))
 
 
 @dataclass(frozen=True)
@@ -251,10 +262,8 @@ def is_cartan_pair(R: ReducedAlgebra) -> CartanCertificate:
 
     Regularity: the deltas span C, so it holds when each delta_g
     normalizes D.  First each delta_g is checked to be a partial isometry
-    pattern: distinct rows (its columns are distinct, one per pair (g, b)),
-    its columns exactly the positions of range s(g) and its rows exactly
-    those of range r(g), and unit arrows on the diagonal (tables that fail
-    are not certified).
+    pattern (``ReducedAlgebra._pattern``; tables that fail are not
+    certified).
     Then d_y = delta_y is diagonal with u_i (the phase of the unit entry at
     i) at the positions i of range y; the nonzero d_y have disjoint
     supports, so normalized to e_y they are an orthonormal basis of D.
@@ -281,38 +290,26 @@ def is_cartan_pair(R: ReducedAlgebra) -> CartanCertificate:
     phases = R.twist.phases(R.degree)
     on = np.flatnonzero(t.unit[t.ab])  # the pairs landing on a unit
     gram = np.bincount(t.b[on], np.abs(phases[on]) ** 2, n)[:n]
-    p, rows, cols = R._fiber_entries
+    try:
+        regular = _deltas_normalize(t, R._fiber_arrows, *R._pattern)
+    except OutsideFibers:
+        regular = False
     return CartanCertificate(
         diagonal_is_masa=defect == 0,
-        regular=_deltas_normalize(t, R._fiber_arrows, t.a[p], rows, cols,
-                                  phases[p]),
+        regular=regular,
         expectation_faithful=bool((t.inv[t.a[on]] == t.b[on]).all()
                                   and (gram > EPS).all()),
         masa_defect=defect)
 
 
 def _deltas_normalize(t, arrows, g, rows, cols, phase) -> bool:
-    """The regularity test of ``is_cartan_pair``: entry e of delta_g (the
-    arrow g[e]) is phase[e] at (rows[e], cols[e]), and fiber position i
-    holds the arrow arrows[i]."""
+    """The rest of ``is_cartan_pair``'s regularity test: entry e of delta_g
+    (g = g[e]) is phase[e] at (rows[e], cols[e]); position i has arrows[i]."""
     at = t.rng[arrows]  # the range of each position
-    size, n = len(arrows), len(t.index)
-    unit = t.unit[g]
-    keys = np.sort(g * size + rows)
-    if not ((rows >= 0).all() and (rows == cols)[unit].all()
-            and (at[rows] == t.rng[g]).all()
-            and (at[cols] == t.src[g]).all()
-            and not (keys[1:] == keys[:-1]).any()):
-        return False
-    # g is listed now (an unlisted arrow has ends -1)
-    per_range = np.bincount(at, minlength=len(t.unit_index))
-    count = np.bincount(g, minlength=n)
-    if not ((count == per_range[t.src[:n]]).all()
-            and (count == per_range[t.rng[:n]]).all()):
-        return False
+    size, unit = len(arrows), t.unit[g]
     u = np.zeros(size, dtype=complex)
     u[cols[unit]] = phase[unit]
-    norm2 = np.bincount(at, np.abs(u) ** 2, len(per_range))[at]
+    norm2 = np.bincount(at, np.abs(u) ** 2, len(t.unit_index))[at]
     inv_norm2 = np.divide(1.0, norm2, out=np.zeros(size), where=norm2 > 0)
     e = u * np.sqrt(inv_norm2)  # e_y at the positions of range y
     weight = np.abs(phase) ** 2

@@ -188,8 +188,9 @@ def delta(T: CocycleTwist, degree: int, arrow) -> EquivariantFunction:
 
 
 def unit_function(T: CocycleTwist, degree: int) -> EquivariantFunction:
-    """The convolution identity: indicator of the unit arrows."""
-    return EquivariantFunction(T, degree, T.groupoid.arrays.unit)
+    """The convolution identity: indicator of the (listed) unit arrows."""
+    G = T.groupoid
+    return EquivariantFunction(T, degree, G.arrays.unit[:len(G.arrows)])
 
 
 def _convolve_values(T: CocycleTwist, degree: int, f, g) -> np.ndarray:

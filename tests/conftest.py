@@ -1,7 +1,8 @@
 """Shared fixtures: standard groupoids, twists, inclusions, the
 randomized twist corpus used by the property suites, and the dense
 references that left the package (essential inclusions through centres,
-structure constants, coboundary twists)."""
+structure constants, coboundary twists, the realization's delta images
+and their spans, HS coefficients of a stack and elements from them)."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from cartankit.groupoid import (
     klein_four_groupoid,
     pair_groupoid,
 )
+from cartankit.errors import OutsideFibers
 from cartankit.inclusion import make_inclusion
 from cartankit.matalg import (
     FdStarAlgebra,
+    _algebra_from_rows,
     _vec,
     central_projections,
     generate_star_algebra,
     rank,
+    row_span,
 )
 from cartankit.twist import (
     CocycleTwist,
@@ -88,6 +92,65 @@ def ref_structure_constants(T: CocycleTwist, degree: int) -> np.ndarray:
     S = np.zeros((n, n, n), dtype=complex)
     S[t.a, t.b, t.ab] = T.phases(degree)
     return S
+
+
+def ulps_apart(got, want) -> np.ndarray:
+    """|got - want| in units in the last place of want, entrywise."""
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
+def ref_coefficient_matrix(A: FdStarAlgebra, stack) -> np.ndarray:
+    """Row k: the HS coefficients of stack[k] against A's basis."""
+    return _vec(stack) @ A.basis_rows.conj().T
+
+
+def ref_element(A: FdStarAlgebra, coeffs) -> np.ndarray:
+    """The element of A with the given HS coefficients."""
+    n = A.ambient_dim
+    return (A.basis_rows.T @ np.asarray(coeffs, dtype=complex)).reshape(n, n)
+
+
+def ref_delta_images(R) -> np.ndarray:
+    """The dense (|G|, N^2) stack of a realization R: row g is the
+    represented delta_g, flattened.  Refused where a pair lands off the
+    fibers (row -1, which numpy would read as the last row)."""
+    p, rows, cols = R._fiber_entries
+    if (rows < 0).any():
+        raise OutsideFibers("a product leaves the realized fibers")
+    n, N = len(R.twist.groupoid.arrows), R.total_dim
+    out = np.zeros((n, N, N), dtype=complex)
+    out[R.twist.groupoid.arrays.a[p], rows, cols] = \
+        R.twist.phases(R.degree)[p]
+    return out.reshape(n, N * N)
+
+
+def ref_algebra(R) -> FdStarAlgebra:
+    """The realized algebra as a ``row_span`` of the delta images."""
+    return _algebra_from_rows(R.total_dim, row_span(ref_delta_images(R)),
+                              R.unit_matrix)
+
+
+def ref_diagonal(R) -> FdStarAlgebra:
+    """The diagonal as a ``row_span`` of the unit arrows' delta images."""
+    G = R.twist.groupoid
+    units = [G.arrays.index[e] for e in G.unit_arrow.values()]
+    return _algebra_from_rows(R.total_dim,
+                              row_span(ref_delta_images(R)[units]),
+                              R.unit_matrix)
+
+
+def ref_delta_norms(R) -> np.ndarray:
+    """The largest 2-norm of each delta image's orbit blocks, by SVD."""
+    N = R.total_dim
+    imgs = ref_delta_images(R).reshape(-1, N, N)
+    out = np.zeros(len(imgs))
+    end = 0
+    for fiber in R.fibers:
+        start, end = end, end + len(fiber)
+        out = np.maximum(out, np.linalg.norm(
+            imgs[:, start:end, start:end], 2, axis=(1, 2)))
+    return out
 
 
 def coboundary_twist(G, lam: dict) -> CocycleTwist:

@@ -29,7 +29,7 @@ from cartankit.matalg import (
     row_span,
     span_residual,
 )
-from conftest import m2c_inclusion, mndn_inclusion
+from conftest import m2c_inclusion, mndn_inclusion, ref_element
 from test_class_twist import conjugated_m4
 from test_corner_slices import tensor_inclusion
 from test_envelope import diagonal_scalar_inclusion
@@ -160,7 +160,7 @@ def _refused(inc):
     n = inc.C.ambient_dim
     rng = np.random.default_rng(n)
     cands = list(inc.C.basis) + [
-        inc.C.element(rng.standard_normal(inc.C.dim)) for _ in range(2)]
+        ref_element(inc.C, rng.standard_normal(inc.C.dim)) for _ in range(2)]
     out = [v for v in cands
            if not _outcome(lambda: _require_normalizer(inc, v))[0]]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -191,7 +191,7 @@ def _ideal_projection(K):
 
 def test_char_on_a_matrix_and_a_stack(inc):
     rng = np.random.default_rng(1)
-    x = inc.C.element(rng.standard_normal(inc.C.dim))
+    x = ref_element(inc.C, rng.standard_normal(inc.C.dim))
     for i in range(inc.n_corners):
         assert isinstance(inc.char(i, x), complex)
         assert _close(inc.char(i, x), ref_char(inc, i, x))

@@ -179,6 +179,19 @@ class TestBuildCover:
         cover = build_cover(inc)
         assert len(cover.states) == 2
 
+    def test_mode_and_states_must_agree(self, m3d3):
+        """States given to the default mode, or none to "custom", are
+        refused as an unknown mode is, naming the mode."""
+        rho = build_cover(m3d3).states[0]
+        with pytest.raises(ValueError, match="'strongly_compatible' takes"):
+            build_cover(m3d3, F=[rho])
+        with pytest.raises(ValueError, match="'custom' needs the states"):
+            build_cover(m3d3, "custom")
+        with pytest.raises(ValueError, match="unknown cover mode 'other'"):
+            build_cover(m3d3, "other", F=[rho])
+        assert len(build_cover(m3d3, "custom", F=build_cover(m3d3).states)
+                   .states) == 3
+
     def test_m2c_lambda_cover(self, m2c):
         rho = mod_state_from_density(m2c, 0, np.diag([0, 0, 1.0]))
         cover = build_cover(m2c, "custom", F=[rho])

@@ -22,7 +22,12 @@ from cartankit.inclusion import (
 from cartankit.matalg import hs_norm
 from cartankit.inclusion import make_inclusion
 from cartankit.matalg import generate_star_algebra
-from conftest import E, m2c_inclusion, mndn_inclusion
+from conftest import (
+    E,
+    m2c_inclusion,
+    mndn_inclusion,
+    ref_coefficient_matrix,
+)
 from test_corner_slices import (
     WORD_SEARCH,
     non_scalar_rank_two,
@@ -41,8 +46,8 @@ def ref_is_compatible(inc, rho, words):
     """The word search's verdict: (True, None), or (False, w) for the first
     word w with |rho(w)|^2 away from both 0 and rho(w*w)."""
     W = np.array(words)
-    lhs = np.abs(inc.C.coefficient_matrix(W) @ rho.values) ** 2
-    rhs = (inc.C.coefficient_matrix(W.conj().transpose(0, 2, 1) @ W)
+    lhs = np.abs(ref_coefficient_matrix(inc.C, W) @ rho.values) ** 2
+    rhs = (ref_coefficient_matrix(inc.C, W.conj().transpose(0, 2, 1) @ W)
            @ rho.values).real
     scale = np.maximum(1.0, np.abs(rhs))
     bad = np.flatnonzero((lhs > TOL * scale)

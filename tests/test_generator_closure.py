@@ -2,8 +2,15 @@
 returns is the one the all-products loop (``ref_generate_rows``) converges
 to, on block algebras, shifts and conjugated generic elements; closed seed
 spans come back unchanged; no product is formed once the span is M_n; and
-the dimension cap is checked on the seed span and before each round."""
+the dimension cap is checked on the seed span and before each round.
 
+The all-products loop runs once per case: the span of the conjugated
+generators u g u* is u A u*.  Each closed algebra is checked by the
+batched ``batched_check_star_algebra``, and up to ``LOOP_CHECK_DIM`` by
+the per-pair loop ``ref_check_star_algebra`` too, which the batched one
+matches on broken spans."""
+
+import functools
 import json
 
 import numpy as np
@@ -14,6 +21,7 @@ from cartankit import cli
 from cartankit.errors import DimensionOverflow
 from cartankit.matalg import (
     _PRODUCT_CHUNK,
+    FdStarAlgebra,
     _algebra_from_rows,
     _round_residuals,
     _vec,
@@ -22,9 +30,17 @@ from cartankit.matalg import (
 )
 from cartankit.serialize import inclusion_to_json
 from conftest import E, mndn_inclusion
-from test_stacked_kernel import ref_check_star_algebra, ref_generate_rows
+from test_stacked_kernel import (
+    batched_check_star_algebra,
+    ref_check_star_algebra,
+    ref_generate_rows,
+)
 
 TOL = 1e-10
+#: Largest closed dimension the per-pair loop checker is run on: it makes
+#: d^2 ``span_residual`` calls, 0.2 s at d = 64 and over 1 s at d = 128
+#: (2-vCPU x86-64).
+LOOP_CHECK_DIM = 36
 
 
 def _unitary(n, seed):
@@ -89,19 +105,50 @@ for _k, _m in ((4, 2), (3, 4), (8, 2)):
                   [np.kron(g, np.eye(_m)) for g in _chain((_k,))], _k * _k))
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_rows(name):
+    """``ref_generate_rows`` on the case's generators, run once."""
+    _, n, gens, _ = next(c for c in CASES if c[0] == name)
+    return ref_generate_rows(n, gens)
+
+
 @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conj"])
 @pytest.mark.parametrize("name,n,gens,dim", CASES,
                          ids=[c[0] for c in CASES])
 def test_matches_all_products_reference(name, n, gens, dim, conjugated):
+    rows = _reference_rows(name)
     if conjugated:
         u = _unitary(n, n)
         gens = [u @ g @ u.conj().T for g in gens]
+        rows = _vec(u @ rows.reshape(-1, n, n) @ u.conj().T)
     A = generate_star_algebra(n, gens)
-    rows = ref_generate_rows(n, gens)
     assert A.dim == rows.shape[0] == dim
     assert np.abs(A.basis_rows.T @ A.basis_rows.conj()
                   - rows.T @ rows.conj()).max() < TOL
-    assert ref_check_star_algebra(A) == []
+    assert batched_check_star_algebra(A) == []
+    if A.dim <= LOOP_CHECK_DIM:
+        assert ref_check_star_algebra(A) == []
+
+
+def _broken(A):
+    """Spans that are no *-algebra with an orthonormal basis: a direction
+    dropped (the unit's, the last one), and one basis element scaled."""
+    scaled = (2 * A.basis[0],) + A.basis[1:]
+    return [FdStarAlgebra(A.ambient_dim, b, A.unit)
+            for b in (A.basis[1:], A.basis[:-1], scaled)]
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES if c[1] <= 8])
+def test_batched_checker_matches_loop(name):
+    """The batched checker lists what the loop lists (residuals aside),
+    in the same order, on closed algebras and on broken spans."""
+    _, n, gens, _ = next(c for c in CASES if c[0] == name)
+    A = generate_star_algebra(n, gens)
+    kinds = lambda bad: [m.split(" (residual")[0] for m in bad]
+    lists = [(kinds(batched_check_star_algebra(B)),
+              kinds(ref_check_star_algebra(B))) for B in [A] + _broken(A)]
+    assert all(got == want for got, want in lists)
+    assert lists[0][0] == [] and all(got for got, _ in lists[1:])
 
 
 def _count(monkeypatch, name):

@@ -43,6 +43,7 @@ from conftest import (
     random_coboundary,
     random_function,
     random_twist_corpus,
+    ref_delta_images,
 )
 from test_acceptance import _oracle_block_structure
 from test_reduced import ref_function_of
@@ -178,7 +179,7 @@ class TestFunctionOf:
                 R = realize(T, k)
                 M = rng.standard_normal((R.total_dim,) * 2) \
                     + 1j * rng.standard_normal((R.total_dim,) * 2)
-                want, *_ = np.linalg.lstsq(R._delta_images.T, M.ravel(),
+                want, *_ = np.linalg.lstsq(ref_delta_images(R).T, M.ravel(),
                                            rcond=None)
                 got = ref_function_of(R, M).values
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -277,6 +278,9 @@ class TestZeroAlgebra:
         R = realize(trivial_twist(build_groupoid([], [], [], {})))
         assert R.total_dim == 0
         assert R.block_structure() == ()
+        # read off the (empty) pattern: the zero algebra, no norms
+        assert R.algebra.dim == R.diagonal.dim == len(R.delta_norms()) == 0
+        assert block_structure(R.algebra) == ()
         for n in (0, 3):
             zero = FdStarAlgebra(ambient_dim=n, basis=(),
                                  unit=np.zeros((n, n), dtype=complex))

@@ -21,14 +21,14 @@ from cartankit.twist import (
     trivial_twist,
     unit_function,
 )
-from conftest import random_function, random_twist_corpus
+from conftest import random_function, random_twist_corpus, ref_delta_images
 
 
 def ref_function_of(R, M):
     """Invert the representation on its image.  The delta images have
     disjoint supports, so they are HS-orthogonal and the orthogonal
     projection onto the image has coefficients <M, delta_g>/|delta_g|^2."""
-    rows = R._delta_images
+    rows = ref_delta_images(R)
     coeffs = rows.conj() @ np.asarray(M, dtype=complex).ravel()
     return EquivariantFunction(R.twist, R.degree,
                                coeffs / np.linalg.norm(rows, axis=1) ** 2)

@@ -47,13 +47,15 @@ from cartankit.matalg import (
     relative_commutant,
     row_span,
     span_residual,
+    span_residuals,
 )
 from cartankit.reduced import groupoid_inclusion, is_cartan_pair, realize, \
     reduced_norm
 from cartankit.serialize import inclusion_to_json, twist_to_json
 from cartankit.twist import delta
 from conftest import k4_nontrivial_sigma, m2c_inclusion, mndn_inclusion, \
-    random_coboundary, random_twist_corpus
+    random_coboundary, random_twist_corpus, ref_coefficient_matrix, \
+    ref_element, ulps_apart
 from test_envelope import diagonal_scalar_inclusion
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cartankit"
@@ -107,21 +109,21 @@ def ref_transported_cm(inc, rho, v):
     """The coefficient-matrix transport the density path replaced: the
     d x d coefficients of the stack v* S v, applied to rho's values."""
     vh = v.conj().T
-    return inc.C.coefficient_matrix(vh @ inc.C.stack @ v) @ rho.values \
-        / rho(vh @ v).real
+    return ref_coefficient_matrix(inc.C, vh @ inc.C.stack @ v) \
+        @ rho.values / rho(vh @ v).real
 
 
 def ref_eigenfunctional_cm(inc, v, f):
     """The coefficient-matrix eigenfunctional: coefficients of v* S."""
     root = np.sqrt(complex(f(v.conj().T @ v)).real)
-    return inc.C.coefficient_matrix(v.conj().T @ inc.C.stack) @ f.values \
-        / root
+    return ref_coefficient_matrix(inc.C, v.conj().T @ inc.C.stack) \
+        @ f.values / root
 
 
 def ref_range_cm(phi):
     """The coefficient-matrix range state: coefficients of S v."""
     C = phi.inclusion.C
-    return C.coefficient_matrix(C.stack @ phi.v) @ phi.values \
+    return ref_coefficient_matrix(C, C.stack @ phi.v) @ phi.values \
         / complex(phi(phi.v))
 
 
@@ -207,6 +209,34 @@ def ref_check_star_algebra(A, eps=EPS):
     for i, b in enumerate(A.basis):
         if hs_norm(A.unit @ b - b) >= eps or hs_norm(b @ A.unit - b) >= eps:
             bad.append(f"unit does not act as identity on basis element {i}")
+    gram = rows @ rows.conj().T
+    if np.max(np.abs(gram - np.eye(A.dim))) >= eps:
+        bad.append("basis not HS-orthonormal")
+    return bad
+
+
+def batched_check_star_algebra(A, eps=EPS):
+    """``ref_check_star_algebra``'s list, the products and adjoints measured
+    a stack at a time: a_i times the whole basis per step, so memory stays
+    at d n^2."""
+    rows, S = A.basis_rows, A.stack
+    Sh = S.conj().transpose(0, 2, 1)
+    adjoint = span_residuals(rows, Sh.reshape(A.dim, -1))
+    bad = []
+    for i, a in enumerate(S):
+        bad += [f"product of basis elements {i},{j} leaves span "
+                f"(residual {r:.2e})" for j, r in enumerate(
+                    span_residuals(rows, (a @ S).reshape(A.dim, -1)))
+                if r >= eps]
+        if adjoint[i] >= eps:
+            bad.append(f"adjoint of basis element {i} leaves span "
+                       f"(residual {adjoint[i]:.2e})")
+    if span_residual(rows, A.unit) >= eps:
+        bad.append("unit not in span of basis")
+    acts = np.maximum(np.linalg.norm(A.unit @ S - S, axis=(1, 2)),
+                      np.linalg.norm(S @ A.unit - S, axis=(1, 2)))
+    bad += [f"unit does not act as identity on basis element {i}"
+            for i in np.flatnonzero(acts >= eps)]
     gram = rows @ rows.conj().T
     if np.max(np.abs(gram - np.eye(A.dim))) >= eps:
         bad.append("basis not HS-orthonormal")
@@ -452,11 +482,11 @@ class TestChecks:
     def test_is_normalizer(self, inc):
         rng = np.random.default_rng(5)
         cands = _normalizers(inc) + list(inc.C.basis)
-        cands += [inc.C.element(rng.standard_normal(inc.C.dim))
+        cands += [ref_element(inc.C, rng.standard_normal(inc.C.dim))
                   for _ in range(3)]
         # normalizers moved inside C by 1e-6: refused at the default
         # tolerance, accepted at 1e-5
-        cands += [v + 1e-6 * inc.C.element(rng.standard_normal(inc.C.dim))
+        cands += [v + 1e-6 * ref_element(inc.C, rng.standard_normal(inc.C.dim))
                   / np.sqrt(inc.C.dim) for v in _normalizers(inc)]
         verdicts = []
         for v in cands:
@@ -476,7 +506,7 @@ class TestChecks:
         rng = np.random.default_rng(7)
         good = _normalizers(inc)
         bad = [v for v in list(inc.C.basis) + [
-            inc.C.element(rng.standard_normal(inc.C.dim))]
+            ref_element(inc.C, rng.standard_normal(inc.C.dim))]
             if not ref_is_normalizer(inc, v)]
         outside = [m for m in (rng.standard_normal((n, n)) for _ in range(3))
                    if not inc.C.contains(m, 1e-7)]
@@ -531,7 +561,7 @@ class TestChecks:
     def test_generate_star_algebra(self, inc):
         n = inc.C.ambient_dim
         rng = np.random.default_rng(8)
-        generic = inc.C.element(rng.standard_normal(inc.C.dim))
+        generic = ref_element(inc.C, rng.standard_normal(inc.C.dim))
         for gens in (list(inc.normalizer_gens) + list(inc.D.basis),
                      [generic]):
             A = generate_star_algebra(n, gens)
@@ -671,10 +701,12 @@ def _norm_twists():
 
 @pytest.mark.parametrize("degree", [1, -1])
 def test_delta_norms_match_reduced_norm(degree):
+    """Two algorithms, the largest |entry| and an SVD per orbit block:
+    they agree to 8 units in the last place."""
     for T in _norm_twists():
         R = realize(T, degree)
         want = [reduced_norm(delta(T, degree, a)) for a in T.groupoid.arrows]
-        assert list(R.delta_norms()) == want
+        assert ulps_apart(R.delta_norms(), want).max() <= 8
 
 
 def test_cstar_norm_table(tmp_path, capsys):
@@ -731,7 +763,7 @@ CORNER_BATCHED = ["Inclusion.char", "Inclusion._chars", "_beta_targets",
                   "fixed_set_check", "PseudoExpectation.apply"]
 
 STACKED = {
-    "matalg.py": ["contains_all", "coefficient_matrix", "subspace_equals",
+    "matalg.py": ["contains_all", "subspace_equals",
                   "is_subalgebra_of", "is_abelian", "generate_star_algebra",
                   "_round_residuals", "relative_commutant",
                   "minimal_projections", "block_structure",
