@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     CoverNotCertified,
     EnvelopeAbsent,
+    InvalidMode,
     NotComposable,
     NotCovering,
     NotInvariant,
@@ -134,9 +135,9 @@ def build_cover(inc: Inclusion, mode: str = "strongly_compatible",
     states are compatible (``is_compatible_state``) and invariant
     (``_is_invariant``), both decided exactly."""
     if mode not in ("strongly_compatible", "custom"):
-        raise ValueError(f"unknown cover mode {mode!r}")
+        raise InvalidMode(f"unknown cover mode {mode!r}")
     if (mode == "custom") != (F is not None):
-        raise ValueError(f"cover mode {mode!r} " + (
+        raise InvalidMode(f"cover mode {mode!r} " + (
             "needs the states F" if F is None else "takes no states F"))
     F = tuple(F) if mode == "custom" else strongly_compatible(inc)
     corners = {rho.corner_index for rho in F}

@@ -73,6 +73,11 @@ class FactorizationPropertyFails(CartanKitError):
     pass
 
 
+class SigmaUndefined(CartanKitError):
+    """sigma has no value at a composable pair (only tables that fail
+    validation get here)."""
+
+
 class OutsideFibers(CartanKitError):
     """A product of realized arrows leaves the realized fibers, or the
     deltas that ``delta_norms``, ``algebra`` and ``diagonal`` read are no
@@ -138,6 +143,11 @@ class NotNested(CartanKitError):
 
 class EnvelopeAbsent(CartanKitError):
     pass
+
+
+class InvalidMode(CartanKitError, ValueError):
+    """A mode outside a function's choices, or arguments its mode does
+    not take; a ValueError too, so callers catching that still catch it."""
 
 
 # --- I/O layer ---

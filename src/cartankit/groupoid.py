@@ -662,23 +662,27 @@ def invariant_signature(G: FiniteGroupoid):
             tuple(degree_profile))
 
 
-def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid,
-                     max_arrows: int = 12):
+#: The most arrows ``find_isomorphism`` searches exhaustively.
+ISOMORPHISM_SEARCH_ARROWS = 12
+
+
+def find_isomorphism(G1: FiniteGroupoid, G2: FiniteGroupoid):
     """Exhaustive isomorphism search for small groupoids.
 
     Returns an arrow bijection dict, or None when there is none.  Above
-    max_arrows there is no search: a signature mismatch returns None,
-    equal tables return the identity, and anything else raises
-    IsomorphismUndecided.
+    ``ISOMORPHISM_SEARCH_ARROWS`` there is no search: a signature mismatch
+    returns None, equal tables return the identity, and anything else
+    raises IsomorphismUndecided.
     """
     if invariant_signature(G1) != invariant_signature(G2):
         return None
-    if len(G1.arrows) > max_arrows:
+    if len(G1.arrows) > ISOMORPHISM_SEARCH_ARROWS:
         if G1 == G2:  # equal tables: the identity is an isomorphism
             return {a: a for a in G1.arrows}
         raise IsomorphismUndecided(
             f"{len(G1.arrows)} arrows is past the exhaustive search's "
-            f"{max_arrows}, and the invariant signatures agree")
+            f"{ISOMORPHISM_SEARCH_ARROWS}, and the invariant signatures "
+            "agree")
 
     def compat(u_map, a_map, a, b):
         if u_map.get(G1.src[a], G2.src[b]) != G2.src[b]:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegreeMismatch,
     FactorizationPropertyFails,
+    SigmaUndefined,
     TwistMismatch,
     UnknownArrow,
 )
@@ -46,8 +47,12 @@ class CocycleTwist:
     def sigma_vector(self) -> np.ndarray:
         """sigma at each pair of ``groupoid.arrays``, in pair order."""
         pairs = self.groupoid.arrays.pairs
-        return np.fromiter(map(self.sigma.__getitem__, pairs), complex,
-                           len(pairs))
+        try:
+            return np.fromiter(map(self.sigma.__getitem__, pairs), complex,
+                               len(pairs))
+        except KeyError as exc:
+            raise SigmaUndefined("sigma is not defined at the composable "
+                                 f"pair {exc.args[0]!r}") from None
 
     def phases(self, k: int) -> np.ndarray:
         """Structure phases c_k of degree-k multiplication, per pair."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidMode,
     NoConditionalExpectation,
     NotInDomain,
     NotRegular,
@@ -43,6 +44,8 @@ def _ratio(a: np.ndarray, b: np.ndarray):
 def germ_equal(inc: Inclusion, v, w, i: int, mode: str = "RT") -> bool:
     """Same germ at corner i: proportional corner slices, with positive
     ratio in mode R1 and any nonzero ratio in mode RT."""
+    if mode not in ("R1", "RT"):
+        raise InvalidMode(f"unknown germ mode {mode!r}")
     v = _require_normalizer(inc, v)
     w = _require_normalizer(inc, w)
     a = v @ inc.min_projs[i]
@@ -56,9 +59,7 @@ def germ_equal(inc: Inclusion, v, w, i: int, mode: str = "RT") -> bool:
         return False
     if mode == "R1":
         return abs(lam.imag) < RANK_TOL and lam.real > 0
-    if mode == "RT":
-        return True
-    raise ValueError(f"unknown germ mode {mode!r}")
+    return True
 
 
 def _canonical_phases(U: np.ndarray) -> np.ndarray:

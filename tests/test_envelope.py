@@ -15,6 +15,7 @@ from cartankit.envelope import (
 )
 from cartankit.errors import (
     EnvelopeAbsent,
+    InvalidMode,
     NotComposable,
     NotCovering,
     NotNested,
@@ -181,14 +182,16 @@ class TestBuildCover:
 
     def test_mode_and_states_must_agree(self, m3d3):
         """States given to the default mode, or none to "custom", are
-        refused as an unknown mode is, naming the mode."""
+        refused as an unknown mode is, naming the mode, by a typed error
+        that callers catching ValueError still catch."""
         rho = build_cover(m3d3).states[0]
-        with pytest.raises(ValueError, match="'strongly_compatible' takes"):
+        with pytest.raises(InvalidMode, match="'strongly_compatible' takes"):
             build_cover(m3d3, F=[rho])
-        with pytest.raises(ValueError, match="'custom' needs the states"):
+        with pytest.raises(InvalidMode, match="'custom' needs the states"):
             build_cover(m3d3, "custom")
-        with pytest.raises(ValueError, match="unknown cover mode 'other'"):
+        with pytest.raises(InvalidMode, match="unknown cover mode 'other'"):
             build_cover(m3d3, "other", F=[rho])
+        assert issubclass(InvalidMode, ValueError)
         assert len(build_cover(m3d3, "custom", F=build_cover(m3d3).states)
                    .states) == 3
 

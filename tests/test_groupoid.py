@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cartankit.groupoid
 from cartankit.errors import (
     IsomorphismUndecided,
     NotASubgroupoid,
@@ -131,9 +132,9 @@ class TestIsomorphism:
     def test_signature_distinguishes(self, pair2, k4):
         assert invariant_signature(pair2) != invariant_signature(k4)
 
-    def test_past_the_search_a_signature_is_no_proof(self):
-        """Above max_arrows a signature mismatch is None, equal tables are
-        the identity, and anything else is undecided."""
+    def test_past_the_search_a_signature_is_no_proof(self, monkeypatch):
+        """Above the search's arrow count a signature mismatch is None,
+        equal tables are the identity, and anything else is undecided."""
         G = cyclic_groupoid(16)
         H = disjoint_union(cyclic_groupoid(8), cyclic_groupoid(8))
         assert invariant_signature(G) != invariant_signature(H)
@@ -142,9 +143,10 @@ class TestIsomorphism:
             find_isomorphism(G, cyclic_groupoid(16, prefix="d"))
         assert find_isomorphism(G, cyclic_groupoid(16)) == {
             a: a for a in G.arrows}
+        monkeypatch.setattr(cartankit.groupoid, "ISOMORPHISM_SEARCH_ARROWS",
+                            3)
         with pytest.raises(IsomorphismUndecided):
-            find_isomorphism(pair_groupoid(2), pair_groupoid(2, prefix="v"),
-                             max_arrows=3)
+            find_isomorphism(pair_groupoid(2), pair_groupoid(2, prefix="v"))
 
     def test_isomorphism_respects_structure(self, k4):
         other = klein_four_groupoid(unit="u", prefix="m")

@@ -11,6 +11,7 @@ values within 1e-12 and exactly equal structure constants.
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 import cartankit
 from cartankit.cli import main
 from cartankit.envelope import envelope_uniqueness_crosscheck
+from cartankit.errors import SigmaUndefined
 from cartankit.groupoid import (
     cyclic_groupoid,
     disjoint_union,
@@ -27,7 +29,8 @@ from cartankit.groupoid import (
     pair_groupoid,
     validate,
 )
-from cartankit.reduced import realize, regular_representation
+from cartankit.reduced import is_cartan_pair, realize, \
+    regular_representation
 from cartankit.serialize import groupoid_to_json, twist_to_json
 from cartankit.twist import (
     COCYCLE_TOL,
@@ -365,6 +368,18 @@ class TestAgainstLoops:
         sigma[key] = sigma[key] * 1j
         T = CocycleTwist(G, sigma)
         assert validate_cocycle(T) == ref_validate_cocycle(T) != []
+
+    @pytest.mark.parametrize("T", [T for label, T in _corrupted_twists()
+                                   if label == "keys"],
+                             ids=lambda T: f"{len(T.groupoid.arrows)}arrows")
+    def test_missing_sigma_pair_is_typed(self, T):
+        """The phases and the Cartan certificate of a sigma that lacks a
+        composable pair raise the typed error, naming the pair."""
+        missing, = set(T.groupoid.arrays.pairs) - set(T.sigma)
+        for read in (lambda: T.phases(1), lambda: is_cartan_pair(realize(T))):
+            with pytest.raises(SigmaUndefined,
+                               match=re.escape(repr(missing))):
+                read()
 
 
 # --- invalid tables reach a report, not a traceback ---------------------------------

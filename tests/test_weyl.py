@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cartankit.errors import (
+    InvalidMode,
     NoConditionalExpectation,
     NotInDomain,
     NotRegular,
@@ -51,6 +52,14 @@ class TestGermEqual:
         i = corner_of(m2d2, E(0, 0, 2))
         with pytest.raises(NotInDomain):
             germ_equal(m2d2, E(0, 1, 2), E(0, 1, 2), i)
+
+    def test_unknown_mode_refused(self, m2d2):
+        """An unknown mode is refused before the germs are compared, also
+        where they differ."""
+        i = corner_of(m2d2, E(1, 1, 2))
+        for v, w in ((E(0, 1, 2), E(0, 1, 2)), (E(0, 1, 2), E(1, 0, 2))):
+            with pytest.raises(InvalidMode, match="unknown germ mode 'R2'"):
+                germ_equal(m2d2, v, w, i, mode="R2")
 
     def test_positive_scaling_keeps_r1(self, m2d2):
         v = E(0, 1, 2)
