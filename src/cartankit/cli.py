@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--degree", type=int, choices=(-1, 1), default=1)
     p.add_argument("--cap", type=int, default=DIM_CAP,
-                   help="dimension cap for generated algebras")
+                   help="dimension cap for generated algebras (>= 1)")
     sub = p.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
         cp = sub.add_parser(name, help=cmd.__doc__)
@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not (1e-14 <= args.tolerance <= 1e-4):
         sys.stderr.write("tolerance out of range [1e-14, 1e-4]\n")
+        return EXIT_INPUT
+    if args.cap < 1:
+        sys.stderr.write("cap out of range: must be at least 1\n")
         return EXIT_INPUT
     try:
         fields, code = _COMMANDS[args.command](args)

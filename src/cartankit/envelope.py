@@ -338,7 +338,7 @@ def cartan_envelope(inc: Inclusion) -> EnvelopeCertificate:
     give rho_i(x*x) = ||x p_i||_HS^2 / tr p_i, which vanish for all i only
     at x = x sum p_i = 0."""
     if not inc.regular:
-        raise NotRegular("Cartan envelope requires a regular inclusion")
+        raise NotRegular("Cartan envelope", inc._irregular_slice)
     pe = pseudo_expectations(inc)
     dc_abelian = all(c.extreme_states for c in pe.corners)
     dc_ess = len(inc.commutant_blocks) == inc.n_corners

@@ -96,7 +96,13 @@ class NotANormalizer(CartanKitError):
 
 
 class NotRegular(CartanKitError):
-    pass
+    """N(C, D) does not generate C; the witness is the first failing slice."""
+
+    def __init__(self, what, witness):
+        i, j, d, a, b, r, s = self.witness = witness
+        super().__init__(f"{what} requires a regular inclusion: dim p_{j} C "
+                         f"p_{i} = {d}, dim A_{i} = {a}, dim A_{j} = {b}, "
+                         f"rank p_{i} = {r}, rank p_{j} = {s}")
 
 
 class NotInvariant(CartanKitError):

@@ -70,7 +70,6 @@ from .matalg import (
     _as_matrix,
     _vec,
     central_projections,
-    generate_star_algebra,
     hs_norm,
     ideal_from_subspace,
     minimal_projections,
@@ -86,8 +85,8 @@ _NORMALIZER_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class Inclusion:
-    """An ambient algebra C with distinguished abelian subalgebra D and a
-    generating set of verified normalizers."""
+    """An ambient algebra C with distinguished abelian subalgebra D, and
+    normalizers that ``make_inclusion`` checks and no verdict reads."""
 
     C: FdStarAlgebra
     D: FdStarAlgebra
@@ -147,30 +146,21 @@ class Inclusion:
         Q = self._ranges.transpose(1, 0, 2).reshape(n, m * r)
         return (Q.conj().T @ self.C.stack @ Q).reshape(-1, m, r, m, r)
 
-    def _slice_spans(self, keys) -> dict:
-        """{(i, j): orthonormal rows spanning Q_j* (p_j C p_i) Q_i} over the
-        keys, from one batched ``row_span`` per block shape.  Q_j* Q_j = 1
-        and p_j x p_i = Q_j (Q_j* x Q_i) Q_i*, so x -> Q_j* x Q_i is an HS
-        isometry on p_j C p_i: the blocks have the singular values, hence
-        every rank cut, of the full-width rows p_j b p_i."""
-        W, r = self._compressed_basis, self._ranks
-        keys = np.array(keys, dtype=np.intp).reshape(-1, 2)
-        rj, ri = r[keys[:, 1]], r[keys[:, 0]]
+    @cached_property
+    def _slice_spans(self) -> dict:
+        """{(i, j): orthonormal rows spanning Q_j* (p_j C p_i) Q_i} over all
+        m^2 corner pairs, keys in order (see the module docstring)."""
+        W, r, m = self._compressed_basis, self._ranks, self.n_corners
+        i, j = np.divmod(np.arange(m * m), m)
         out = {}
-        for a, b in sorted(set(zip(rj.tolist(), ri.tolist()))):
-            sel = keys[(rj == a) & (ri == b)]
+        for a, b in sorted(set(zip(r[j].tolist(), r[i].tolist()))):
+            sel = np.flatnonzero((r[j] == a) & (r[i] == b))
             # the two index arrays are split by a slice, so numpy puts
             # their axis first: blocks is (k, d, a, b)
-            blocks = W[:, sel[:, 1], :a, sel[:, 0], :b]
-            out.update(zip(map(tuple, sel.tolist()), row_span(
+            blocks = W[:, j[sel], :a, i[sel], :b]
+            out.update(zip(sel.tolist(), row_span(
                 blocks.reshape(len(sel), len(W), a * b))))
-        return out
-
-    @cached_property
-    def _corner_rows(self) -> tuple:
-        """Orthonormal rows spanning Q_i* (p_i C p_i) Q_i, per corner."""
-        spans = self._slice_spans([(i, i) for i in range(self.n_corners)])
-        return tuple(spans[(i, i)] for i in range(self.n_corners))
+        return {divmod(k, m): out[k] for k in range(m * m)}
 
     @cached_property
     def _slice_blocks(self) -> tuple | None:
@@ -180,21 +170,18 @@ class Inclusion:
         has u*u = p_i and uu* = p_j; None when some corner is not scalar."""
         if not self.scalar_corners:
             return None
-        m, r = self.n_corners, self._ranks
-        spans = self._slice_spans([(i, j) for i in range(m)
-                                   for j in range(m) if i != j])
-        spans.update(((i, i), rows) for i, rows in enumerate(self._corner_rows))
-        keys = sorted(key for key, rows in spans.items() if len(rows))
-        X = np.zeros((len(keys),) + self._ranges.shape[2:] * 2, dtype=complex)
-        for k, (i, j) in enumerate(keys):
-            rows = spans[(i, j)]
+        r = self._ranks
+        spans = {key: rows for key, rows in self._slice_spans.items()
+                 if len(rows)}
+        X = np.zeros((len(spans),) + self._ranges.shape[2:] * 2, dtype=complex)
+        for k, ((i, j), rows) in enumerate(spans.items()):
             if len(rows) > 1:
                 raise NumericalRankAmbiguity(
                     f"slice p_{j} C p_{i} has rank {len(rows)} although "
                     "every corner is scalar")
             # rows[0] has unit HS norm, so x*x = p_i / rank p_i
             X[k, :r[j], :r[i]] = rows[0].reshape(r[j], r[i]) * np.sqrt(r[i])
-        return keys, X
+        return list(spans), X
 
     @cached_property
     def corner_slices(self) -> dict | None:
@@ -202,12 +189,10 @@ class Inclusion:
         the slice and scaled so that u*u = p_i and uu* = p_j; None when
         some corner p_i C p_i is not scalar.
 
-        With scalar corners each slice has dimension <= 1: for x != 0 in
-        it xx* = a p_j with a > 0, and any y in it has y*x in C p_i, so
-        some z = y - lam x has z*x = 0, which forces a z = xx*z = 0.  The
-        nonzero slice elements are normalizers, and each v p_i of a
-        normalizer v lies in one slice: the slices are the classes.
-        """
+        With scalar corners |m_i|^2 = dim A_i = 1 in ``regular``'s proof,
+        so a nonzero slice has dimension <m_i, m_j> = 1, joins equivalent
+        corners and is spanned by a normalizer; each v p_i of a normalizer
+        v lies in one slice: the slices are the classes."""
         if self._slice_blocks is None:
             return None
         keys, X = self._slice_blocks
@@ -225,15 +210,38 @@ class Inclusion:
     @cached_property
     def scalar_corners(self) -> bool:
         """Every corner is C p_i: the pseudo-expectation is unique."""
-        return all(len(rows) == 1 for rows in self._corner_rows)
+        return all(len(self._slice_spans[i, i]) == 1
+                   for i in range(self.n_corners))
 
     @cached_property
     def regular(self) -> bool:
-        gens = list(self.normalizer_gens) + list(self.D.basis)
-        if not gens:
-            return self.C.dim == 1
-        A = generate_star_algebra(self.C.ambient_dim, gens)
-        return A.subspace_equals(self.C)
+        """N(C, D) generates C iff every nonzero slice p_j C p_i has rank p_i
+        = rank p_j and (dim p_j C p_i)^2 = dim A_i dim A_j, A_i = p_i C p_i.
+
+        A normalizer's piece x = p_j v p_i has xx* in C p_j and x*x in C p_i
+        (p_i, p_j are minimal in D), with one nonzero spectrum: x != 0 is a
+        multiple of a partial isometry u, u*u = p_i, uu* = p_j.  Given such
+        a u, p_j C p_i = u A_i is spanned by the normalizers u w, w unitary
+        in A_i.  N(C, D) is closed under products and adjoints, so C*(N) is
+        the sum of the slices between equivalent corners.  With m_i the
+        ranks of p_i in C's simple summands, of multiplicities mu_k >= 1 in
+        M_n: dim p_j C p_i = <m_i, m_j>, dim A_i = |m_i|^2, rank p_i =
+        <mu, m_i>, and p_i ~ p_j iff m_i = m_j.  By Cauchy-Schwarz the
+        square test holds iff m_j = lam m_i, lam > 0: lam = 1 by the ranks."""
+        return self._irregular_slice is None
+
+    @cached_property
+    def _irregular_slice(self) -> tuple | None:
+        """The first slice, keys in order, that fails ``regular``'s test, as
+        (i, j, dim p_j C p_i, dim A_i, dim A_j, rank p_i, rank p_j); None
+        when (C, D) is regular."""
+        dims = {key: len(rows) for key, rows in self._slice_spans.items()}
+        r = self._ranks.tolist()
+        for (i, j), d in dims.items():
+            a, b = dims[i, i], dims[j, j]
+            if d and (r[i] != r[j] or d * d != a * b):
+                return i, j, d, a, b, r[i], r[j]
+        return None
 
     @cached_property
     def commutant_of_D(self) -> FdStarAlgebra:
@@ -508,7 +516,7 @@ class CornerDescriptor:
 
 def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
     """p_i C p_i: the compressed corner Q_i* C Q_i, lifted by Q_i."""
-    rows, r = inc._corner_rows[i], inc._ranks[i]
+    rows, r = inc._slice_spans[i, i], inc._ranks[i]
     Q = inc._ranges[i, :, :r]
     return _algebra_from_rows(
         inc.C.ambient_dim, _vec(Q @ rows.reshape(-1, r, r) @ Q.conj().T),
@@ -535,14 +543,13 @@ def is_compatible_state(inc: Inclusion, rho: ModState, word_bound=None):
     """|rho(v)|^2 in {0, rho(v*v)} for every normalizer v, decided exactly:
     it holds iff rho is a character of A_i = p_i C p_i (i its corner).
 
-    For a normalizer v, v p_i v* is a multiple of a single p_j, since p_i
-    is minimal in D; so v p_i = c u with u in p_j C p_i, u*u = p_i and
-    uu* = p_j.  Hence rho(v) = 0 unless j = i, and then u is a unitary of
-    A_i with rho(v*v) = |c|^2: characters are compatible.  Conversely
-    every unitary u of A_i is a normalizer and U(A_i) is connected, so
-    |rho(u)| in {0, 1} with rho(p_i) = 1 forces |rho(u)|^2 = 1 = rho(u*u)
-    on all of U(A_i).  That puts every unitary in rho's multiplicative
-    domain, and the unitaries span A_i.
+    For a normalizer v, v p_i = c u with u in p_j C p_i, u*u = p_i and
+    uu* = p_j (``Inclusion.regular``).  Hence rho(v) = 0 unless j = i, and
+    then u is a unitary of A_i with rho(v*v) = |c|^2: characters are
+    compatible.  Conversely every unitary u of A_i is a normalizer and
+    U(A_i) is connected, so |rho(u)| in {0, 1} with rho(p_i) = 1 forces
+    |rho(u)|^2 = 1 = rho(u*u) on all of U(A_i).  That puts every unitary
+    in rho's multiplicative domain, and the unitaries span A_i.
 
     The test is the rank-one Gram rho(a*b) = conj(rho(a)) rho(b) on A_i's
     basis: the PSD defect has top eigenvalue lam <= ``STATE_TOL``.  Otherwise
@@ -578,12 +585,11 @@ def _transport_reps(inc: Inclusion) -> dict:
     (as u needs) is 0; the first nonzero one is named in the refusal."""
     if inc.corner_slices is not None:
         return inc.corner_slices
-    m, r = inc.n_corners, inc._ranks
-    spans = inc._slice_spans([(i, j) for i in range(m) for j in range(m)
-                              if i != j and r[i] == r[j]])
-    for i, j in sorted(key for key, rows in spans.items() if len(rows)):
-        raise InvarianceUndecided("no partial isometry is built between "
-                                  f"the non-scalar corners {i} and {j}")
+    r = inc._ranks
+    for (i, j), rows in inc._slice_spans.items():
+        if i != j and r[i] == r[j] and len(rows):
+            raise InvarianceUndecided("no partial isometry is built between "
+                                      f"the non-scalar corners {i} and {j}")
     return {(i, i): p for i, p in enumerate(inc.min_projs)}
 
 
@@ -658,7 +664,7 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
 def left_kernel(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace:
     """L(C, D) = {x : E(x*x) = 0}; an ideal for regular inclusions."""
     if not inc.regular:
-        raise NotRegular("left kernel requires a regular inclusion")
+        raise NotRegular("left kernel", inc._irregular_slice)
     return _left_kernel_subspace(inc, E)
 
 

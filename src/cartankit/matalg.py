@@ -184,12 +184,6 @@ class FdStarAlgebra:
                 f"expected a stack of ({n},{n}) matrices, got shape {m.shape}")
         return m.reshape(len(m), n * n)
 
-    def subspace_equals(self, other: "FdStarAlgebra", eps: float = EPS) -> bool:
-        if self.dim != other.dim:
-            return False
-        return other.contains_all(self.stack, eps) and \
-            self.contains_all(other.stack, eps)
-
     def is_subalgebra_of(self, other: "FdStarAlgebra", eps: float = EPS) -> bool:
         return other.contains_all(self.stack, eps)
 

@@ -107,7 +107,7 @@ def weyl_twist(inc: Inclusion) -> WeylTwistResult:
     only provably agree for MASA inclusions.
     """
     if not inc.regular:
-        raise NotRegular("Weyl twist requires a regular inclusion")
+        raise NotRegular("Weyl twist", inc._irregular_slice)
     slices = inc.corner_slices if inc.is_masa else None
     if slices is None:
         raise NoConditionalExpectation(

@@ -16,6 +16,7 @@ from cartankit.groupoid import (
 from cartankit.errors import OutsideFibers
 from cartankit.inclusion import make_inclusion
 from cartankit.matalg import (
+    EPS,
     FdStarAlgebra,
     _algebra_from_rows,
     _vec,
@@ -46,6 +47,22 @@ def k4_nontrivial_sigma(K):
     return CocycleTwist(K, {p: val(*p) for p in K.compose_table})
 
 
+def subspace_equals(A, B, eps=EPS):
+    """A and B span one subspace: equal dimensions, and each contains the
+    other's basis (left the package with the closure-based regularity)."""
+    return A.dim == B.dim and B.contains_all(A.stack, eps) and \
+        A.contains_all(B.stack, eps)
+
+
+def ref_regular(inc):
+    """The closure-based regularity that ``Inclusion.regular`` replaced:
+    C*(listed normalizers and D) equals C.  It decides regularity only
+    when the list generates C*(N(C, D))."""
+    gens = list(inc.normalizer_gens) + list(inc.D.basis)
+    return subspace_equals(generate_star_algebra(inc.C.ambient_dim, gens),
+                           inc.C)
+
+
 def mndn_inclusion(n):
     units = [E(i, j, n) for i in range(n) for j in range(n)]
     C = generate_star_algebra(n, units)
@@ -71,6 +88,26 @@ def m2c_inclusion():
     C = generate_star_algebra(3, gens)
     D = generate_star_algebra(3, [np.eye(3)])
     return make_inclusion(C, D, gens)
+
+
+def unequal_rank_inclusion():
+    """M_3 over span{diag(1, 1, 0), diag(0, 0, 1)}: a rank-2 corner M_2
+    and a rank-1 corner, joined by nonzero slices that no normalizer
+    crosses, since u*u = p_i and uu* = p_j need equal ranks."""
+    C = generate_star_algebra(3, [E(i, j, 3) for i in range(3)
+                                  for j in range(3)])
+    D = generate_star_algebra(3, [np.diag([1.0, 1, 0]), np.diag([0.0, 0, 1])])
+    paulis = [np.array([[0, 1], [1, 0]]), np.diag([1, -1]),
+              np.array([[0, -1j], [1j, 0]])]
+    gens = [np.block([[u, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
+            for u in paulis] + [np.diag([1.0, 1, -1])]
+    return make_inclusion(C, D, gens)
+
+
+#: The refusal of ``unequal_rank_inclusion`` after its prefix: the slice
+#: p_1 C p_0 from the rank-1 corner C p_0 to the rank-2 corner M_2.
+UNEQUAL_RANK_WITNESS = (": dim p_1 C p_0 = 2, dim A_0 = 1, dim A_1 = 4, "
+                        "rank p_0 = 1, rank p_1 = 2")
 
 
 def ref_essential_inclusion(A: FdStarAlgebra, B: FdStarAlgebra,

@@ -76,6 +76,7 @@ from conftest import (
     ref_delta_images,
     ref_delta_norms,
     ref_diagonal,
+    subspace_equals,
     ulps_apart,
 )
 from test_table_arrays import _corrupted_groupoids, _corrupted_twists
@@ -420,7 +421,7 @@ def _same_algebra(A, B):
     assert A.dim == B.dim and A.ambient_dim == B.ambient_dim
     assert np.abs(A.basis_rows @ A.basis_rows.conj().T
                   - np.eye(A.dim)).max() < 1e-12
-    assert A.subspace_equals(B, 1e-10)
+    assert subspace_equals(A, B, 1e-10)
     assert np.array_equal(A.unit, B.unit)
 
 

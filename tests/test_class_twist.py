@@ -42,9 +42,8 @@ from cartankit.twist import (
 )
 from cartankit.weyl import _canonical_phases, weyl_twist
 from conftest import E, coboundary_twist, m2c_inclusion, mndn_inclusion, \
-    random_twist_corpus
+    random_twist_corpus, unequal_rank_inclusion
 from test_envelope import diagonal_scalar_inclusion, k4_cartan_inclusion
-from test_exact_corners import unequal_rank_inclusion
 
 
 def _state_index(cover, s):

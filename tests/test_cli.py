@@ -439,6 +439,16 @@ class TestOptionsAndDeterminism:
         assert main(["--cap", "2", "analyze", m2d2_file]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_cap_range(self, pair2_file, m2d2_file, capsys):
+        """A cap below 1 is an input error on every command, as an
+        out-of-range tolerance is; a cap of 1 is in range."""
+        for cap in ("-3", "0"):
+            for argv in (["analyze", m2d2_file], ["validate", pair2_file]):
+                assert main(["--cap", cap, *argv]) == 2
+                assert capsys.readouterr() == (
+                    "", "cap out of range: must be at least 1\n")
+        assert main(["--cap", "1", "analyze", m2d2_file]) == 3
+
     def test_deterministic_json(self, m2d2_file, capsys):
         main(["analyze", m2d2_file])
         first = capsys.readouterr().out

@@ -37,8 +37,8 @@ from cartankit.matalg import (
 )
 from cartankit.reduced import groupoid_inclusion, realize, reduced_norm
 from cartankit.twist import EquivariantFunction, delta, validate_cocycle
-from conftest import E, k4_nontrivial_sigma, mndn_inclusion, \
-    ref_essential_inclusion
+from conftest import UNEQUAL_RANK_WITNESS, E, k4_nontrivial_sigma, \
+    mndn_inclusion, ref_essential_inclusion, unequal_rank_inclusion
 
 
 def corner_of(inc, p):
@@ -324,10 +324,13 @@ class TestCartanEnvelope:
         assert not cert.dc_abelian
         assert "non-abelian" in cert.rejection_reason
 
-    def test_requires_regular(self, m2d2):
-        inc = make_inclusion(m2d2.C, m2d2.D, [])
-        with pytest.raises(NotRegular):
-            cartan_envelope(inc)
+    def test_requires_regular(self):
+        """M_3 over span{e11 + e22, e33}; the refusal names the slice."""
+        with pytest.raises(NotRegular) as err:
+            cartan_envelope(unequal_rank_inclusion())
+        assert str(err.value) == ("Cartan envelope requires a regular "
+                                  "inclusion" + UNEQUAL_RANK_WITNESS)
+        assert err.value.witness == (0, 1, 2, 1, 4, 1, 2)
 
 
 class TestCoverComparison:

@@ -20,13 +20,11 @@ from cartankit.inclusion import (
     radical_ideal,
 )
 from cartankit.matalg import hs_norm
-from cartankit.inclusion import make_inclusion
-from cartankit.matalg import generate_star_algebra
 from conftest import (
-    E,
     m2c_inclusion,
     mndn_inclusion,
     ref_coefficient_matrix,
+    unequal_rank_inclusion,
 )
 from test_corner_slices import (
     WORD_SEARCH,
@@ -92,20 +90,6 @@ def corner_states(inc, count, seed):
             rho = g @ g.conj().T
             out.append(mod_state_from_density(inc, i, rho / np.trace(rho)))
     return out
-
-
-def unequal_rank_inclusion():
-    """M_3 over span{diag(1, 1, 0), diag(0, 0, 1)}: a rank-2 corner M_2
-    and a rank-1 corner, joined by nonzero slices that no normalizer
-    crosses, since u*u = p_i and uu* = p_j need equal ranks."""
-    C = generate_star_algebra(3, [E(i, j, 3) for i in range(3)
-                                  for j in range(3)])
-    D = generate_star_algebra(3, [np.diag([1.0, 1, 0]), np.diag([0.0, 0, 1])])
-    paulis = [np.array([[0, 1], [1, 0]]), np.diag([1, -1]),
-              np.array([[0, -1j], [1j, 0]])]
-    gens = [np.block([[u, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
-            for u in paulis] + [np.diag([1.0, 1, -1])]
-    return make_inclusion(C, D, gens)
 
 
 def m2c_state(*diag):

@@ -64,7 +64,8 @@ from cartankit.twist import (
     validate_cocycle,
 )
 from cartankit.weyl import _class_twist
-from conftest import m2c_inclusion, mndn_inclusion, ref_essential_inclusion
+from conftest import m2c_inclusion, mndn_inclusion, ref_essential_inclusion, \
+    subspace_equals
 from test_cartan_certificate import _normalizes
 from test_class_twist import abelian_self_inclusion, conjugated, conjugated_m4
 from test_corner_slices import (
@@ -176,8 +177,8 @@ def ref_envelope_fields(inc, data):
         "kernel_equals_KF": ker_rows.shape[0] == KF.dim and (
             KF.dim == 0 or bool(np.all(span_residuals(
                 ker_rows, KF.basis_rows) < 1e-7))),
-        "generation": gen.subspace_equals(R.algebra, 1e-7),
-        "d1_generation": d1.subspace_equals(R.diagonal, 1e-7),
+        "generation": subspace_equals(gen, R.algebra, 1e-7),
+        "d1_generation": subspace_equals(d1, R.diagonal, 1e-7),
         "pointwise_density": rank((imgs[:, None, :] * at).reshape(-1, n)) == n,
         "theta_isomorphism": KF.dim == 0 and inc.C.dim == R.algebra.dim,
         "left_kernel_dim": _left_kernel_subspace(

@@ -31,7 +31,8 @@ from cartankit.inclusion import (
     theta,
 )
 from cartankit.matalg import NORMALIZER_TOL, generate_star_algebra, hs_norm
-from conftest import E, mndn_inclusion
+from conftest import UNEQUAL_RANK_WITNESS, E, mndn_inclusion, \
+    unequal_rank_inclusion
 from test_stacked_kernel import ref_check_mod_state, ref_transported
 
 
@@ -310,10 +311,14 @@ class TestLeftKernel:
         b = L.basis[0]
         assert hs_norm(b / b[2, 2] - E(2, 2, 3)) < 1e-8
 
-    def test_requires_regular(self, m2d2):
-        inc = make_inclusion(m2d2.C, m2d2.D, [])
-        with pytest.raises(NotRegular):
+    def test_requires_regular(self):
+        """M_3 over span{e11 + e22, e33}; the refusal names the slice."""
+        inc = unequal_rank_inclusion()
+        with pytest.raises(NotRegular) as err:
             left_kernel(inc, canonical_expectation(inc))
+        assert str(err.value) == ("left kernel requires a regular "
+                                  "inclusion" + UNEQUAL_RANK_WITNESS)
+        assert err.value.witness == (0, 1, 2, 1, 4, 1, 2)
 
 
 class TestRadicalIdeal:

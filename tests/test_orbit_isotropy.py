@@ -44,6 +44,7 @@ from conftest import (
     random_function,
     random_twist_corpus,
     ref_delta_images,
+    subspace_equals,
 )
 from test_acceptance import _oracle_block_structure
 from test_reduced import ref_function_of
@@ -60,7 +61,7 @@ ORACLE_ARROWS = 12
 def ref_masa(R):
     """The commutant certificate: (D' cap A == D, dim D' cap A - dim D)."""
     comm = relative_commutant(R.diagonal, R.algebra)
-    return comm.subspace_equals(R.diagonal, 1e-7), comm.dim - R.diagonal.dim
+    return subspace_equals(comm, R.diagonal, 1e-7), comm.dim - R.diagonal.dim
 
 
 def product_twist(m, H, sigma_h):

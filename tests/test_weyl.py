@@ -22,7 +22,8 @@ from cartankit.weyl import (
     germ_expectation_criterion,
     weyl_twist,
 )
-from conftest import E, mndn_inclusion, random_coboundary
+from conftest import UNEQUAL_RANK_WITNESS, E, mndn_inclusion, \
+    random_coboundary, unequal_rank_inclusion
 
 
 def corner_of(inc, p):
@@ -149,10 +150,13 @@ class TestWeylTwist:
         for a, u in W.representatives.items():
             assert np.allclose(u @ u.conj().T @ u, u, atol=1e-9)
 
-    def test_non_regular_refused(self, m2d2):
-        inc = make_inclusion(m2d2.C, m2d2.D, [])
-        with pytest.raises(NotRegular):
-            weyl_twist(inc)
+    def test_non_regular_refused(self):
+        """M_3 over span{e11 + e22, e33}; the refusal names the slice."""
+        with pytest.raises(NotRegular) as err:
+            weyl_twist(unequal_rank_inclusion())
+        assert str(err.value) == ("Weyl twist requires a regular "
+                                  "inclusion" + UNEQUAL_RANK_WITNESS)
+        assert err.value.witness == (0, 1, 2, 1, 4, 1, 2)
 
     def test_non_masa_refused(self, m2c):
         with pytest.raises(NoConditionalExpectation):
