@@ -9,14 +9,15 @@ the corner p_i C p_i; uniqueness holds iff all corners are scalar.
 
 Slices, corners and D' cap C are read from one compression of C per
 inclusion.  Q_i is an isometry onto the range of p_i (``eigh`` of p_i),
-and ``Inclusion._compressed_basis`` holds the blocks Q_j* b Q_i of every
-basis element b of C, taken in one contraction.  x -> Q_j* x Q_i is an
-HS isometry on p_j C p_i, so the rank of each slice is decided on its
-rank p_j x rank p_i block, one batched ``row_span`` per block shape,
-with the singular values, hence the cuts, of the full-width rows
-p_j b p_i.  The corner algebras p_i C p_i are the diagonal blocks lifted
-by Q_i, D' cap C is their direct sum, and D is a MASA exactly when every
-corner is scalar (``Inclusion.commutant_of_D``).
+and ``Inclusion._blocks`` takes the blocks Q_j* x Q_i of a stack in one
+contraction: of C's basis b (``_compressed_basis``), and of the tested
+normalizers (``_normalizer_verdicts``).  x -> Q_j* x Q_i is an HS
+isometry on p_j C p_i, so the rank of each slice is decided on its rank
+p_j x rank p_i block, one batched ``row_span`` per block shape, with the
+singular values, hence the cuts, of the full-width rows p_j b p_i.  The
+corner algebras p_i C p_i are the diagonal blocks lifted by Q_i, D' cap C
+is their direct sum, and D is a MASA exactly when every corner is scalar
+(``Inclusion.commutant_of_D``).
 
 When all corners are scalar the normalizer classes are exactly the
 nonzero slices p_j C p_i (``Inclusion.corner_slices``).  Compatibility and
@@ -78,11 +79,6 @@ from .matalg import (
     span_residuals,
 )
 
-#: Complex entries of the products v S v* held at once by the stacked
-#: normalizer check.
-_NORMALIZER_CHUNK = 1 << 16
-
-
 @dataclass(frozen=True)
 class Inclusion:
     """An ambient algebra C with distinguished abelian subalgebra D, and
@@ -136,15 +132,18 @@ class Inclusion:
         return vecs[:, :, ::-1][:, :, :r] * \
             (np.arange(r) < self._ranks[:, None])[:, None, :]
 
-    @cached_property
-    def _compressed_basis(self) -> np.ndarray:
-        """Q_j* b Q_i for every basis element b of C and every pair of
-        corners, in one contraction: a (d, m, r, m, r) array in the layout
-        of ``_ranges``, whose [:, j, :, i, :] is Q_j* b Q_i (zero outside
+    def _blocks(self, X) -> np.ndarray:
+        """Q_j* x Q_i for every x of the (k, n, n) stack X and every pair of
+        corners, in one contraction: a (k, m, r, m, r) array in the layout
+        of ``_ranges``, whose [:, j, :, i, :] is Q_j* x Q_i (zero outside
         its rank p_j x rank p_i corner)."""
         m, n, r = self._ranges.shape
         Q = self._ranges.transpose(1, 0, 2).reshape(n, m * r)
-        return (Q.conj().T @ self.C.stack @ Q).reshape(-1, m, r, m, r)
+        return (Q.conj().T @ X @ Q).reshape(-1, m, r, m, r)
+
+    @cached_property
+    def _compressed_basis(self) -> np.ndarray:
+        return self._blocks(self.C.stack)
 
     @cached_property
     def _slice_spans(self) -> dict:
@@ -294,43 +293,42 @@ def make_inclusion(C: FdStarAlgebra, D: FdStarAlgebra,
     inc = Inclusion(C=C, D=D, normalizer_gens=gens)
     n = C.ambient_dim
     good = ([v.shape == (n, n) for v in gens] + [False]).index(False)
-    if not _normalizer_verdicts(inc, np.array(gens[:good]).reshape(
-            good, n, n), NORMALIZER_TOL).all():
+    if good and not _normalizer_verdicts(inc, np.array(gens[:good])).all():
         raise NotANormalizer("generator fails the normalizer condition")
     if good < len(gens):
         _as_matrix(gens[good], n)  # raises NonSquareMatrix
     return inc
 
 
-def is_normalizer(inc: Inclusion, v, eps: float = NORMALIZER_TOL) -> bool:
-    """Whether v normalizes D, cut at max(eps, ``NORMALIZER_TOL``): an eps
-    below the default cannot tighten the cut."""
+def is_normalizer(inc: Inclusion, v) -> bool:
+    """Whether v normalizes D, cut at ``NORMALIZER_TOL``."""
     v = _as_matrix(v, inc.C.ambient_dim)
-    return bool(_normalizer_verdicts(inc, v[None], eps)[0])
+    return bool(_normalizer_verdicts(inc, v[None])[0])
 
 
-def _normalizer_verdicts(inc: Inclusion, V: np.ndarray,
-                         eps: float) -> np.ndarray:
-    """Whether v S v* and v* S v lie in D for each v of the (k, n, n) stack
-    V and the basis stack S of D, up to max(eps, NORMALIZER_TOL).  Raises
-    ``OutsideAmbient`` when the first v that fails lies outside C.  The
-    products are formed about ``_NORMALIZER_CHUNK`` complex entries at a
-    time, for whole generators."""
-    tol = max(eps, NORMALIZER_TOL)
-    k, n = len(V), inc.C.ambient_dim
-    inside = span_residuals(inc.C.basis_rows, V.reshape(k, n * n)) < tol
-    S, d = inc.D.stack, inc.D.dim
+def _normalizer_verdicts(inc: Inclusion, V: np.ndarray) -> np.ndarray:
+    """Whether each v of the (k, n, n) stack V normalizes D, cut at
+    ``NORMALIZER_TOL``; ``OutsideAmbient`` when the first v that fails lies
+    outside C.  With N[j, i] = |p_j v p_i|^2, v normalizes D iff v*v, vv*
+    lie in D and no row or column of N has two nonzero entries.  "=>": B =
+    p_j v p_i has B*B = c p_i and BB* = c p_j (``regular``'s proof), so
+    c > 0 gives rank p_i = rank p_j, and B*B' = 0 = BB''* gives B' = B'' = 0
+    for the other blocks B' of its row and B'' of its column.  "<=": then
+    v p_i = p_j v p_i = p_j v, so v p_i v* = p_j vv* p_j and v* p_j v =
+    p_i v*v p_i.  Every cut is quadratic in v: the distances of v*v, vv*
+    from D and the roots of (largest entry) (sum of the others) per line."""
+    inside = span_residuals(inc.C.basis_rows, _vec(V)) < NORMALIZER_TOL
     Vh = V.conj().transpose(0, 2, 1)
-    ok = np.ones(k, dtype=bool)
-    step = max(1, _NORMALIZER_CHUNK // max(1, d * n * n))
-    for lo in range(0, k, step):
-        v, vh = V[lo:lo + step, None], Vh[lo:lo + step, None]
-        for left, right in ((v, vh), (vh, v)):
-            P = (left @ S @ right).reshape(-1, n * n)
-            ok[lo:lo + step] &= np.all(span_residuals(
-                inc.D.basis_rows, P).reshape(-1, d) < tol, axis=1)
-    bad = np.flatnonzero(~(inside & ok))
-    if len(bad) and not inside[bad[0]]:
+    X = np.stack([Vh @ V, V @ Vh], axis=1)
+    off = np.linalg.norm(X - np.tensordot(inc._chars(X), inc._projs, 1),
+                         axis=(2, 3))
+    N = np.square(np.abs(inc._blocks(V))).sum(axis=(2, 4))
+    # sorted down each column of N and of N^T
+    S = np.sort(np.stack([N, N.transpose(0, 2, 1)], axis=1), axis=2)
+    cross = S[:, :, -1] * S[:, :, :-1].sum(axis=2)
+    ok = (off < NORMALIZER_TOL).all(axis=1) \
+        & (cross < NORMALIZER_TOL ** 2).all(axis=(1, 2))
+    if not inside[np.argmin(inside & ok)]:  # the first v that fails
         raise OutsideAmbient("v lies outside the ambient algebra")
     return ok
 
@@ -345,13 +343,13 @@ def _require_normalizer(inc: Inclusion, v) -> np.ndarray:
 def _beta_targets(inc: Inclusion, v: np.ndarray) -> np.ndarray:
     """beta_v over the corners: entry i is the j at which the character
     beta_v(sigma_i) = sigma_i(v* . v)/sigma_i(v*v) is 1, or -1 where
-    sigma_i(v*v) = 0; sigma_i(v* p_j v) read off the stack v* p_j v."""
-    vh = v.conj().T
-    wt = inc._chars(vh @ v).real
-    live = wt > EPS
+    sigma_i(v*v) = 0.  With N[j, i] = |p_j v p_i|^2, sigma_i(v* p_j v) =
+    N[j, i]/rank p_i and sigma_i(v*v) = sum_j N[j, i]/rank p_i."""
+    N = np.square(np.abs(inc._blocks(v[None])[0])).sum(axis=(1, 3))
+    total = N.sum(axis=0)
+    live = total / inc._ranks > EPS
     # hits[j, k]: beta_v sends the k-th live corner to j
-    hits = np.abs(inc._chars(vh @ inc._projs @ v)[:, live] / wt[live]
-                  - 1.0) < STATE_TOL
+    hits = np.abs(N[:, live] / total[live] - 1.0) < STATE_TOL
     bad = np.flatnonzero(hits.sum(axis=0) != 1)
     if len(bad):
         raise NotANormalizer(f"corner {np.flatnonzero(live)[bad[0]]} does "

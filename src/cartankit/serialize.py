@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParseError
 from .groupoid import FiniteGroupoid, _lookup, build_groupoid
 from .inclusion import Inclusion, make_inclusion
-from .matalg import COCYCLE_TOL, generate_star_algebra
+from .matalg import COCYCLE_TOL, DIM_CAP, generate_star_algebra
 from .twist import CocycleTwist, _with_phases, trivial_twist
 
 
@@ -28,7 +28,8 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        return np.array([[complex(e[0], e[1]) for e in row] for row in data])
+        return np.asarray_chkfinite([[complex(e[0], e[1]) for e in row]
+                                     for row in data])
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed matrix entry: {exc}") from exc
 
@@ -169,17 +170,18 @@ def inclusion_to_json(inc: Inclusion) -> dict:
     }
 
 
-def inclusion_from_json(data, cap: int = None) -> Inclusion:
+def inclusion_from_json(data, cap: int = DIM_CAP) -> Inclusion:
     try:
-        n = int(data["ambient_dim"])
+        n = data["ambient_dim"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"ambient_dim {n!r} is not an integer >= 1")
         cgens = [matrix_from_json(m) for m in data["C_generators"]]
         dgens = [matrix_from_json(m) for m in data["D_generators"]]
         norms = [matrix_from_json(m) for m in data.get("normalizers", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed inclusion object: {exc}") from exc
-    kwargs = {} if cap is None else {"cap": cap}
-    C = generate_star_algebra(n, cgens, **kwargs)
-    D = generate_star_algebra(n, dgens, **kwargs)
+    C = generate_star_algebra(n, cgens, cap)
+    D = generate_star_algebra(n, dgens, cap)
     return make_inclusion(C, D, norms)
 
 

@@ -118,9 +118,9 @@ def _sigma_lines(T: CocycleTwist, tol: float) -> tuple:
     p = np.arange(len(s))
     return _violations([
         ("sigma({a!r},{b!r}) has modulus {m:.3g} != 1",
-         p[np.abs(np.abs(s) - 1.0) > tol]),
+         p[~(np.abs(np.abs(s) - 1.0) <= tol)]),  # NaN fails too
         ("sigma not normalized at unit pair ({a!r},{b!r})",
-         p[(t.unit[t.a] | t.unit[t.b]) & (np.abs(s - 1.0) > tol)]),
+         p[(t.unit[t.a] | t.unit[t.b]) & ~(np.abs(s - 1.0) <= tol)]),
     ], lambda q: {"a": t.names[t.a[q]], "b": t.names[t.b[q]],
                   "m": np.abs(s[q])}), s
 

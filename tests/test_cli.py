@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from cartankit.serialize import (
     twist_to_json,
 )
 from conftest import k4_nontrivial_sigma, mndn_inclusion, m2c_inclusion
-from cartankit.twist import CocycleTwist, trivial_twist
+from cartankit.errors import ParseError
+from cartankit.twist import CocycleTwist, trivial_twist, validate_cocycle, \
+    validate_twist
 
 
 def write(tmp_path, name, obj):
@@ -367,6 +370,79 @@ class TestMalformedTables:
         assert main(["validate", path]) == 1
         assert "sigma('u0<-u1','u1<-u0') has modulus 1e+20 != 1" in \
             capsys.readouterr().out
+
+
+class TestNonFiniteInputs:
+    """A NaN phase fails the modulus line like any other modulus off 1,
+    and a non-finite matrix entry or an ambient_dim that is no integer
+    >= 1 is an input error (exit 2) on every command, not a traceback."""
+
+    NAN = "sigma('u0<-u1','u1<-u0') has modulus nan != 1"
+
+    @pytest.fixture
+    def nan_twist(self):
+        data = twist_to_json(trivial_twist(pair_groupoid(2)))
+        data["cocycle"] = [[["u0<-u1", "u1<-u0"], [float("nan"), 0.0]]]
+        return data
+
+    def test_nan_phase_library(self, nan_twist):
+        T = twist_from_json(nan_twist)
+        assert validate_cocycle(T) == [self.NAN]
+        assert validate_twist(T) == [self.NAN]
+
+    def test_nan_phase_cli(self, tmp_path, capsys, nan_twist):
+        path = write(tmp_path, "nan.json", nan_twist)
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False and report["violations"] == [self.NAN]
+        assert main(["cstar", path]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == \
+            [self.NAN]
+        for argv in (["compare", path, path],
+                     ["compare", write(tmp_path, "p2.json", groupoid_to_json(
+                         pair_groupoid(2))), path]):
+            assert main(argv) == 1
+            assert [self.NAN] in json.loads(
+                capsys.readouterr().out)["violations"]
+
+    @pytest.mark.parametrize("field,where,value,message", [
+        ("C_generators", (0, 0, 0), [float("nan"), 0.0],
+         "malformed matrix entry: array must not contain infs or NaNs"),
+        ("D_generators", (1, 1, 1), [0.0, float("inf")],
+         "malformed matrix entry: array must not contain infs or NaNs"),
+        ("normalizers", (0, 0, 1), [float("-inf"), 0.0],
+         "malformed matrix entry: array must not contain infs or NaNs"),
+        ("ambient_dim", (), -1, "malformed inclusion object: "
+         "ambient_dim -1 is not an integer >= 1"),
+        ("ambient_dim", (), 0, "malformed inclusion object: "
+         "ambient_dim 0 is not an integer >= 1"),
+        ("ambient_dim", (), 2.5, "malformed inclusion object: "
+         "ambient_dim 2.5 is not an integer >= 1"),
+        ("ambient_dim", (), "2", "malformed inclusion object: "
+         "ambient_dim '2' is not an integer >= 1"),
+        ("ambient_dim", (), True, "malformed inclusion object: "
+         "ambient_dim True is not an integer >= 1")],
+        ids=["nan-C", "inf-D", "-inf-normalizer", "dim-1", "dim0",
+             "dim2.5", "dim-string", "dim-true"])
+    def test_bad_inclusion_file(self, tmp_path, capsys, field, where, value,
+                                message):
+        data = inclusion_to_json(mndn_inclusion(2))
+        if where:
+            k, i, j = where
+            data[field][k][i][j] = value
+        else:
+            data[field] = value
+        path = write(tmp_path, "bad.json", data)
+        for cmd in ("validate", "analyze", "weyl", "envelope", "compare"):
+            assert main([cmd, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n"
+        assert main(["cstar", path]) == 2
+        assert capsys.readouterr().err == "input error: expected a " \
+            "groupoid or twist file, found inclusion\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            inclusion_from_json(json.loads(json.dumps(data)))
 
 
 class TestWrongKind:

@@ -3,8 +3,6 @@ import inspect
 import numpy as np
 import pytest
 
-import cartankit.inclusion
-
 from cartankit.errors import (
     NonUniquePseudoExpectation,
     NotANormalizer,
@@ -77,27 +75,21 @@ class TestIsNormalizer:
         with pytest.raises(NotANormalizer):
             make_inclusion(m2d2.C, m2d2.D, [E(0, 1, 2) + E(0, 0, 2)])
 
-    def test_default_is_the_applied_cut(self, m2d2, monkeypatch):
-        """``is_normalizer`` and ``make_inclusion`` pass the cut that
-        ``_normalizer_verdicts`` applies, ``NORMALIZER_TOL``."""
-        eps = inspect.signature(is_normalizer).parameters["eps"].default
-        assert eps == NORMALIZER_TOL
-        seen, real = [], cartankit.inclusion._normalizer_verdicts
-        monkeypatch.setattr(cartankit.inclusion, "_normalizer_verdicts",
-                            lambda inc, V, eps: seen.append(eps)
-                            or real(inc, V, eps))
-        make_inclusion(m2d2.C, m2d2.D, [E(0, 1, 2)])
-        is_normalizer(m2d2, E(0, 1, 2))
-        assert seen == [NORMALIZER_TOL] * 2
-
-    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7])
-    def test_smaller_eps_cannot_tighten(self, m2d2, eps):
-        """v = E_01 + 3e-8 E_00 puts v* E_00 v about 4.2e-8 off D: under
-        the 1e-7 cut, which no smaller eps tightens."""
-        v = E(0, 1, 2) + 3e-8 * E(0, 0, 2)
-        assert is_normalizer(m2d2, v, eps)
-        assert is_normalizer(m2d2, v)
-        assert not is_normalizer(m2d2, E(0, 1, 2) + 3e-6 * E(0, 0, 2), eps)
+    def test_default_is_the_applied_cut(self, m2d2):
+        """``is_normalizer`` and ``make_inclusion`` cut at
+        ``NORMALIZER_TOL``, with no keyword to move it: v = E_01 + 3e-8 E_00
+        puts v*v about 4.2e-8 off D, under the cut, and E_01 + 3e-6 E_00
+        about 4.2e-6, over it."""
+        assert list(inspect.signature(is_normalizer).parameters) == \
+            ["inc", "v"]
+        near = E(0, 1, 2) + 3e-8 * E(0, 0, 2)
+        far = E(0, 1, 2) + 3e-6 * E(0, 0, 2)
+        assert 3e-8 < NORMALIZER_TOL < 3e-6
+        assert is_normalizer(m2d2, near)
+        assert not is_normalizer(m2d2, far)
+        make_inclusion(m2d2.C, m2d2.D, [near])
+        with pytest.raises(NotANormalizer):
+            make_inclusion(m2d2.C, m2d2.D, [near, far])
 
 
 class TestBeta:

@@ -37,6 +37,7 @@ from cartankit.inclusion import (
 )
 from cartankit.matalg import (
     EPS,
+    STATE_TOL,
     FdStarAlgebra,
     _commutators,
     _fixed_draws,
@@ -132,14 +133,31 @@ def ref_gram(inc, rho):
     return np.array([[rho(a.conj().T @ b) for b in basis] for a in basis])
 
 
+def ref_normalizer_defect(inc, v):
+    """The largest distance from D of v d v* and v* d v over D's basis."""
+    vh = v.conj().T
+    return max(span_residual(inc.D.basis_rows, x) for d in inc.D.basis
+               for x in (v @ d @ vh, vh @ d @ v))
+
+
 def ref_is_normalizer(inc, v, eps=EPS):
-    tol = max(eps, 1e-7)
-    for d in inc.D.basis:
-        if not inc.D.contains(v @ d @ v.conj().T, tol):
-            return False
-        if not inc.D.contains(v.conj().T @ d @ v, tol):
-            return False
-    return True
+    return ref_normalizer_defect(inc, v) < max(eps, 1e-7)
+
+
+def ref_beta_targets(inc, v):
+    """beta_v read off the stack v* p_j v with the corner characters, as
+    ``_beta_targets`` did before it read the blocks of v: entry i is the
+    j with sigma_i(v* p_j v) = sigma_i(v*v), or -1 where sigma_i(v*v) = 0."""
+    vh = v.conj().T
+    wt = inc._chars(vh @ v).real
+    live = wt > EPS
+    hits = np.abs(inc._chars(vh @ inc._projs @ v)[:, live] / wt[live]
+                  - 1.0) < STATE_TOL
+    if (hits.sum(axis=0) != 1).any():
+        raise NotANormalizer("a corner does not map to a unique corner")
+    out = np.full(inc.n_corners, -1)
+    out[live] = hits.argmax(axis=0)
+    return out
 
 
 def ref_make_inclusion_error(inc, gens, eps=EPS):
@@ -484,24 +502,22 @@ class TestChecks:
         cands = _normalizers(inc) + list(inc.C.basis)
         cands += [ref_element(inc.C, rng.standard_normal(inc.C.dim))
                   for _ in range(3)]
-        # normalizers moved inside C by 1e-6: refused at the default
-        # tolerance, accepted at 1e-5
+        # normalizers moved inside C by 1e-6: refused
         cands += [v + 1e-6 * ref_element(inc.C, rng.standard_normal(inc.C.dim))
                   / np.sqrt(inc.C.dim) for v in _normalizers(inc)]
         verdicts = []
         for v in cands:
-            for eps in (EPS, 1e-5):
-                want = ref_is_normalizer(inc, v, eps)
-                assert is_normalizer(inc, v, eps) == want
-                verdicts.append(want)
+            want = ref_is_normalizer(inc, v)
+            assert is_normalizer(inc, v) == want
+            verdicts.append(want)
         assert True in verdicts
         if inc.C.dim > inc.D.dim:
             assert False in verdicts
 
-    def test_make_inclusion_stacked(self, inc, monkeypatch):
+    def test_make_inclusion_stacked(self, inc):
         """One stacked check of all generators refuses the same lists as a
         loop of ``ref_is_normalizer`` calls, with the error of the first
-        failing generator, at every chunk size."""
+        failing generator."""
         n = inc.C.ambient_dim
         rng = np.random.default_rng(7)
         good = _normalizers(inc)
@@ -513,16 +529,13 @@ class TestChecks:
         lists = [good, good[:1] + bad[:1] + outside[:1],
                  good[:1] + outside[:1] + bad[:1], bad + good, outside + bad]
         lists += [[v] for v in good + bad + outside]
-        for chunk in (1, 3, cartankit.inclusion._NORMALIZER_CHUNK, 1 << 30):
-            monkeypatch.setattr(cartankit.inclusion, "_NORMALIZER_CHUNK",
-                                chunk)
-            for gens in lists:
-                want = ref_make_inclusion_error(inc, gens)
-                if want is None:
+        for gens in lists:
+            want = ref_make_inclusion_error(inc, gens)
+            if want is None:
+                make_inclusion(inc.C, inc.D, gens)
+            else:
+                with pytest.raises(want):
                     make_inclusion(inc.C, inc.D, gens)
-                else:
-                    with pytest.raises(want):
-                        make_inclusion(inc.C, inc.D, gens)
         if bad and outside:
             # the second generator fails, the third lies outside C
             with pytest.raises(NotANormalizer):
@@ -741,8 +754,8 @@ def test_make_inclusion_malformed_generator_in_order():
 
 def test_make_inclusion_one_stacked_check(monkeypatch):
     """make_inclusion on M_6 (36 generators) makes no ``is_normalizer``
-    call and one stacked check; two ``span_residuals`` for the products of
-    each chunk of generators, one for the containment in C."""
+    call and one stacked check, whose one ``span_residuals`` is the
+    containment in C: D is read through its projections, not its basis."""
     inc = mndn_inclusion(6)
     calls = []
     for name in ("is_normalizer", "_normalizer_verdicts", "span_residuals"):
@@ -751,11 +764,7 @@ def test_make_inclusion_one_stacked_check(monkeypatch):
             lambda real, name, *a, **k: calls.append(name) or real(*a, **k),
             real, name))
     make_inclusion(inc.C, inc.D, inc.normalizer_gens)
-    assert calls == ["_normalizer_verdicts"] + ["span_residuals"] * 3
-    monkeypatch.setattr(cartankit.inclusion, "_NORMALIZER_CHUNK", 6 ** 3)
-    calls.clear()
-    make_inclusion(inc.C, inc.D, inc.normalizer_gens)
-    assert calls == ["_normalizer_verdicts"] + ["span_residuals"] * 73
+    assert calls == ["_normalizer_verdicts", "span_residuals"]
 
 
 # --- source guard ---------------------------------------------------------
@@ -765,7 +774,14 @@ def test_make_inclusion_one_stacked_check(monkeypatch):
 #: anything else.
 CORNER_BATCHED = ["Inclusion.char", "Inclusion._chars", "_beta_targets",
                   "beta", "theta", "ThetaMap.apply", "fixed_point_ideal",
-                  "fixed_set_check", "PseudoExpectation.apply"]
+                  "fixed_set_check", "PseudoExpectation.apply",
+                  "is_normalizer", "_normalizer_verdicts",
+                  "Inclusion._blocks", "Inclusion._compressed_basis"]
+
+#: The normalizer check and β: they read the blocks of v, never a product
+#: with D's basis stack.
+BLOCK_READERS = ["make_inclusion", "is_normalizer", "_normalizer_verdicts",
+                 "_beta_targets"]
 
 STACKED = {
     "matalg.py": ["contains_all", "is_subalgebra_of",
@@ -774,8 +790,8 @@ STACKED = {
                   "minimal_projections", "block_structure",
                   "ideal_generated_by", "_vec",
                   "_commutators", "span_residuals"],
-    "inclusion.py": ["is_normalizer", "_normalizer_verdicts",
-                     "mod_state_from_density", "corner_algebra",
+    "inclusion.py": ["make_inclusion", "mod_state_from_density",
+                     "corner_algebra",
                      "_left_kernel_subspace", "radical_ideal",
                      "strongly_compatible", "fixed_point_ideal",
                      "fixed_set_check", "_gram", "_located_state",
@@ -890,6 +906,17 @@ class TestSourceGuard:
         assert not _basis_loops(ast.parse(
             "def g(A):\n    S = A.stack\n    return [0 for _ in A.min_projs]\n"
         ).body[0])
+
+    @pytest.mark.parametrize("name", BLOCK_READERS)
+    def test_normalizer_check_reads_no_stack(self, name):
+        """No ``.stack`` or ``.basis`` (``np.stack`` aside) in the check."""
+        fn = _functions("inclusion.py")[name]
+        assert not [node for node in ast.walk(fn) if isinstance(
+            node, ast.Attribute) and node.attr in ("stack", "basis")
+            and ast.unparse(node.value) != "np"]
+
+    def test_normalizer_chunk_is_gone(self):
+        assert not hasattr(cartankit.inclusion, "_NORMALIZER_CHUNK")
 
     def test_functional_values_is_gone(self):
         assert not hasattr(cartankit.inclusion, "_functional_values")
