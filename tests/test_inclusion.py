@@ -91,6 +91,18 @@ class TestIsNormalizer:
         with pytest.raises(NotANormalizer):
             make_inclusion(m2d2.C, m2d2.D, [near, far])
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-7])
+    def test_smaller_eps_cannot_tighten(self, m2d2, eps):
+        """v = E_01 + 3e-8 E_00 puts v*v about 4.2e-8 off D: under the
+        cut, and no eps, passed by position or keyword, moves it."""
+        v = E(0, 1, 2) + 3e-8 * E(0, 0, 2)
+        assert is_normalizer(m2d2, v)
+        assert not is_normalizer(m2d2, E(0, 1, 2) + 3e-6 * E(0, 0, 2))
+        with pytest.raises(TypeError):
+            is_normalizer(m2d2, v, eps)
+        with pytest.raises(TypeError):
+            is_normalizer(m2d2, v, eps=eps)
+
 
 class TestBeta:
     def test_matrix_unit(self, m2d2):
