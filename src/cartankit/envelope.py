@@ -245,7 +245,7 @@ def eigen_twist(inc: Inclusion, cover: CompatibleCover) -> EigenTwistData:
     W = np.reshape([F[keys[k][0]].density for k in order], (-1, n, n))
     return EigenTwistData(
         inclusion=inc, cover=cover, twist=T,
-        reps=V[order] @ inc._projs[src[order]],
+        reps=V[order] @ inc.min_projs[src[order]],
         values=_eig_values(inc, V[order], W),
         unit_of_state=dict(enumerate(units)), ratios=ratios)
 
@@ -277,7 +277,7 @@ def _theta_on_classes(data: EigenTwistData) -> bool:
     n, V = len(G.arrows), data.reps
     theta = data._theta(V)
     corner = {u: F[j].corner_index for j, u in data.unit_of_state.items()}
-    P = inc._projs[[corner[x] for x in G.units]]
+    P = inc.min_projs[[corner[x] for x in G.units]]
     return n == inc.C.dim and all(
         np.abs(err).max(initial=0.0) <= STATE_TOL for err in (
             theta - np.eye(n), P[t.rng[:n]] @ V @ P[t.src[:n]] - V,

@@ -67,7 +67,6 @@ from .matalg import (
     STATE_TOL,
     FdStarAlgebra,
     IdealSubspace,
-    _algebra_from_rows,
     _as_matrix,
     _vec,
     central_projections,
@@ -89,8 +88,9 @@ class Inclusion:
     normalizer_gens: tuple  # of matrices
 
     @cached_property
-    def min_projs(self) -> tuple:
-        return minimal_projections(self.D)
+    def min_projs(self) -> np.ndarray:
+        """The minimal projections p_i of D as one (m, n, n) stack."""
+        return np.array(minimal_projections(self.D))
 
     @cached_property
     def n_corners(self) -> int:
@@ -109,17 +109,12 @@ class Inclusion:
         p_i is self-adjoint, so tr(p_i x) = sum(conj(p_i) * x)."""
         x = np.asarray(x, dtype=complex)
         flat = x.reshape(x.shape[:-2] + (x.shape[-1] ** 2,))
-        return flat @ _vec(self._projs).conj().T / self._ranks
-
-    @cached_property
-    def _projs(self) -> np.ndarray:
-        """The p_i as one (m, n, n) stack."""
-        return np.array(self.min_projs)
+        return flat @ _vec(self.min_projs).conj().T / self._ranks
 
     @cached_property
     def _ranks(self) -> np.ndarray:
         """rank p_i = trace p_i, per corner."""
-        return np.rint(np.trace(self._projs, axis1=1,
+        return np.rint(np.trace(self.min_projs, axis1=1,
                                 axis2=2).real).astype(np.intp)
 
     @cached_property
@@ -127,7 +122,7 @@ class Inclusion:
         """(m, n, r) stack of isometries, r = max rank p_i: the first
         rank p_i columns Q_i of entry i are orthonormal eigenvectors of
         p_i for the eigenvalue 1, so p_i = Q_i Q_i*, and the rest are 0."""
-        _, vecs = np.linalg.eigh(self._projs)
+        _, vecs = np.linalg.eigh(self.min_projs)
         r = int(self._ranks.max())
         return vecs[:, :, ::-1][:, :, :r] * \
             (np.arange(r) < self._ranks[:, None])[:, None, :]
@@ -167,7 +162,7 @@ class Inclusion:
         order: X[k] is the slice at keys[k] as an r x r block (zero outside
         its rank p_j x rank p_i corner), scaled so that u = Q_j X[k] Q_i*
         has u*u = p_i and uu* = p_j; None when some corner is not scalar."""
-        if not self.scalar_corners:
+        if not self.is_masa:
             return None
         r = self._ranks
         spans = {key: rows for key, rows in self._slice_spans.items()
@@ -205,12 +200,6 @@ class Inclusion:
         Nothing cached on an Inclusion refers back to it, so reference
         counting frees it without waiting for the cycle collector."""
         return tuple(corner_algebra(self, i) for i in range(self.n_corners))
-
-    @cached_property
-    def scalar_corners(self) -> bool:
-        """Every corner is C p_i: the pseudo-expectation is unique."""
-        return all(len(self._slice_spans[i, i]) == 1
-                   for i in range(self.n_corners))
 
     @cached_property
     def regular(self) -> bool:
@@ -251,8 +240,9 @@ class Inclusion:
         so x = sum_i p_i x p_i; conversely such an x has
         p_k x = p_k x p_k = x p_k for every k.  Each p_i x p_i lies in C,
         as p_i does."""
+        # corners at distinct p_i are HS-orthogonal: the rows stay orthonormal
         rows = np.concatenate([A.basis_rows for A in self.corner_algebras])
-        return _algebra_from_rows(self.C.ambient_dim, rows, self.C.unit)
+        return FdStarAlgebra(self.C.ambient_dim, rows, self.C.unit)
 
     @cached_property
     def commutant_blocks(self) -> tuple:
@@ -260,16 +250,18 @@ class Inclusion:
         sum of the corners (``commutant_of_D``), so its centre is the sum
         of theirs: these are the corners' minimal central projections,
         p_i itself for a corner C p_i."""
-        if self.scalar_corners:
-            return self.min_projs
+        if self.is_masa:
+            return tuple(self.min_projs)
         return tuple(q for A in self.corner_algebras
                      for q in central_projections(A))
 
     @cached_property
     def is_masa(self) -> bool:
         """D' cap C = D, i.e. (see ``commutant_of_D``) every corner p_i C p_i
-        is C p_i, as D's part of it is."""
-        return self.scalar_corners
+        is C p_i, as D's part of it is; that is also exactly when the
+        pseudo-expectation is unique (module docstring)."""
+        return all(len(self._slice_spans[i, i]) == 1
+                   for i in range(self.n_corners))
 
     @cached_property
     def _projection_rows(self) -> np.ndarray:
@@ -320,7 +312,7 @@ def _normalizer_verdicts(inc: Inclusion, V: np.ndarray) -> np.ndarray:
     inside = span_residuals(inc.C.basis_rows, _vec(V)) < NORMALIZER_TOL
     Vh = V.conj().transpose(0, 2, 1)
     X = np.stack([Vh @ V, V @ Vh], axis=1)
-    off = np.linalg.norm(X - np.tensordot(inc._chars(X), inc._projs, 1),
+    off = np.linalg.norm(X - np.tensordot(inc._chars(X), inc.min_projs, 1),
                          axis=(2, 3))
     N = np.square(np.abs(inc._blocks(V))).sum(axis=(2, 4))
     # sorted down each column of N and of N^T
@@ -380,7 +372,7 @@ class ThetaMap:
         h = sum_j sigma_j(d)/sigma_j(vv*) p_j over the domain."""
         inc, v, dom = self.inclusion, self.v, list(self.domain)
         c = inc._chars(d)[dom] / inc._chars(v @ v.conj().T)[dom]
-        return v.conj().T @ np.tensordot(c, inc._projs[dom], 1) @ v
+        return v.conj().T @ np.tensordot(c, inc.min_projs[dom], 1) @ v
 
 
 def theta(inc: Inclusion, v) -> ThetaMap:
@@ -397,7 +389,7 @@ def fixed_point_ideal(inc: Inclusion, v) -> IdealSubspace:
     support = np.flatnonzero(np.abs(inc._chars(v @ v.conj().T)) > EPS)
     if not len(support):
         return ideal_from_subspace(inc.D, np.zeros((0, inc.D.ambient_dim ** 2)))
-    P = inc._projs[support]
+    P = inc.min_projs[support]
     S = inc.commutant_of_D.stack
     # linear conditions on coefficients t_j of d = sum t_j p_j
     vP = v @ P
@@ -421,7 +413,7 @@ def fixed_set_check(inc: Inclusion, v):
     K0 = fixed_point_ideal(inc, v)
     t = _beta_targets(inc, v)
     fixed = np.flatnonzero(t == np.arange(len(t)))
-    seen = np.abs(inc._chars(np.reshape(K0.basis, (-1,) + v.shape)))
+    seen = np.abs(inc._chars(K0.basis))
     support = np.flatnonzero((t >= 0) & (seen > STATE_TOL).any(axis=0))
     return (np.array_equal(support, fixed),
             {"support": support.tolist(), "fixed": fixed.tolist()})
@@ -516,9 +508,10 @@ def corner_algebra(inc: Inclusion, i: int) -> FdStarAlgebra:
     """p_i C p_i: the compressed corner Q_i* C Q_i, lifted by Q_i."""
     rows, r = inc._slice_spans[i, i], inc._ranks[i]
     Q = inc._ranges[i, :, :r]
-    return _algebra_from_rows(
-        inc.C.ambient_dim, _vec(Q @ rows.reshape(-1, r, r) @ Q.conj().T),
-        inc.min_projs[i])
+    # Q_i is an isometry, so the lifted rows stay orthonormal
+    return FdStarAlgebra(inc.C.ambient_dim,
+                         _vec(Q @ rows.reshape(-1, r, r) @ Q.conj().T),
+                         inc.min_projs[i])
 
 
 def mod_states(inc: Inclusion) -> tuple:
@@ -605,10 +598,10 @@ class PseudoExpectation:
         """tr(rho_i p_i x p_i) = tr p_i sigma_i(x p_i rho_i), as p_i^2 = p_i:
         the diagonal of the characters of the stack x p_i rho_i."""
         inc = self.inclusion
-        y = np.asarray(x, dtype=complex) @ inc._projs @ \
+        y = np.asarray(x, dtype=complex) @ inc.min_projs @ \
             np.array(self.corner_densities)
         c = np.diagonal(inc._chars(y)) * inc._ranks
-        return np.tensordot(c, inc._projs, 1)
+        return np.tensordot(c, inc.min_projs, 1)
 
 
 def canonical_expectation(inc: Inclusion) -> PseudoExpectation:
@@ -634,7 +627,7 @@ def pseudo_expectations(inc: Inclusion) -> PseudoExpectationSet:
     space: E(x*x) = sum_i (||x p_i||_HS^2 / tr p_i) p_i vanishes only when
     x p_i = 0 for every i, and then x = x sum_i p_i = 0."""
     corners = mod_states(inc)
-    unique = inc.scalar_corners
+    unique = inc.is_masa
     E = L = faithful = None
     if unique:
         E = canonical_expectation(inc)
@@ -652,7 +645,7 @@ def _left_kernel_subspace(inc: Inclusion, E: PseudoExpectation) -> IdealSubspace
     and rho_i have the same range); this is a linear condition.  Taking no
     square root keeps rounding noise in rho_i's spectrum below the rank cut.
     """
-    dens = inc._projs @ np.array(E.corner_densities)
+    dens = inc.min_projs @ np.array(E.corner_densities)
     # row (r, k, l), column b: (b p_r rho_r)[k, l]
     K = (inc.C.stack[None] @ dens[:, None]).transpose(0, 2, 3, 1)
     K = K.reshape(-1, inc.C.dim)
@@ -723,7 +716,7 @@ def _is_invariant(inc: Inclusion, F) -> bool:
 
 def strongly_compatible(inc: Inclusion) -> tuple:
     """S_s(C, D) = {sigma_i o E} for the unique pseudo-expectation E."""
-    if not inc.scalar_corners:
+    if not inc.is_masa:
         raise NonUniquePseudoExpectation(
             "inclusion does not have the unique pseudo-expectation property")
     # E is the canonical expectation and the p_j are orthogonal, so

@@ -5,17 +5,18 @@ orthonormal basis under the Hilbert-Schmidt inner product
 <a, b> = trace(b* a).  Membership questions are answered by orthogonal
 projection residuals rather than exact linear solves.
 
-The basis is held once as a stack: ``FdStarAlgebra.basis_rows`` is the
-(d, n^2) matrix of flattened basis elements and ``FdStarAlgebra.stack``
-the (d, n, n) view of it.  Coefficients, containment, commutators and
-products are contractions over that stack, taken for a whole stack of
-matrices at a time (``contains_all``, ``span_residuals``).
+An algebra stores its basis once: ``basis_rows`` is the (d, n^2) array of
+flattened HS-orthonormal elements, and ``stack`` (or ``basis``) its
+(d, n, n) view.  Constructors hand over orthonormal rows in the order
+found, never orthonormalized twice; only a closure under generators starts
+at unit/sqrt(n).  Coefficients, containment, commutators and products are
+contractions over the rows, for a whole stack of matrices at a time
+(``contains_all``, ``span_residuals``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -142,26 +143,25 @@ def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FdStarAlgebra:
-    """A *-subalgebra of M_n(C) with an orthonormal HS basis; its unit
-    is a projection, the identity but for corner algebras."""
+    """A *-subalgebra of M_n(C) with an orthonormal HS basis, stored as
+    the (d, n^2) rows ``basis_rows``; its unit is a projection, the
+    identity but for corner algebras."""
 
     ambient_dim: int
-    basis: tuple  # of n x n complex ndarrays, HS-orthonormal
+    basis_rows: np.ndarray  # (d, n^2) complex, HS-orthonormal rows
     unit: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_rows)
 
-    @cached_property
-    def basis_rows(self) -> np.ndarray:
-        return _vec(self.basis)
-
-    @cached_property
+    @property
     def stack(self) -> np.ndarray:
         """The basis as a (d, n, n) view of ``basis_rows``."""
         n = self.ambient_dim
         return self.basis_rows.reshape(self.dim, n, n)
+
+    basis = stack
 
     def contains(self, m, eps: float = EPS) -> bool:
         return span_residual(self.basis_rows, _as_matrix(m, self.ambient_dim)) < eps
@@ -199,42 +199,25 @@ class FdStarAlgebra:
 @dataclass(frozen=True)
 class IdealSubspace:
     """A two-sided or left ideal of a FdStarAlgebra, with its central
-    support."""
+    support; its basis is stored as ``FdStarAlgebra``'s is."""
 
     parent: FdStarAlgebra
-    basis: tuple
+    basis_rows: np.ndarray  # (d, n^2) complex, HS-orthonormal rows
     support_projection: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_rows)
 
-    @cached_property
-    def basis_rows(self) -> np.ndarray:
-        return _vec(self.basis)
+    @property
+    def basis(self) -> np.ndarray:
+        """The basis as a (d, n, n) view of ``basis_rows``."""
+        n = self.parent.ambient_dim
+        return self.basis_rows.reshape(self.dim, n, n)
 
     def contains(self, m, eps: float = EPS) -> bool:
-        m = _as_matrix(m, self.parent.ambient_dim)
-        return (span_residual(self.basis_rows, m) if self.dim
-                else hs_norm(m)) < eps
-
-
-def _algebra_from_rows(ambient_dim: int, rows: np.ndarray,
-                       unit: np.ndarray) -> FdStarAlgebra:
-    """Assemble a FdStarAlgebra from spanning rows, unit-direction first."""
-    n = ambient_dim
-    uvec = unit.ravel()
-    unorm = np.linalg.norm(uvec)
-    if unorm == 0:
-        raise EmptyAlgebra()
-    first = uvec / unorm
-    if rows.shape[0]:
-        resid = rows - np.outer(rows @ first.conj(), first)
-        rest = row_span(resid)
-    else:
-        rest = rows
-    mats = [first.reshape(n, n)] + [r.reshape(n, n) for r in rest]
-    return FdStarAlgebra(ambient_dim=n, basis=tuple(mats), unit=unit)
+        return span_residual(self.basis_rows,
+                             _as_matrix(m, self.parent.ambient_dim)) < eps
 
 
 def _round_residuals(S: np.ndarray, new: np.ndarray, V: np.ndarray):
@@ -285,15 +268,24 @@ def generate_star_algebra(ambient_dim: int, generators,
     which holds the unit.  S* = S, and the adjoint of a word in S is a
     word in S, so it is the *-algebra generated by the generators.
 
-    A seed span that is already an algebra is returned as it is.  Raises
-    ``DimensionOverflow`` as soon as the span exceeds ``cap``: on the seed
-    span, and before each round's products.
+    The basis is unit/sqrt(n), then the span of the generators and their
+    adjoints less their unit parts trace(g)/n 1, then each round's
+    directions.  A seed span that is already an algebra is returned as it
+    is.  Raises ``EmptyAlgebra`` for n = 0, and ``DimensionOverflow`` as
+    soon as the span exceeds ``cap``: on the seed span, and before each
+    round's products.
     """
     n = int(ambient_dim)
+    if n == 0:
+        raise EmptyAlgebra()
     gens = [_as_matrix(g, n) for g in generators]
     unit = np.eye(n, dtype=complex)
-    seed = gens + [g.conj().T for g in gens] + [unit]
-    rows = row_span(_vec(seed))
+    k, d = len(gens), np.arange(n)
+    seed = np.empty((2 * k, n, n), dtype=complex)
+    for i, g in enumerate(gens):
+        seed[i], seed[k + i] = g, g.conj().T
+    seed[:, d, d] -= np.trace(seed, axis1=1, axis2=2)[:, None] / n
+    rows = np.vstack([unit.reshape(1, -1) / np.sqrt(n), row_span(_vec(seed))])
     S = new = rows.reshape(len(rows), n, n)
     while True:
         if rows.shape[0] > cap:
@@ -309,7 +301,7 @@ def generate_star_algebra(ambient_dim: int, generators,
             break
         rows = np.vstack([rows, added])
         new = added.reshape(len(added), n, n)
-    return _algebra_from_rows(n, rows, unit)
+    return FdStarAlgebra(n, rows, unit)
 
 
 def relative_commutant(A: FdStarAlgebra,
@@ -320,8 +312,7 @@ def relative_commutant(A: FdStarAlgebra,
     n = within.ambient_dim
     K = _commutators(A.stack, within.stack).reshape(A.dim * n * n, within.dim)
     # within's basis is HS-orthonormal, so the mapped null rows are too
-    return _algebra_from_rows(n, null_space(K) @ within.basis_rows,
-                              within.unit)
+    return FdStarAlgebra(n, null_space(K) @ within.basis_rows, within.unit)
 
 
 def center(A: FdStarAlgebra) -> FdStarAlgebra:
@@ -434,14 +425,11 @@ def ideal_generated_by(A: FdStarAlgebra, seeds) -> IdealSubspace:
             raise SeedOutsideAlgebra("seed matrix lies outside the algebra")
     live = [s / hs_norm(s) for s in seeds if hs_norm(s) >= EPS]
     if not live:
-        return IdealSubspace(parent=A, basis=(),
-                             support_projection=np.zeros((n, n), dtype=complex))
+        return ideal_from_subspace(A, np.zeros((0, n * n)))
     # the support of the left ideal A S is the seeds' central support z
     # (``ideal_from_subspace``), and the ideal they generate is z A
     support = _range_projection(A.stack[:, None] @ np.array(live))
-    rows = row_span(_vec(support @ A.stack))
-    basis = tuple(r.reshape(n, n) for r in rows)
-    return IdealSubspace(parent=A, basis=basis, support_projection=support)
+    return IdealSubspace(A, row_span(_vec(support @ A.stack)), support)
 
 
 def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray) -> IdealSubspace:
@@ -452,9 +440,8 @@ def ideal_from_subspace(A: FdStarAlgebra, rows: np.ndarray) -> IdealSubspace:
     M_k (x) 1_l of A where e has a nonzero part f (x) 1_l, the x e in L
     give M_k f C^k (x) C^l, the whole block's range."""
     n = A.ambient_dim
-    mats = np.asarray(rows, dtype=complex).reshape(-1, n, n)
-    return IdealSubspace(parent=A, basis=tuple(mats),
-                         support_projection=_range_projection(mats))
+    rows = np.asarray(rows, dtype=complex).reshape(-1, n * n)
+    return IdealSubspace(A, rows, _range_projection(rows.reshape(-1, n, n)))
 
 
 def _range_projection(mats: np.ndarray) -> np.ndarray:

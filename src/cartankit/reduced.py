@@ -21,10 +21,10 @@ from .matalg import (
     EPS,
     NORMALIZER_TOL,
     FdStarAlgebra,
-    _algebra_from_rows,
     _rank_of,
     block_structure as algebra_blocks,
     operator_norm,
+    row_span,
 )
 from .twist import (
     CocycleTwist,
@@ -140,15 +140,15 @@ class ReducedAlgebra:
         norm = np.sqrt(np.bincount(g, np.abs(phase) ** 2, n))
         if (keys[1:] == keys[:-1]).any() or _rank_of(-np.sort(-norm)) < n:
             raise OutsideFibers("two realized deltas overlap, or one vanishes")
-        basis = np.zeros((n, N, N), dtype=complex)
-        basis[g, rows, cols] = phase / norm[g]
-        return FdStarAlgebra(N, tuple(basis), self.unit_matrix)
+        basis = np.zeros((n, N * N), dtype=complex)
+        basis[g, rows * N + cols] = phase / norm[g]
+        return FdStarAlgebra(N, basis, self.unit_matrix)
 
     @cached_property
     def diagonal(self) -> FdStarAlgebra:
         """The unit-arrow rows of ``algebra``."""
         A, unit = self.algebra, self.twist.groupoid.arrays.unit
-        return replace(A, basis=tuple(A.stack[unit[:A.dim]]))
+        return replace(A, basis_rows=A.basis_rows[unit[:A.dim]])
 
     @cached_property
     def unit_matrix(self) -> np.ndarray:
@@ -221,8 +221,8 @@ def _isotropy_blocks(T: CocycleTwist, degree: int, h: np.ndarray) -> tuple:
     L = np.zeros((m, m, m), dtype=complex)
     L[np.arange(m)[:, None], local[T.groupoid.arrays.compose(a, b)],
       np.arange(m)] = _phases_at(T, degree, a, b)
-    return algebra_blocks(_algebra_from_rows(
-        m, L.reshape(m, m * m), np.eye(m, dtype=complex)))
+    return algebra_blocks(FdStarAlgebra(m, row_span(L.reshape(m, m * m)),
+                                        np.eye(m, dtype=complex)))
 
 
 def groupoid_inclusion(R: ReducedAlgebra):

@@ -180,6 +180,12 @@ def inclusion_from_json(data, cap: int = DIM_CAP) -> Inclusion:
         norms = [matrix_from_json(m) for m in data.get("normalizers", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed inclusion object: {exc}") from exc
+    for key, mats in (("C_generators", cgens), ("D_generators", dgens),
+                      ("normalizers", norms)):
+        for k, m in enumerate(mats):
+            if m.shape != (n, n):
+                raise ParseError(f"{key}[{k}] has shape {m.shape}, "
+                                 f"expected {(n, n)}")
     C = generate_star_algebra(n, cgens, cap)
     D = generate_star_algebra(n, dgens, cap)
     return make_inclusion(C, D, norms)

@@ -18,7 +18,6 @@ from cartankit.inclusion import make_inclusion
 from cartankit.matalg import (
     EPS,
     FdStarAlgebra,
-    _algebra_from_rows,
     _vec,
     central_projections,
     generate_star_algebra,
@@ -164,17 +163,16 @@ def ref_delta_images(R) -> np.ndarray:
 
 def ref_algebra(R) -> FdStarAlgebra:
     """The realized algebra as a ``row_span`` of the delta images."""
-    return _algebra_from_rows(R.total_dim, row_span(ref_delta_images(R)),
-                              R.unit_matrix)
+    return FdStarAlgebra(R.total_dim, row_span(ref_delta_images(R)),
+                         R.unit_matrix)
 
 
 def ref_diagonal(R) -> FdStarAlgebra:
     """The diagonal as a ``row_span`` of the unit arrows' delta images."""
     G = R.twist.groupoid
     units = [G.arrays.index[e] for e in G.unit_arrow.values()]
-    return _algebra_from_rows(R.total_dim,
-                              row_span(ref_delta_images(R)[units]),
-                              R.unit_matrix)
+    return FdStarAlgebra(R.total_dim, row_span(ref_delta_images(R)[units]),
+                         R.unit_matrix)
 
 
 def ref_delta_norms(R) -> np.ndarray:

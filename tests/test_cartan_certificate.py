@@ -20,6 +20,7 @@ import pytest
 import cartankit.matalg
 import cartankit.reduced
 import cartankit.twist
+import conftest
 from cartankit import cli
 from cartankit.envelope import Eigenfunctional, build_cover, eigen_twist
 from cartankit.errors import EmptyAlgebra, OutsideFibers
@@ -501,7 +502,8 @@ def _counting(monkeypatch, owner, name, calls):
 
 def _count_linear_algebra(monkeypatch):
     """Count every call into np.linalg, the containment tests and the
-    spans of ``matalg``, under each name ``reduced`` binds them to."""
+    spans of ``matalg``, under each name ``reduced`` and the references
+    of ``conftest`` bind them to."""
     calls = []
     for name in dir(np.linalg):
         if callable(getattr(np.linalg, name)) and not name.startswith("_") \
@@ -509,8 +511,8 @@ def _count_linear_algebra(monkeypatch):
             _counting(monkeypatch, np.linalg, name, calls)
     for name in ("contains_all", "contains"):
         _counting(monkeypatch, cartankit.matalg.FdStarAlgebra, name, calls)
-    for module in (cartankit.matalg, cartankit.reduced):
-        for name in ("span_residuals", "row_span", "_algebra_from_rows"):
+    for module in (cartankit.matalg, cartankit.reduced, conftest):
+        for name in ("span_residuals", "row_span"):
             if hasattr(module, name):
                 _counting(monkeypatch, module, name, calls)
     return calls

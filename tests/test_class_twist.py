@@ -264,7 +264,7 @@ def _weyl_sigma_on_pairs(data, W):
 
 def weyl_cases():
     out = [pytest.param(p.values[0], id=p.id) for p in crosscheck_cases()
-           if p.values[0].scalar_corners]
+           if p.values[0].is_masa]
     for k in (2, 3):
         inc = tensor_inclusion(k, 2)
         out += [pytest.param(inc, id=f"m{k}x1_2"),

@@ -445,6 +445,46 @@ class TestNonFiniteInputs:
             inclusion_from_json(json.loads(json.dumps(data)))
 
 
+class TestGeneratorShapes:
+    """A generator that is not ambient_dim x ambient_dim is malformed input
+    (exit 2), named by its list and index, not a violation (exit 1)."""
+
+    COMMANDS = ("validate", "analyze", "weyl", "envelope", "compare")
+
+    def _refused(self, tmp_path, capsys, data, message):
+        path = write(tmp_path, "bad.json", data)
+        for cmd in self.COMMANDS:
+            assert main([cmd, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            inclusion_from_json(data)
+
+    @pytest.mark.parametrize("field,k,rows,cols", [
+        ("C_generators", 0, 3, 3), ("D_generators", 1, 3, 3),
+        ("normalizers", 2, 3, 3), ("C_generators", 3, 2, 3),
+        ("normalizers", 0, 1, 2)])
+    def test_one_matrix_of_a_list(self, tmp_path, capsys, field, k, rows,
+                                  cols):
+        data = inclusion_to_json(mndn_inclusion(2))
+        data[field][k] = [[[0.0, 0.0]] * cols] * rows
+        self._refused(tmp_path, capsys, data, f"{field}[{k}] has shape "
+                      f"({rows}, {cols}), expected (2, 2)")
+
+    def test_ambient_dim_above_the_matrices(self, tmp_path, capsys):
+        data = inclusion_to_json(mndn_inclusion(2))
+        data["ambient_dim"] = 3
+        self._refused(tmp_path, capsys, data,
+                      "C_generators[0] has shape (2, 2), expected (3, 3)")
+
+    def test_empty_matrix(self, tmp_path, capsys):
+        data = inclusion_to_json(mndn_inclusion(2))
+        data["normalizers"][1] = []
+        self._refused(tmp_path, capsys, data,
+                      "normalizers[1] has shape (0,), expected (2, 2)")
+
+
 class TestWrongKind:
     """Every command classifies its file before compiling it: a file of
     the wrong kind, or a top-level value that is no object, is an input

@@ -8,6 +8,7 @@ import pytest
 import cartankit.envelope
 import cartankit.groupoid
 import cartankit.inclusion
+import cartankit.matalg
 import cartankit.weyl
 from cartankit.envelope import (
     build_cover,
@@ -23,7 +24,7 @@ from cartankit.inclusion import (
     mod_state_from_density,
 )
 from cartankit.matalg import (
-    _algebra_from_rows,
+    FdStarAlgebra,
     _vec,
     generate_star_algebra,
     hs_inner,
@@ -264,8 +265,8 @@ def reference_slices(inc):
 def reference_corner(inc, i):
     """p_i C p_i from the full-width rows ``row_span(p S p)``."""
     p = inc.min_projs[i]
-    return _algebra_from_rows(inc.C.ambient_dim,
-                              row_span(_vec(p @ inc.C.stack @ p)), p)
+    return FdStarAlgebra(inc.C.ambient_dim,
+                         row_span(_vec(p @ inc.C.stack @ p)), p)
 
 
 def reference_weyl_sigma(inc):
@@ -341,7 +342,7 @@ class TestCornerBlockKernel:
     def test_fixture_coverage(self, fixtures):
         ranks = [tuple(int(np.trace(p).real) for p in inc.min_projs)
                  for inc in fixtures]
-        assert any(max(r) >= 2 and inc.scalar_corners
+        assert any(max(r) >= 2 and inc.is_masa
                    for r, inc in zip(ranks, fixtures))
         assert any(len(set(r)) > 1 for r in ranks)
         assert sum(inc.corner_slices is None for inc in fixtures) >= 4
@@ -368,6 +369,29 @@ class TestCornerBlockKernel:
             assert subspace_equals(inc.commutant_of_D, ref, 1e-9)
             assert inc.is_masa == subspace_equals(ref, inc.D, 1e-7)
             assert inc.is_masa == (reference_slices(inc) is not None)
+
+    def test_corners_and_commutant_run_no_svd(self, monkeypatch):
+        """Past the slice table, the corner algebras and D' cap C take
+        their rows as they are (lifted by Q_i, then stacked): no SVD and no
+        span, and the rows come out HS-orthonormal."""
+        for inc in (mndn_inclusion(3), tensor_inclusion(2),
+                    mixed_rank_inclusion(), m2c_inclusion(),
+                    non_scalar_rank_two()):
+            inc._slice_spans
+            calls = []
+            with monkeypatch.context() as m:
+                for owner, name in ((np.linalg, "svd"),
+                                    (cartankit.inclusion, "row_span"),
+                                    (cartankit.matalg, "row_span")):
+                    real = getattr(owner, name)
+                    m.setattr(owner, name, lambda *a, _real=real, _name=name,
+                              **k: calls.append(_name) or _real(*a, **k))
+                algebras = inc.corner_algebras + (inc.commutant_of_D,)
+            assert calls == []
+            assert sum(A.dim for A in algebras[:-1]) == algebras[-1].dim
+            for A in algebras:
+                gram = A.basis_rows @ A.basis_rows.conj().T
+                assert np.abs(gram - np.eye(A.dim)).max() < 1e-12
 
     def test_weyl_cocycle_matches_pairwise(self, fixtures):
         for inc in fixtures:

@@ -148,11 +148,11 @@ class TestCompatibility:
             if not ref_ok:
                 assert is_witness(inc, rho, ref_w)
                 assert not ok
-            if inc.scalar_corners:
+            if inc.is_masa:
                 assert ok == ref_ok
             if not ok:
                 assert is_witness(inc, rho, w)
-        if not inc.scalar_corners:
+        if not inc.is_masa:
             # the random states are no characters of the corner
             assert not any(is_compatible_state(inc, rho)[0]
                            for rho in states)
@@ -202,7 +202,7 @@ class TestInvariance:
             ref = ref_is_invariant(inc, F)
             exact = _is_invariant(inc, F)
             assert exact <= ref
-            if inc.scalar_corners:
+            if inc.is_masa:
                 assert exact == ref
 
     def test_transport_reps(self):
@@ -231,7 +231,7 @@ class TestInvariance:
         per corner, so invariance is decided there, as the word search
         decides it."""
         inc = unequal_rank_inclusion()
-        assert not inc.scalar_corners
+        assert not inc.is_masa
         reps = _transport_reps(inc)
         assert list(reps) == [(0, 0), (1, 1)]
         for (i, _), u in reps.items():

@@ -22,7 +22,6 @@ from cartankit.errors import DimensionOverflow
 from cartankit.matalg import (
     _PRODUCT_CHUNK,
     FdStarAlgebra,
-    _algebra_from_rows,
     _round_residuals,
     _vec,
     generate_star_algebra,
@@ -133,9 +132,10 @@ def test_matches_all_products_reference(name, n, gens, dim, conjugated):
 def _broken(A):
     """Spans that are no *-algebra with an orthonormal basis: a direction
     dropped (the unit's, the last one), and one basis element scaled."""
-    scaled = (2 * A.basis[0],) + A.basis[1:]
+    rows = A.basis_rows
+    scaled = np.concatenate([2 * rows[:1], rows[1:]])
     return [FdStarAlgebra(A.ambient_dim, b, A.unit)
-            for b in (A.basis[1:], A.basis[:-1], scaled)]
+            for b in (rows[1:], rows[:-1], scaled)]
 
 
 @pytest.mark.parametrize("name", [c[0] for c in CASES if c[1] <= 8])
@@ -165,17 +165,20 @@ def _count(monkeypatch, name):
 @pytest.mark.parametrize("blocks", [(2, 1), (5, 5, 3), (4, 4, 4, 4)])
 def test_closed_seed_span_returned_unchanged(blocks, monkeypatch):
     """A seed span that is an algebra costs one product round, with no
-    SVD: the only row_spans are the seed's and the final basis's."""
+    SVD: the only row_span is the seed's, and the basis is the seed span,
+    unit/sqrt(n) first."""
     n = sum(blocks)
     gens = _units(blocks)
     unit = np.eye(n, dtype=complex)
-    want = _algebra_from_rows(
-        n, row_span(_vec(gens + [g.conj().T for g in gens] + [unit])), unit)
+    want = row_span(_vec(gens + [g.conj().T for g in gens] + [unit]))
     spans = _count(monkeypatch, "row_span")
     rounds = _count(monkeypatch, "_round_residuals")
     A = generate_star_algebra(n, gens)
-    assert np.array_equal(A.basis_rows, want.basis_rows)
-    assert len(spans) == 2 and len(rounds) == 1
+    assert A.dim == len(want)
+    assert np.abs(A.basis_rows.T @ A.basis_rows.conj()
+                  - want.T @ want.conj()).max() < TOL
+    assert np.array_equal(A.basis[0], unit / np.sqrt(n))
+    assert len(spans) == 1 and len(rounds) == 1
 
 
 def test_no_products_for_a_seed_spanning_m_n(monkeypatch):

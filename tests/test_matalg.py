@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,15 @@ class TestRelativeCommutant:
         assert c.dim == 1
 
     def test_requires_containment(self):
+        """A of another size is refused by the shape check; a same-size A
+        outside the ambient algebra by the containment check."""
         M2 = full_matrix_algebra(2)
-        A3 = diagonal_algebra(3)
-        with pytest.raises((NotASubalgebra, Exception)):
-            relative_commutant(A3, M2)
+        with pytest.raises(NonSquareMatrix, match=re.escape(
+                "expected a stack of (2,2) matrices, got shape (3, 3, 3)")):
+            relative_commutant(diagonal_algebra(3), M2)
+        with pytest.raises(NotASubalgebra, match="^A is not contained in "
+                           "the ambient algebra$"):
+            relative_commutant(M2, diagonal_algebra(2))
 
     def test_double_commutant(self):
         rng = np.random.default_rng(11)

@@ -283,7 +283,8 @@ class TestZeroAlgebra:
         assert R.algebra.dim == R.diagonal.dim == len(R.delta_norms()) == 0
         assert block_structure(R.algebra) == ()
         for n in (0, 3):
-            zero = FdStarAlgebra(ambient_dim=n, basis=(),
+            zero = FdStarAlgebra(ambient_dim=n,
+                                 basis_rows=np.zeros((0, n * n), complex),
                                  unit=np.zeros((n, n), dtype=complex))
             assert block_structure(zero) == ()
 

@@ -3,13 +3,20 @@ in ``src/`` calls it, ``cartankit/__init__.py`` exports it, or the
 acceptance gate reads it.  So has every public method and property of a
 public class (dunder methods aside): an attribute of that name read in
 ``src/`` outside its own definition, or in the acceptance gate.  A
-function or method that only tests call belongs in the tests, as a
-reference."""
+private function or method (a leading underscore, dunders aside) has a
+reader in ``src/`` outside its own definition.  A function or method
+that only tests call belongs in the tests, as a reference.  Names that
+were retired stay gone."""
 
 import ast
+import dataclasses
 import pathlib
 import sys
 from collections import Counter
+
+import cartankit.matalg
+from cartankit.inclusion import Inclusion
+from cartankit.matalg import FdStarAlgebra, IdealSubspace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cartankit"
@@ -84,6 +91,30 @@ def _unread_methods():
             and read[fn.name] == _attrs(fn)[fn.name]}
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _unread_private():
+    """Private module-level functions (by name) and private methods of any
+    class (``Class.name``) that nothing in ``src/`` outside their own
+    definition reads: the function as a name, the method as an
+    attribute."""
+    modules = _modules()
+    read = sum(map(_attrs, modules.values()), Counter())
+    functions = {fn.name for module, tree in modules.items()
+                 for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and _private(fn.name)
+                 and not _read_in_src(modules, module, fn.name)}
+    methods = {f"{cls.name}.{fn.name}" for tree in modules.values()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and _private(fn.name)
+               and read[fn.name] == _attrs(fn)[fn.name]}
+    return functions | methods
+
+
 def test_every_public_function_has_a_reader():
     assert sorted(_unread() - set(ALLOWED)) == []
 
@@ -124,3 +155,43 @@ def test_guard_sees_a_method_only_tests_call(tmp_path, monkeypatch):
         "    def hidden(self):\n        return 2\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert _unread_methods() == {"A.dead", "A.shown"}
+
+
+def test_every_private_name_has_a_reader():
+    assert sorted(_unread_private()) == []
+
+
+def test_guard_sees_a_private_name_only_tests_call(tmp_path, monkeypatch):
+    """A private function or method that only its own body reads is
+    flagged, whatever its class; one read elsewhere and a dunder are
+    not."""
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "m.py").write_text(
+        "def _dead(k):\n    return _dead(k - 1) if k else 0\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def caller():\n    return _helper()\n\n"
+        "class A:\n"
+        "    def __len__(self):\n        return self._size\n"
+        "    @property\n    def _size(self):\n        return 1\n"
+        "    def _loop(self, k):\n        return self._loop(k - 1)\n"
+        "class _B:\n"
+        "    def _hidden(self):\n        return 2\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert _unread_private() == {"_dead", "A._loop", "_B._hidden"}
+
+
+def test_one_array_per_basis():
+    """An algebra and an ideal store their basis once, as (d, n^2) rows;
+    the unit-first re-assembly and the stack copy of D's projections are
+    gone."""
+    for cls in (FdStarAlgebra, IdealSubspace):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert "basis_rows" in names and "basis" not in names, cls
+        assert isinstance(vars(cls)["basis"], property), cls
+    assert isinstance(vars(FdStarAlgebra)["stack"], property)
+    assert not hasattr(cartankit.matalg, "_algebra_from_rows")
+    assert not hasattr(Inclusion, "_projs")
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "_algebra_from_rows" not in text, path.name
+        assert "._projs" not in text, path.name

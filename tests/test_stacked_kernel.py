@@ -41,6 +41,7 @@ from cartankit.matalg import (
     FdStarAlgebra,
     _commutators,
     _fixed_draws,
+    _vec,
     generate_star_algebra,
     hs_norm,
     minimal_projections,
@@ -151,7 +152,7 @@ def ref_beta_targets(inc, v):
     vh = v.conj().T
     wt = inc._chars(vh @ v).real
     live = wt > EPS
-    hits = np.abs(inc._chars(vh @ inc._projs @ v)[:, live] / wt[live]
+    hits = np.abs(inc._chars(vh @ inc.min_projs @ v)[:, live] / wt[live]
                   - 1.0) < STATE_TOL
     if (hits.sum(axis=0) != 1).any():
         raise NotANormalizer("a corner does not map to a unique corner")
@@ -488,7 +489,7 @@ def _perturbed(A, delta, seed=0):
     for b in A.basis:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         moved.append(b + delta * x / np.linalg.norm(x))
-    return FdStarAlgebra(n, tuple(moved), A.unit)
+    return FdStarAlgebra(n, _vec(moved), A.unit)
 
 
 def _near_algebras(inc):
@@ -610,13 +611,13 @@ def _broken_algebras():
     unit = np.eye(n, dtype=complex)
     out = [
         # not closed under products or adjoints
-        FdStarAlgebra(n, (unit / np.sqrt(3), E[0, 1], E[1, 2]), unit),
+        FdStarAlgebra(n, _vec([unit / np.sqrt(3), E[0, 1], E[1, 2]]), unit),
         # not orthonormal
-        FdStarAlgebra(n, (unit, E[0, 0]), unit),
+        FdStarAlgebra(n, _vec([unit, E[0, 0]]), unit),
         # the unit does not act as the identity
-        FdStarAlgebra(n, (E[0, 0], E[1, 1] + E[0, 1]), E[0, 0]),
+        FdStarAlgebra(n, _vec([E[0, 0], E[1, 1] + E[0, 1]]), E[0, 0]),
         # the unit is outside the span
-        FdStarAlgebra(n, (E[0, 0], E[1, 1]), unit),
+        FdStarAlgebra(n, _vec([E[0, 0], E[1, 1]]), unit),
     ]
     return out
 
@@ -795,7 +796,7 @@ STACKED = {
                      "_left_kernel_subspace", "radical_ideal",
                      "strongly_compatible", "fixed_point_ideal",
                      "fixed_set_check", "_gram", "_located_state",
-                     "corner_algebras", "scalar_corners", "mod_states",
+                     "corner_algebras", "is_masa", "mod_states",
                      "_density", "_functional", "_transports", "density",
                      "_projection_rows", "_is_invariant",
                      "is_compatible_state", *CORNER_BATCHED],
